@@ -1,0 +1,519 @@
+"""Protocol design: pick a target payoff, check it is enforceable, and
+construct the equilibrium that delivers it.
+
+The designer works on the *guaranteed-payoff region*: payoff vectors on
+the simplex ``sum_i v_i / vbar_i = 1`` (``vbar_i`` = best payoff user
+``i`` can get alone) that dominate both a per-user guarantee ``gamma``
+and the intervention-backed minmax point.  The main entry points are
+
+* :func:`deviation_stats` -- everything the thresholds need: solo optima,
+  cross-deviation payoffs, minmax values.
+* :func:`optimize_welfare` -- welfare-optimal target on the region.
+* :func:`delta_bar` -- discount threshold above which the target is
+  enforceable while every continuation payoff respects the guarantees.
+* :func:`generate_outcome_path` -- time-sharing sequence of solo profiles
+  whose discounted average hits the target exactly.
+* :func:`assemble_protocol` -- wraps the path into a grim automaton.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .automata import Automaton, build_minmax_automaton
+from .games import StageGame, minmax_values, mutual_minmax, solo_optimum
+
+
+class DesignError(ValueError):
+    """Raised when a design request is infeasible or malformed."""
+
+
+class DecompositionError(RuntimeError):
+    """Raised when the outcome-path construction fails to close; indicates
+    an internal inconsistency rather than a bad request."""
+
+
+WELFARES = ("sum", "maxmin")
+
+
+def _welfare_value(kind: str, v: np.ndarray) -> float:
+    if kind == "sum":
+        return float(np.sum(v))
+    if kind == "maxmin":
+        return float(np.min(v))
+    raise DesignError(f"unknown welfare {kind!r}; expected one of {WELFARES}")
+
+
+# ---------------------------------------------------------------------------
+# assumptions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AssumptionCheck:
+    name: str
+    passed: bool
+    detail: str
+    witness: object = None
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    checks: tuple
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def passed(self, name: str) -> bool:
+        for c in self.checks:
+            if c.name == name:
+                return c.passed
+        raise KeyError(name)
+
+    def __str__(self):
+        return "\n".join(f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
+                         for c in self.checks)
+
+
+def validate_assumptions(game: StageGame, hull_grid: int = 11,
+                         tol: float = 1e-9) -> AssumptionReport:
+    """Check the structural premises the design pipeline leans on.
+
+    1. The mutual minmax profile is a stage Nash equilibrium (so the grim
+       protocol's punishment is credible).
+    2. Each user's solo optimum leaves everyone else at exactly zero (so
+       time-sharing solo profiles spans the payoff simplex).
+    3. The sampled pure-payoff set lies inside that simplex (so nothing
+       outside the time-sharing hull is being given up).
+
+    The third check can genuinely fail for congestion games whose
+    efficient profiles concentrate capacity on few users; the pipeline
+    only requires the first two plus guarantee feasibility, so a report
+    with a failed hull check is a warning rather than a blocker.
+    """
+    checks = []
+    mm = mutual_minmax(game)
+    checks.append(AssumptionCheck(
+        name="mutual_minmax_is_stage_nash", passed=mm.is_stage_nash,
+        detail=f"worst one-shot gain at the mutual minmax profile: {mm.worst_gain:.3g}",
+        witness=mm.worst_gain))
+    worst_leak = (None, 0.0)
+    for i in range(game.n):
+        u = game.payoff(*_solo_profile(game, i), validate=False)
+        leak = float(np.max(np.abs(np.delete(u, i))))
+        if leak > worst_leak[1]:
+            worst_leak = (i, leak)
+    checks.append(AssumptionCheck(
+        name="solo_optimum_leaves_others_at_zero", passed=worst_leak[1] <= tol,
+        detail=f"largest payoff leak to a bystander: {worst_leak[1]:.3g}",
+        witness=worst_leak))
+    vbar = np.array([solo_optimum(game, i).value for i in range(game.n)])
+    pts_axes = [np.linspace(0.0, game.a_max[i], hull_grid) for i in range(game.n)]
+    mesh = np.meshgrid(*pts_axes, indexing="ij")
+    acts = np.stack([m.ravel() for m in mesh], axis=-1)
+    a0s = np.zeros((acts.shape[0], game.a0_dim))
+    ratios = game.payoff_batch(a0s, acts) @ (1.0 / vbar)
+    k = int(np.argmax(ratios))
+    checks.append(AssumptionCheck(
+        name="payoff_set_inside_guarantee_simplex", passed=ratios[k] <= 1.0 + 1e-6,
+        detail=f"max normalized payoff sum {ratios[k]:.6g} at a={np.round(acts[k], 4)}",
+        witness=(float(ratios[k]), acts[k])))
+    return AssumptionReport(checks=tuple(checks))
+
+
+def _solo_profile(game: StageGame, i: int):
+    s = solo_optimum(game, i)
+    return s.profile.a0, s.profile.a
+
+
+# ---------------------------------------------------------------------------
+# deviation statistics
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DeviationStats:
+    """Per-user quantities driving every threshold formula.
+
+    ``y[i, j]`` is the best payoff user ``j`` can grab by deviating while
+    the solo profile of user ``i`` is being played (device quiet); its
+    diagonal is the solo optima ``vbar``.  ``w[j]`` is the worst such
+    temptation over foreign solo profiles.  ``solo_payoffs[i]`` is the
+    full payoff vector of solo profile ``i`` (zeros off the diagonal when
+    the solo-optimum assumption holds).
+    """
+
+    vbar: np.ndarray
+    solo_actions: np.ndarray     # (n, n), row i = solo profile of user i
+    solo_payoffs: np.ndarray     # (n, n), row i = payoff vector at that profile
+    y: np.ndarray                # (n, n)
+    w: np.ndarray                # (n,)
+    minmax_with: np.ndarray
+    minmax_without: np.ndarray
+
+    def minmax(self, with_intervention: bool) -> np.ndarray:
+        return self.minmax_with if with_intervention else self.minmax_without
+
+
+def deviation_stats(game: StageGame) -> DeviationStats:
+    n = game.n
+    solo_actions = np.zeros((n, n))
+    vbar = np.zeros(n)
+    for i in range(n):
+        s = solo_optimum(game, i)
+        solo_actions[i] = s.profile.a
+        vbar[i] = s.value
+    null = game.null_intervention()
+    solo_payoffs = game.payoff_batch(np.tile(null, (n, 1)), solo_actions)
+    y = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                y[i, j] = vbar[i]
+                continue
+            dev = solo_actions[i].copy()
+            dev[j] = game.best_response(j, null, solo_actions[i])
+            y[i, j] = game.payoff(null, dev, validate=False)[j]
+    masked = y + np.diag(np.full(n, -np.inf))
+    w = masked.max(axis=0)
+    return DeviationStats(vbar=vbar, solo_actions=solo_actions, solo_payoffs=solo_payoffs,
+                          y=y, w=w,
+                          minmax_with=minmax_values(game, with_intervention=True),
+                          minmax_without=minmax_values(game, with_intervention=False))
+
+
+# ---------------------------------------------------------------------------
+# welfare targets on the guarantee region
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TargetPayoff:
+    v: np.ndarray
+    welfare: str
+    value: float
+    gamma: np.ndarray
+
+
+def guarantee_feasible(stats: DeviationStats, gamma, with_intervention: bool = True) -> bool:
+    """Is the guarantee region nonempty: floors below the simplex, above minmax."""
+    gamma = np.asarray(gamma, dtype=float)
+    floors = np.maximum(gamma, stats.minmax(with_intervention))
+    return bool(np.all(gamma <= stats.vbar + 1e-12)
+                and np.sum(floors / stats.vbar) < 1.0 - 1e-12)
+
+
+def optimize_welfare(stats: DeviationStats, gamma, welfare: str,
+                     with_intervention: bool = True) -> TargetPayoff:
+    """Welfare-optimal payoff on the simplex subject to the guarantee floors.
+
+    Floors are ``max(gamma, minmax)``: no equilibrium can promise less
+    than the minmax value, so requesting less just slackens the request.
+    The sum is maximised at a vertex (everything above the floors goes to
+    a user with the largest solo optimum); the maxmin optimum equalises
+    everyone who is not pinned at their floor.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != stats.vbar.shape:
+        raise DesignError(f"gamma must have shape {stats.vbar.shape}, got {gamma.shape}")
+    if not guarantee_feasible(stats, gamma, with_intervention):
+        raise DesignError(f"guarantee {gamma} is infeasible: floors exceed the payoff simplex")
+    floors = np.maximum(gamma, stats.minmax(with_intervention))
+    vbar = stats.vbar
+    if welfare == "sum":
+        k = int(np.argmax(vbar))  # ties resolve to the smallest index
+        v = floors.astype(float).copy()
+        v[k] = vbar[k] * (1.0 - sum(floors[j] / vbar[j] for j in range(len(vbar)) if j != k))
+    elif welfare == "maxmin":
+        binding = np.zeros(len(vbar), dtype=bool)
+        while True:
+            c = (1.0 - np.sum(floors[binding] / vbar[binding])) / np.sum(1.0 / vbar[~binding])
+            newly = (~binding) & (floors > c)
+            if not newly.any():
+                break
+            binding |= newly
+        v = np.where(binding, floors, c)
+    else:
+        raise DesignError(f"unknown welfare {welfare!r}; expected one of {WELFARES}")
+    return TargetPayoff(v=v, welfare=welfare, value=_welfare_value(welfare, v), gamma=gamma)
+
+
+# ---------------------------------------------------------------------------
+# discount thresholds
+# ---------------------------------------------------------------------------
+
+def delta_bar(stats: DeviationStats, v_star, with_intervention: bool = True) -> float:
+    """Discount threshold for enforcing ``v_star`` with guaranteed floors.
+
+    The first term makes the single most tempting deviation unprofitable
+    at the target itself; the second is the fixed point of the worst-case
+    decomposition recursion over the whole region, with
+    ``T = sum(w_i/vbar_i)`` and ``S = sum(minmax_i/vbar_i)``.  Values are
+    capped at 1, where 1 means "not enforceable for any discount < 1".
+    """
+    v_star = np.asarray(v_star, dtype=float)
+    vlow = stats.minmax(with_intervention)
+    n = len(stats.vbar)
+    denom = stats.w - vlow
+    first = np.where(denom > 1e-15,
+                     (stats.w - v_star) / np.where(denom > 1e-15, denom, 1.0),
+                     np.where(v_star >= stats.w - 1e-12, 0.0, 1.0))
+    t_ratio = float(np.sum(stats.w / stats.vbar))
+    s_ratio = float(np.sum(vlow / stats.vbar))
+    a = n - t_ratio
+    b = t_ratio - s_ratio
+    root = a + np.sqrt(a * a + 4.0 * (n - 1) * b)
+    second = 1.0 if root <= 1e-15 else 2.0 * (n - 1) / root
+    return float(min(max(float(np.max(first)), second, 0.0), 1.0))
+
+
+def delta_mu(stats: DeviationStats, mu, with_intervention: bool = True) -> float:
+    """Threshold above which *every* payoff with floors ``mu`` is enforceable.
+
+    ``mu`` must dominate the minmax point and leave the region nonempty.
+    The first term handles the diagonal temptations (each user deviating
+    against their own most generous allocation), the second the cross
+    temptations ``y[i, j]``.
+    """
+    mu = np.asarray(mu, dtype=float)
+    vlow = stats.minmax(with_intervention)
+    if np.any(mu < vlow - 1e-12):
+        raise DesignError("floors must dominate the minmax point")
+    if np.sum(mu / stats.vbar) >= 1.0 - 1e-15:
+        raise DesignError("floors leave an empty payoff region")
+    n = len(stats.vbar)
+    diag = (n - 1) / (n - float(np.sum(mu / stats.vbar)))
+    cross = 0.0
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            denom = stats.y[i, j] - vlow[j]
+            if denom <= 1e-15:
+                ratio = 0.0 if mu[j] >= stats.y[i, j] - 1e-12 else 1.0
+            else:
+                ratio = (stats.y[i, j] - mu[j]) / denom
+            cross = max(cross, ratio)
+    return float(min(max(diag, cross, 0.0), 1.0))
+
+
+def guarantee_floors(stats: DeviationStats, v_star, with_intervention: bool = True) -> np.ndarray:
+    """Continuation floors ``nu`` enforced along the outcome path.
+
+    At the threshold discount the worst temptation ``w_i`` discounted
+    against the minmax fallback pins the floor; a larger ``delta`` keeps
+    the same floor (it only makes enforcement easier).
+    """
+    db = delta_bar(stats, v_star, with_intervention)
+    vlow = stats.minmax(with_intervention)
+    return stats.w - (stats.w - vlow) * db
+
+
+# ---------------------------------------------------------------------------
+# outcome paths
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OutcomePath:
+    """Time-sharing schedule of solo profiles realising a payoff target.
+
+    ``active[t]`` is the user whose solo profile is played in period ``t``;
+    from ``cycle_start`` the schedule repeats forever.  ``values[t]`` is
+    the exact continuation payoff vector promised at period ``t``; all of
+    them dominate the floor ``nu`` and ``values[0]`` is the target.
+    """
+
+    active: np.ndarray           # (K,) int
+    cycle_start: int
+    values: np.ndarray           # (K, n)
+    nu: np.ndarray
+    delta: float
+    v_star: np.ndarray
+
+    @property
+    def period(self) -> int:
+        return len(self.active) - self.cycle_start
+
+    def active_at(self, t: int) -> int:
+        if t < len(self.active):
+            return int(self.active[t])
+        return int(self.active[self.cycle_start
+                               + (t - self.cycle_start) % self.period])
+
+
+def _cycle_values(u_seq: np.ndarray, cycle_start: int, delta: float) -> np.ndarray:
+    """Exact continuation values of a preamble+cycle stage-payoff sequence."""
+    K = u_seq.shape[0]
+    P = K - cycle_start
+    disc = delta ** np.arange(P)
+    V = np.empty_like(u_seq)
+    V[cycle_start] = ((1.0 - delta) / (1.0 - delta ** P)
+                      * (disc[:, None] * u_seq[cycle_start:]).sum(axis=0))
+    for t in range(K - 1, cycle_start, -1):
+        nxt = V[cycle_start] if t == K - 1 else V[t + 1]
+        V[t] = (1.0 - delta) * u_seq[t] + delta * nxt
+    for t in range(cycle_start - 1, -1, -1):
+        V[t] = (1.0 - delta) * u_seq[t] + delta * V[t + 1]
+    return V
+
+
+def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
+                          with_intervention: bool = True,
+                          value_tol: float = 1e-6,
+                          floor_tol: float = 1e-9) -> OutcomePath:
+    """Greedy decomposition of ``v_star`` into a solo-profile schedule.
+
+    Each period the lowest-indexed user whose activation keeps every
+    continuation promise above the floor ``nu`` gets the stage; promises
+    evolve by inverting the one-period Bellman step.  The tail is closed
+    into a cycle once discounting has shrunk the closure error below
+    ``value_tol``, and the resulting exact values are re-checked against
+    the target and the floors.
+    """
+    v_star = np.asarray(v_star, dtype=float)
+    if not (0.0 < delta < 1.0):
+        raise DesignError(f"discount factor must lie in (0, 1), got {delta}")
+    n = len(stats.vbar)
+    u_solo = stats.solo_payoffs
+    scale = float(np.max(stats.vbar))
+
+    # a target sitting exactly on a solo payoff vector is a constant path and
+    # needs no threshold (the floors degenerate to the minmax point there)
+    for k in range(n):
+        if np.max(np.abs(v_star - u_solo[k])) <= 1e-9 * max(1.0, scale):
+            return OutcomePath(active=np.array([k]), cycle_start=0,
+                               values=u_solo[[k]].astype(float),
+                               nu=stats.minmax(with_intervention), delta=delta,
+                               v_star=v_star)
+
+    db = delta_bar(stats, v_star, with_intervention)
+    if delta < db - 1e-12:
+        raise DesignError(f"delta {delta} below the enforceability threshold {db:.6f}")
+    nu = guarantee_floors(stats, v_star, with_intervention)
+
+    # Splicing the greedy orbit into a cycle perturbs every value on the final
+    # stretch by delta^(K-t) * e, where e is the wrap mismatch.  The orbit of
+    # the plain greedy hugs the floors, so even a small mismatch can dent
+    # them.  Instead the greedy runs against floors raised by a margin m
+    # (ramped up geometrically from nu so that v_star itself stays
+    # admissible); any splice whose mismatch stays below m then clears the
+    # true floors.  The margin is sized from the slack in the self-generation
+    # condition: activations stay feasible as long as the elevated floors
+    # keep sum(f_i/vbar_i) <= (1 - n(1-delta))/delta, so half that room is
+    # split evenly (in share units) across the users.
+    lnd = np.log(delta)
+    slack = min(1e-4, 0.1 * (1.0 - delta)) * max(1.0, scale / 100.0)
+    room = (1.0 - n * (1.0 - delta)) / delta - float(np.sum(nu / stats.vbar))
+    m_full = (0.5 * room / n) * stats.vbar if room > 0 else np.zeros(n)
+    k_value = int(np.ceil(np.log(0.2 * value_tol / scale) / lnd)) + 1
+
+    best_err = np.inf
+    plans = [(m_full, 1), (m_full, 2), (m_full / 4.0, 2), (np.zeros(n), 4)]
+    for margin, k_mul in plans:
+        m_max = float(np.max(margin))
+        # long enough that the wrap mismatch, bounded by the margin (or by
+        # the payoff scale when running marginless), cannot dent the floor
+        # at t=0 where a boundary target may sit exactly on it
+        mismatch_bound = m_max if m_max > 0 else scale
+        K = max(k_value,
+                int(np.ceil(np.log(0.5 * floor_tol / mismatch_bound) / lnd)) + 1)
+        K *= k_mul
+        active = np.empty(K, dtype=int)
+        hist = np.empty((K + 1, n))
+        hist[0] = v_star
+        v = v_star.astype(float).copy()
+        closed = None
+        locked = False
+        for t in range(K):
+            if m_max > 0:
+                ramp = slack * np.expm1(-(t + 1) * lnd)
+                floor = nu + np.minimum(margin, ramp)
+            else:
+                floor = nu + slack
+            for i in range(n):
+                cand = (v - (1.0 - delta) * u_solo[i]) / delta
+                if np.all(cand >= floor):
+                    active[t] = i
+                    v = cand
+                    break
+            else:
+                locked = True
+                break
+            hist[t + 1] = v
+            if np.max(np.abs(v - v_star)) <= 1e-12 * max(1.0, scale):
+                closed = t + 1  # exact return: the whole prefix is the cycle
+                break
+        if locked:
+            continue
+        if closed is not None:
+            seq = active[:closed]
+            values = _cycle_values(u_solo[seq], 0, delta)
+            if (np.max(np.abs(values[0] - v_star)) <= value_tol
+                    and np.min(values - nu) >= -floor_tol):
+                return OutcomePath(active=seq, cycle_start=0, values=values,
+                                   nu=nu, delta=delta, v_star=v_star)
+            best_err = min(best_err, float(np.max(np.abs(values[0] - v_star))))
+            continue
+        # rank candidate cut points by the wrap mismatch they would inject,
+        # measured against the margin that protects each user's floor
+        cs_all = np.arange(1, K)
+        wrap = (hist[cs_all] - hist[K]) / (1.0 - delta ** (K - cs_all))[:, None]
+        norm = np.maximum(margin, max(slack, 1e-12))
+        score = np.max(np.abs(wrap) / norm, axis=1)
+        for idx in np.argsort(score)[:64]:
+            cs = int(cs_all[idx])
+            values = _cycle_values(u_solo[active[:K]], cs, delta)
+            err = float(np.max(np.abs(values[0] - v_star)))
+            if err <= value_tol and np.min(values - nu) >= -floor_tol:
+                return OutcomePath(active=active[:K], cycle_start=cs,
+                                   values=values, nu=nu, delta=delta,
+                                   v_star=v_star)
+            best_err = min(best_err, err)
+    raise DecompositionError(
+        "could not close the outcome path to the requested accuracy "
+        f"(best value error {best_err:.3g})")
+
+
+def assemble_protocol(game: StageGame, stats: DeviationStats,
+                      path: OutcomePath) -> Automaton:
+    """Grim automaton playing the outcome path with the device quiet."""
+    null = game.null_intervention()
+    profiles = [(null, stats.solo_actions[i]) for i in path.active]
+    return build_minmax_automaton(game, profiles, L=None, cycle_start=path.cycle_start)
+
+
+# ---------------------------------------------------------------------------
+# convenience pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ProtocolDesign:
+    game: StageGame
+    stats: DeviationStats
+    assumptions: AssumptionReport
+    target: TargetPayoff
+    threshold: float
+    path: OutcomePath | None
+    automaton: Automaton | None
+
+
+def design_protocol(game: StageGame, gamma, welfare: str,
+                    delta: float | None = None) -> ProtocolDesign:
+    """End-to-end pipeline: stats, target, threshold and (given a discount
+    factor) the explicit equilibrium protocol."""
+    gamma = np.asarray(gamma, dtype=float)
+    report = validate_assumptions(game)
+    if not report.passed("mutual_minmax_is_stage_nash"):
+        raise DesignError("intervention is too weak: mutual minmax is not a stage "
+                          "Nash equilibrium, so the grim protocol is not credible")
+    if not report.passed("solo_optimum_leaves_others_at_zero"):
+        raise DesignError("solo optima leak payoff to bystanders; the time-sharing "
+                          "construction does not apply")
+    stats = deviation_stats(game)
+    target = optimize_welfare(stats, gamma, welfare)
+    threshold = delta_bar(stats, target.v)
+    path = automaton = None
+    if delta is not None:
+        path = generate_outcome_path(stats, target.v, delta)
+        automaton = assemble_protocol(game, stats, path)
+    return ProtocolDesign(game=game, stats=stats, assumptions=report, target=target,
+                          threshold=threshold, path=path, automaton=automaton)

@@ -1,0 +1,690 @@
+"""Experiment drivers and CSV emission.
+
+:func:`run_experiment` dispatches on the experiment name used by the
+command line:
+
+* ``table2``   -- welfare comparison of four enforcement schemes across
+  guarantee levels (stage equilibrium, best one-shot profile meeting the
+  floors, repeated play without and with the intervention device).
+* ``fig3``     -- minimum enforcing discount factor vs punishment length,
+  one curve per device cap.
+* ``scaling``  -- sum and fairness welfare vs population size under two
+  capacity-provisioning rules.
+* ``tradeoff`` -- threshold-discount / guarantee-level / device-cap
+  trade-off curves.
+* ``verify``   -- build the protocol for one target and run both
+  deviation scanners against it.
+
+Everything is deterministic: the same config produces the same CSV bytes,
+and sweep cells are pure functions dispatched in a fixed order (``jobs``
+only changes wall-clock time, never content).
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+from scipy.optimize import brentq, minimize
+
+from . import __version__
+from .automata import min_delta_for_L, verify_spe
+from .design import (assemble_protocol, delta_bar, deviation_stats,
+                     generate_outcome_path, guarantee_feasible, optimize_welfare)
+from .games import (FlowControlGame, GameConfigError, StageGame, game_from_config,
+                    minmax_values, mutual_minmax, solve_stage_nash)
+from .simulate import profitability_scan
+
+EXPERIMENTS = ("table2", "fig3", "scaling", "tradeoff", "verify")
+SCHEMES = ("nash", "one_shot", "repeated_no_intervention", "repeated_with_intervention")
+WELFARE_KINDS = ("sum", "maxmin")
+TRADEOFF_AXES = ("delta_vs_gamma", "a0_vs_delta", "a0_vs_gamma")
+
+BASELINE_COLUMNS = ("scheme", "gamma", "welfare_kind", "value", "min_delta")
+TRADEOFF_COLUMNS = ("axis", "gamma", "delta", "a0_max", "min_delta", "required_a0")
+
+_CONFIG_KEYS = {"game", "gamma", "L", "a0", "n_range", "delta_grid", "welfare",
+                "delta", "target_gamma", "path"}
+
+
+class ConfigError(ValueError):
+    """A config file that cannot be turned into a runnable experiment."""
+
+
+# ---------------------------------------------------------------------------
+# configuration
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ExperimentConfig:
+    experiment: str
+    game: dict
+    gamma: tuple          # guarantee levels (uniform per user)
+    L_values: tuple       # punishment lengths
+    a0_values: tuple      # device caps to sweep
+    n_range: tuple        # inclusive population range (lo, hi)
+    delta_grid: tuple
+    welfare: str
+    delta: float | None
+    target_gamma: float
+    path: tuple | None    # explicit stage profile for the length curves
+    raw: dict = field(repr=False, default_factory=dict)
+    digest: str = ""
+
+
+def _canonical(raw: dict) -> str:
+    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
+
+
+def _floats(raw, key, default) -> tuple:
+    val = raw.get(key, default)
+    try:
+        out = tuple(float(x) for x in val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a list of numbers, got {val!r}") from None
+    if not out:
+        raise ConfigError(f"{key!r} grid is empty")
+    if not all(np.isfinite(out)):
+        raise ConfigError(f"{key!r} contains non-finite entries: {val!r}")
+    return out
+
+
+def load_config(path, experiment: str) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config.
+
+    Unknown keys are rejected (they are usually typos), every grid must
+    be nonempty, and the game block must build a valid stage game.
+    """
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; expected a subset of {sorted(_CONFIG_KEYS)}")
+    if "game" not in raw or not isinstance(raw["game"], dict):
+        raise ConfigError("config needs a 'game' object")
+    try:
+        game = game_from_config(raw["game"])
+    except GameConfigError as exc:
+        raise ConfigError(f"bad game block: {exc}") from None
+
+    gamma = _floats(raw, "gamma", (1.0, 3.0, 7.0, 14.0))
+    L_raw = raw.get("L", tuple(range(1, 13)))
+    try:
+        L_values = tuple(int(x) for x in L_raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'L' must be a list of integers, got {L_raw!r}") from None
+    if not L_values or min(L_values) < 1:
+        raise ConfigError("'L' must be a nonempty list of lengths >= 1")
+    a0_values = _floats(raw, "a0", (0.0, 0.5, 1.0, 2.5))
+    if min(a0_values) < 0:
+        raise ConfigError("'a0' entries must be nonnegative")
+    n_range = raw.get("n_range", (2, 12))
+    try:
+        lo, hi = (int(x) for x in n_range)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'n_range' must be [lo, hi], got {n_range!r}") from None
+    if not 2 <= lo <= hi:
+        raise ConfigError(f"'n_range' must satisfy 2 <= lo <= hi, got {n_range!r}")
+    delta_grid = _floats(raw, "delta_grid", (0.85, 0.9, 0.95, 0.99))
+    if min(delta_grid) <= 0.0 or max(delta_grid) >= 1.0:
+        raise ConfigError("'delta_grid' entries must lie strictly inside (0, 1)")
+    welfare = raw.get("welfare", "sum")
+    if welfare not in WELFARE_KINDS:
+        raise ConfigError(f"unknown welfare {welfare!r}; expected one of {WELFARE_KINDS}")
+    delta = raw.get("delta")
+    if delta is not None:
+        delta = float(delta)
+        if not 0.0 < delta < 1.0:
+            raise ConfigError(f"'delta' must lie in (0, 1), got {delta}")
+    if experiment == "verify" and delta is None:
+        raise ConfigError("the verify experiment needs a 'delta' to check the protocol at")
+    target_gamma = float(raw.get("target_gamma", gamma[0]))
+    path = raw.get("path")
+    if path is not None:
+        path = tuple(float(x) for x in path)
+        arr = np.asarray(path)
+        if arr.shape != (game.n,):
+            raise ConfigError(f"'path' must list one action per user ({game.n}), got {len(path)}")
+        if np.any(arr < 0) or np.any(arr > game.a_max + 1e-9):
+            raise ConfigError("'path' actions fall outside the action boxes")
+
+    return ExperimentConfig(experiment=experiment, game=dict(raw["game"]), gamma=gamma,
+                            L_values=L_values, a0_values=a0_values, n_range=(lo, hi),
+                            delta_grid=delta_grid, welfare=welfare, delta=delta,
+                            target_gamma=target_gamma, path=path, raw=raw,
+                            digest=hashlib.sha256(_canonical(raw).encode()).hexdigest()[:16])
+
+
+def dump_config(config: ExperimentConfig) -> str:
+    """Re-serialize a parsed config; parsing the result is an identity."""
+    return json.dumps(config.raw, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# result tables
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ResultTable:
+    """Rectangular results: named columns, rows of numbers / strings / NA."""
+
+    columns: tuple
+    rows: list
+    provenance: str = f"tool_version={__version__}"
+
+    def __post_init__(self):
+        self.columns = tuple(self.columns)
+        width = len(self.columns)
+        for row in self.rows:
+            if len(row) != width:
+                raise ValueError(f"ragged table: row {row!r} vs columns {self.columns}")
+            for x in row:
+                if x is None or isinstance(x, str):
+                    continue
+                if not np.isfinite(float(x)):
+                    raise ValueError(f"non-finite cell {x!r} in row {row!r}; use None for NA")
+
+    def to_csv_text(self) -> str:
+        lines = [f"# {self.provenance}", ",".join(self.columns)]
+        lines.extend(",".join(_cell(x) for x in row) for row in self.rows)
+        return "\n".join(lines) + "\n"
+
+    def column(self, name: str) -> list:
+        return [row[self.columns.index(name)] for row in self.rows]
+
+
+def _cell(x) -> str:
+    if x is None:
+        return "NA"
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return str(int(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.6g}"
+
+
+def emit_curves(table: ResultTable, path) -> Path:
+    """Write the table as CSV: provenance comment, header, 6 significant
+    digits, NA for missing cells.  Idempotent."""
+    if not table.rows:
+        raise ValueError("refusing to write an empty table")
+    dest = Path(path)
+    dest.write_text(table.to_csv_text())
+    return dest
+
+
+def _pmap(fn, items, jobs: int):
+    """Order-preserving map; ``jobs > 1`` fans out to a thread pool."""
+    items = list(items)
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def _welfare_of(u: np.ndarray, kind: str) -> float:
+    return float(np.sum(u)) if kind == "sum" else float(np.min(u))
+
+
+# ---------------------------------------------------------------------------
+# one-shot baseline search
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SearchResult:
+    value: float
+    profile: np.ndarray
+    payoffs: np.ndarray
+
+
+def _score(U: np.ndarray, gamma: np.ndarray, kind: str):
+    """Rank payoff rows: feasibility first, then welfare (infeasible rows
+    rank by their worst floor shortfall, so ascent can climb into the
+    feasible set)."""
+    margin = np.min(U - gamma, axis=-1)
+    ok = margin >= -1e-9
+    w = U.sum(axis=-1) if kind == "sum" else U.min(axis=-1)
+    return ok, np.where(ok, w, margin)
+
+
+def _pick(ok: np.ndarray, val: np.ndarray) -> int:
+    if ok.any():
+        idx = np.flatnonzero(ok)
+        return int(idx[np.argmax(val[idx])])
+    return int(np.argmax(val))
+
+
+def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
+    """One streamed sweep of the product action grid, scored for every
+    ``(gamma, kind)`` cell at once.  Returns one seed profile per cell,
+    or None when the grid would exceed ``grid_cap`` points."""
+    axes = [np.unique(np.concatenate([np.arange(0.0, am, step), [am]]))
+            for am in game.a_max]
+    if int(np.prod([len(ax) for ax in axes])) > grid_cap:
+        return None
+    null = game.null_intervention()
+    rest = (np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, game.n - 1)
+            if game.n > 1 else np.zeros((1, 0)))
+    prof = np.empty((rest.shape[0], game.n))
+    prof[:, 1:] = rest
+    best = [None] * len(cells)
+    for x in axes[0]:
+        prof[:, 0] = x
+        U = game.payoff_batch(null, prof)
+        for k, (gamma, kind) in enumerate(cells):
+            ok, val = _score(U, gamma, kind)
+            j = _pick(ok, val)
+            cand = (bool(ok[j]), float(val[j]), prof[j].copy())
+            if best[k] is None or (cand[0], cand[1]) > (best[k][0], best[k][1]):
+                best[k] = cand
+    return [b[2] for b in best]
+
+
+def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 0.05,
+                               passes: int = 50, grid_cap: int = 8_000_000,
+                               seed=None) -> SearchResult | None:
+    """Best stage payoff (device quiet) meeting per-user floors.
+
+    Exhaustive product grid with the given step when it fits under
+    ``grid_cap`` points, otherwise a fixed bundle of starts; either way
+    finished with ``passes`` rounds of shrinking-window coordinate
+    ascent, then polished with SLSQP (see :func:`_polish`); the polished
+    point is kept only when ``game.payoff`` confirms it meets the floors
+    and strictly improves the welfare.  ``seed`` skips the grid and
+    starts the ascent there (``baseline_comparison`` uses this to share one
+    grid sweep across cells).  The problem is nonconvex, so the result is
+    a certified feasible point, not a certified optimum.  Returns None
+    when no feasible profile was found.
+    """
+    if kind not in WELFARE_KINDS:
+        raise ValueError(f"unknown welfare {kind!r}")
+    gamma = np.asarray(gamma, dtype=float)
+    if seed is not None:
+        seeds = [np.asarray(seed, dtype=float)]
+    else:
+        seeds = _grid_pass(game, [(gamma, kind)], step, grid_cap)
+        if seeds is None:
+            seeds = [game.a_max * 0.5, game.a_max * 0.75, game.a_max.astype(float)]
+            try:
+                seeds.append(solve_stage_nash(game).a)
+            except Exception:
+                pass
+
+    best = None
+    for start in seeds:
+        cand = _ascend(game, start, gamma, kind, passes)
+        if best is None or (cand[0], cand[1]) > (best[0], best[1]):
+            best = cand
+    ok, _, a = best
+    if not ok:
+        return None
+    u = game.payoff(game.null_intervention(), a, validate=False)
+    polished = _polish(game, a, gamma, kind)
+    u_pol = game.payoff(game.null_intervention(), polished)
+    if np.min(u_pol - gamma) >= -1e-9 and _welfare_of(u_pol, kind) > _welfare_of(u, kind):
+        a, u = polished, u_pol
+    return SearchResult(value=_welfare_of(u, kind), profile=a, payoffs=u)
+
+
+def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
+    """Smooth constrained refinement of a feasible ascent result.
+
+    Coordinate ascent stalls on the maxmin ridge: once all payoffs are
+    equal, raising any one rate lowers everyone else's payoff.  SLSQP
+    moves all rates at once.  Maxmin uses the epigraph form (maximize
+    ``t`` subject to ``u_i(a) >= t`` and ``u_i(a) >= gamma_i``), sum
+    keeps the floors as constraints.  Returns the solver's profile
+    clipped to the action box, unchecked: the caller accepts it only
+    after ``game.payoff`` confirms it.
+    """
+    null = game.null_intervention()
+    n = game.n
+    box = [(0.0, float(m)) for m in game.a_max]
+    u = lambda x: game.payoff(null, x[:n], validate=False)
+    floors = {"type": "ineq", "fun": lambda x: u(x) - gamma}
+    if kind == "sum":
+        x0, bounds, cons = start, box, [floors]
+        obj = lambda x: -float(np.sum(u(x)))
+    else:
+        x0, bounds = np.append(start, np.min(u(start))), box + [(None, None)]
+        cons = [floors, {"type": "ineq", "fun": lambda x: u(x) - x[n]}]
+        obj = lambda x: -float(x[n])
+    res = minimize(obj, x0, method="SLSQP", bounds=bounds, constraints=cons,
+                   options={"ftol": 1e-14, "maxiter": 200})
+    return np.clip(res.x[:n], 0.0, game.a_max)
+
+
+def _ascend(game: StageGame, start, gamma: np.ndarray, kind: str, passes: int,
+            points: int = 33):
+    """Coordinate ascent with a geometrically shrinking search window."""
+    null = game.null_intervention()
+    a = np.clip(np.asarray(start, dtype=float), 0.0, game.a_max)
+    ok, val = _score(game.payoff(null, a, validate=False)[None, :], gamma, kind)
+    cur = (bool(ok[0]), float(val[0]))
+    for p in range(passes):
+        frac = 0.5 * 0.7 ** p
+        moved = False
+        for i in range(game.n):
+            half = frac * float(game.a_max[i])
+            cand = np.linspace(max(0.0, a[i] - half), min(float(game.a_max[i]), a[i] + half), points)
+            prof = np.repeat(a[None, :], points, axis=0)
+            prof[:, i] = cand
+            ok, val = _score(game.payoff_batch(null, prof), gamma, kind)
+            j = _pick(ok, val)
+            key = (bool(ok[j]), float(val[j]))
+            if key > (cur[0], cur[1] + 1e-13):
+                a[i] = cand[j]
+                cur = key
+                moved = True
+        if not moved and frac * float(np.max(game.a_max)) < 1e-10:
+            break
+    return (cur[0], cur[1], a)
+
+
+# ---------------------------------------------------------------------------
+# scheme comparison (the "table2" experiment)
+# ---------------------------------------------------------------------------
+
+def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARE_KINDS,
+                        jobs: int = 1) -> ResultTable:
+    """Welfare comparison across enforcement schemes.
+
+    One row per (scheme, guarantee level, welfare kind).  ``min_delta``
+    is the enforcement threshold for the repeated schemes and NA for the
+    stage/one-shot ones; ``value`` is NA wherever the scheme cannot meet
+    the guarantee.  The scheme without intervention replaces each floor
+    by the no-device minmax value when the latter is larger -- nobody
+    can be held below what they can secure alone, so the printed
+    threshold hits 1 exactly when that effective floor binds the target.
+    """
+    stats = deviation_stats(game)
+    ne = solve_stage_nash(game)
+    u_ne = game.payoff(ne.a0, ne.a)
+    cells = [(kind, float(g)) for kind in welfares for g in gamma_levels]
+    seeds = _grid_pass(game, [(np.full(game.n, g), kind) for kind, g in cells],
+                       0.05, 8_000_000)
+
+    def block(k):
+        kind, g = cells[k]
+        gam = np.full(game.n, g)
+        rows = [["nash", g, kind,
+                 _welfare_of(u_ne, kind) if np.all(u_ne >= gam - 1e-9) else None, None]]
+        found = constrained_welfare_search(game, gam, kind,
+                                           seed=None if seeds is None else seeds[k])
+        rows.append(["one_shot", g, kind, found.value if found else None, None])
+        for scheme, device in (("repeated_no_intervention", False),
+                               ("repeated_with_intervention", True)):
+            if guarantee_feasible(stats, gam, device):
+                target = optimize_welfare(stats, gam, kind, device)
+                rows.append([scheme, g, kind, target.value,
+                             delta_bar(stats, target.v, device)])
+            else:
+                rows.append([scheme, g, kind, None, None])
+        return rows
+
+    rows = [row for blk in _pmap(block, range(len(cells)), jobs) for row in blk]
+    return ResultTable(BASELINE_COLUMNS, rows)
+
+
+# ---------------------------------------------------------------------------
+# punishment-length curves (the "fig3" experiment)
+# ---------------------------------------------------------------------------
+
+def reference_path(game: StageGame, margin: float = 1.1) -> np.ndarray:
+    """A strictly individually rational stage profile for the length curves.
+
+    Users with the highest elasticity transmit at their caps; the rest
+    scale back symmetrically until their stage payoff clears ``margin``
+    times their no-device minmax value.  Closed form only for flow
+    control; other games must supply an explicit path in the config.
+    """
+    if not isinstance(game, FlowControlGame):
+        raise ConfigError("no built-in reference path for this game kind; set 'path' in the config")
+    beta = game.beta
+    top = beta >= np.max(beta) - 1e-12
+    a = game.a_max.astype(float).copy()
+    if not top.all():
+        low = ~top
+        b = float(beta[low][0])
+        cap = float(game.a_max[low][0])
+        if not (np.allclose(beta[low], b) and np.allclose(game.a_max[low], cap)):
+            raise ConfigError("users below the top elasticity are not symmetric; set 'path' in the config")
+        v_solo = minmax_values(game, with_intervention=False)
+        want = margin * float(v_solo[low][0])
+        m = int(low.sum())
+        free = float(game.mu - np.sum(game.a_max[top]))
+        peak = min(b * free / (m * (b + 1.0)), cap)
+        f = lambda x: x ** b * (free - m * x) - want
+        if free <= 0 or f(peak) < 0:
+            raise ConfigError("cannot build an individually rational reference path; set 'path' in the config")
+        a[low] = brentq(f, 0.0, peak, xtol=1e-12)
+    u = game.payoff(game.null_intervention(), a, validate=False)
+    if np.any(u <= minmax_values(game, with_intervention=False)):
+        raise ConfigError("reference path is not individually rational; set 'path' in the config")
+    return a
+
+
+def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None,
+                             jobs: int = 1) -> ResultTable:
+    """Minimum enforcing discount factor against punishment length.
+
+    One curve per device cap.  When the mutual-minmax profile is a stage
+    equilibrium the absorbing punishment applies and the bound does not
+    depend on the length, so the curve is flat; otherwise each length
+    gets the finite-punishment machine's threshold (NA when no discount
+    factor works at that length).
+    """
+    if game_cfg.get("kind") not in ("flow", "power"):
+        raise ConfigError("punishment-length curves sweep a scalar device cap; flow or power game required")
+
+    def curve(a0):
+        cfg = dict(game_cfg)
+        cfg["a0_max"] = [float(a0)]
+        g = game_from_config(cfg)
+        pa = np.asarray(path, dtype=float) if path is not None else reference_path(g)
+        profile = (g.null_intervention(), pa)
+        if mutual_minmax(g).is_stage_nash:
+            d = min_delta_for_L(g, profile, None).delta
+            return [[float(a0), int(L), d] for L in L_values]
+        return [[float(a0), int(L), min_delta_for_L(g, profile, int(L)).delta]
+                for L in L_values]
+
+    rows = [row for blk in _pmap(curve, a0_values, jobs) for row in blk]
+    return ResultTable(("a0_max", "L", "min_delta"), rows)
+
+
+# ---------------------------------------------------------------------------
+# population scaling (the "scaling" experiment)
+# ---------------------------------------------------------------------------
+
+def scaling_sweep(n_range, welfares=WELFARE_KINDS, jobs: int = 1) -> ResultTable:
+    """Welfare vs population size under two capacity rules.
+
+    ``linear`` provisions capacity with the population (mu = N),
+    ``capped`` saturates at 10.  Games are symmetric: unit action boxes,
+    elasticity 3, device cap equal to the headroom mu - (N-1) left by
+    the other users.  The per-user guarantee is min(10% of the solo
+    optimum, the equal capacity share), raised when needed to sit
+    strictly above the device-backed minmax floor.  Rows where capacity
+    no longer covers the total box load (capped rule past N=10) are NA:
+    the queueing payoff model is only defined when the service rate
+    covers the maximum total arrival rate.
+    """
+    lo, hi = int(n_range[0]), int(n_range[1])
+
+    def cell(args):
+        rule, n = args
+        mu = float(n if rule == "linear" else min(n, 10))
+        if mu < n - 1e-12:
+            return [[rule, n, scheme, kind, None, None]
+                    for kind in welfares for scheme in SCHEMES]
+        game = FlowControlGame(mu=mu, beta=[3.0] * n, a_max=[1.0] * n,
+                               a0_max=[max(mu - (n - 1), 0.0)])
+        stats = deviation_stats(game)
+        gam = np.maximum(np.minimum(0.1 * stats.vbar, mu / n), stats.minmax(True) + 1e-9)
+        ne = solve_stage_nash(game)
+        u_ne = game.payoff(ne.a0, ne.a)
+        rows = []
+        for kind in welfares:
+            rows.append([rule, n, "nash", kind,
+                         _welfare_of(u_ne, kind) if np.all(u_ne >= gam - 1e-9) else None, None])
+            found = constrained_welfare_search(game, gam, kind)
+            rows.append([rule, n, "one_shot", kind, found.value if found else None, None])
+            for scheme, device in (("repeated_no_intervention", False),
+                                   ("repeated_with_intervention", True)):
+                if guarantee_feasible(stats, gam, device):
+                    target = optimize_welfare(stats, gam, kind, device)
+                    rows.append([rule, n, scheme, kind, target.value,
+                                 delta_bar(stats, target.v, device)])
+                else:
+                    rows.append([rule, n, scheme, kind, None, None])
+        return rows
+
+    cells = [(rule, n) for rule in ("linear", "capped") for n in range(lo, hi + 1)]
+    rows = [row for blk in _pmap(cell, cells, jobs) for row in blk]
+    return ResultTable(("capacity_rule", "n", "scheme", "welfare_kind", "value", "min_delta"), rows)
+
+
+# ---------------------------------------------------------------------------
+# trade-off curves (the "tradeoff" experiment)
+# ---------------------------------------------------------------------------
+
+def tradeoff_sweep(game_cfg: dict, axis: str, gamma_levels, a0_values, delta_grid,
+                   welfare: str = "sum", tol: float = 1e-4, jobs: int = 1) -> ResultTable:
+    """One trade-off family for the welfare-optimal target.
+
+    ``delta_vs_gamma``: enforcement threshold vs guarantee level, one
+    curve per device cap.  ``a0_vs_delta`` / ``a0_vs_gamma``: smallest
+    device cap whose threshold meets the available discount factor, by
+    bisection on the cap (monotone: more intervention never raises the
+    threshold).  Infeasible grid points are kept as NA rows rather than
+    dropped.
+    """
+    if axis not in TRADEOFF_AXES:
+        raise ConfigError(f"unknown tradeoff axis {axis!r}; expected one of {TRADEOFF_AXES}")
+    if game_cfg.get("kind") not in ("flow", "power"):
+        raise ConfigError("trade-off sweeps vary a scalar device cap; flow or power game required")
+    cap = float(np.asarray(game_cfg["a0_max"], dtype=float).reshape(-1)[0])
+
+    def threshold(a0: float, g: float) -> float | None:
+        cfg = dict(game_cfg)
+        cfg["a0_max"] = [float(a0)]
+        stats = deviation_stats(game_from_config(cfg))
+        gam = np.full(stats.vbar.size, g)
+        if not guarantee_feasible(stats, gam, True):
+            return None
+        target = optimize_welfare(stats, gam, welfare, True)
+        return delta_bar(stats, target.v, True)
+
+    def required_cap(g: float, d: float) -> float | None:
+        top = threshold(cap, g)
+        if top is None or top > d + 1e-12:
+            return None
+        low = threshold(0.0, g)
+        if low is not None and low <= d + 1e-12:
+            return 0.0
+        lo_a, hi_a = 0.0, cap
+        while hi_a - lo_a > tol:
+            mid = 0.5 * (lo_a + hi_a)
+            t = threshold(mid, g)
+            if t is not None and t <= d + 1e-12:
+                hi_a = mid
+            else:
+                lo_a = mid
+        return hi_a
+
+    if axis == "delta_vs_gamma":
+        points = [(a0, g) for a0 in a0_values for g in gamma_levels]
+        rows = _pmap(lambda p: [axis, p[1], None, p[0], threshold(p[0], p[1]), None],
+                     points, jobs)
+    elif axis == "a0_vs_delta":
+        points = [(g, d) for g in gamma_levels for d in delta_grid]
+        rows = _pmap(lambda p: [axis, p[0], p[1], None, None, required_cap(p[0], p[1])],
+                     points, jobs)
+    else:  # a0_vs_gamma
+        points = [(d, g) for d in delta_grid for g in gamma_levels]
+        rows = _pmap(lambda p: [axis, p[1], p[0], None, None, required_cap(p[1], p[0])],
+                     points, jobs)
+    return ResultTable(TRADEOFF_COLUMNS, rows)
+
+
+# ---------------------------------------------------------------------------
+# protocol verification (the "verify" experiment)
+# ---------------------------------------------------------------------------
+
+def verification_report(game: StageGame, welfare: str, gamma: float, delta: float) -> ResultTable:
+    """Build the protocol for one welfare target and scan it at ``delta``.
+
+    If the requested discount factor sits below the enforcement
+    threshold, the outcome path is still constructed -- at a discount
+    just above the threshold, where the decomposition exists -- and both
+    scanners run at the requested one; the reported worst gain then
+    shows by how much enforcement fails there.
+    """
+    stats = deviation_stats(game)
+    gam = np.full(game.n, float(gamma))
+    if not guarantee_feasible(stats, gam, True):
+        raise ConfigError(f"guarantee level {gamma} is infeasible for this game")
+    target = optimize_welfare(stats, gam, welfare, True)
+    db = delta_bar(stats, target.v, True)
+    build_delta = float(delta) if delta >= db + 1e-9 else min(db + 1e-3, 0.5 * (db + 1.0))
+    path = generate_outcome_path(stats, target.v, build_delta)
+    automaton = assemble_protocol(game, stats, path)
+    report = verify_spe(game, automaton, delta)
+    scan = profitability_scan(game, automaton, delta)
+    rows = [
+        ["welfare_value", target.value],
+        ["delta_bar", db],
+        ["build_delta", build_delta],
+        ["check_delta", float(delta)],
+        ["path_states", len(path.active)],
+        ["path_value_error", float(np.max(np.abs(path.values[0] - target.v)))],
+        ["floor_margin", float(np.min(path.values - path.nu))],
+        ["deviation_scan_worst_gain", report.worst_gain],
+        ["deviation_scan_ok", int(report.ok)],
+        ["suffix_scan_worst_gain", scan.worst_gain],
+        ["suffix_scan_ok", int(scan.ok)],
+        ["scanner_agreement", abs(report.worst_gain - scan.worst_gain)],
+    ]
+    return ResultTable(("quantity", "value"), rows)
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+# ---------------------------------------------------------------------------
+
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
+    """Run one experiment and stamp the result with config hash + version."""
+    game = game_from_config(config.game)
+    if config.experiment == "table2":
+        table = baseline_comparison(game, config.gamma, jobs=jobs)
+    elif config.experiment == "fig3":
+        table = punishment_length_curves(config.game, config.a0_values,
+                                         config.L_values, config.path, jobs=jobs)
+    elif config.experiment == "scaling":
+        table = scaling_sweep(config.n_range, jobs=jobs)
+    elif config.experiment == "tradeoff":
+        blocks = [tradeoff_sweep(config.game, axis, config.gamma, config.a0_values,
+                                 config.delta_grid, config.welfare, jobs=jobs)
+                  for axis in TRADEOFF_AXES]
+        table = ResultTable(TRADEOFF_COLUMNS, [row for b in blocks for row in b.rows])
+    elif config.experiment == "verify":
+        table = verification_report(game, config.welfare, config.target_gamma, config.delta)
+    else:  # unreachable after load_config validation
+        raise ConfigError(f"unknown experiment {config.experiment!r}")
+    table.provenance = f"config_sha256={config.digest} tool_version={__version__}"
+    return table

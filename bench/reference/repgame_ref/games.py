@@ -1,0 +1,610 @@
+"""Stage games between N self-interested users and an intervention device.
+
+The device is a non-strategic punisher: its action can only lower user
+payoffs, and its null action leaves the game unchanged.  Three concrete
+games are provided:
+
+* :class:`FlowControlGame` -- users pick service rates at a shared M/M/1
+  queue; payoff is a power of the own rate times the residual capacity.
+  The device absorbs capacity.
+* :class:`PowerControlGame` -- users pick transmit powers on a shared
+  Gaussian interference channel; payoff is the Shannon rate.  The device
+  jams.
+* :class:`PacketDropGame` -- flow control where the device drops each
+  user's packets independently with some probability.
+
+All payoff functions are vectorised over leading batch dimensions, which
+the equilibrium checkers rely on for speed.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterable
+
+import numpy as np
+from scipy.optimize import minimize_scalar
+
+#: tolerance for box-constraint checks on actions
+BOX_TOL = 1e-9
+
+#: default tolerance when certifying a best response / Nash equilibrium
+GAIN_TOL = 1e-9
+
+
+class GameConfigError(ValueError):
+    """Raised when game parameters are malformed or inconsistent."""
+
+
+class NashIterationError(RuntimeError):
+    """Raised when the damped best-response iteration fails to converge."""
+
+
+def _as_vector(x, n, name) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(n, float(arr))
+    if arr.shape != (n,):
+        raise GameConfigError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}")
+    return arr
+
+
+@dataclass(frozen=True)
+class ActionProfile:
+    """One period's joint action: device action ``a0`` and user actions ``a``."""
+
+    a0: np.ndarray
+    a: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "a0", np.asarray(self.a0, dtype=float).reshape(-1))
+        object.__setattr__(self, "a", np.asarray(self.a, dtype=float).reshape(-1))
+
+
+@dataclass(frozen=True)
+class MinmaxResult:
+    """Minmax value of one user plus a profile attaining it.
+
+    ``profile`` holds the minimising device/opponent actions together with
+    the user's own best response against them.
+    """
+
+    user: int
+    value: float
+    profile: ActionProfile
+    with_intervention: bool
+
+
+@dataclass(frozen=True)
+class MutualMinmaxResult:
+    """The profile that minmaxes every user simultaneously."""
+
+    profile: ActionProfile
+    payoffs: np.ndarray
+    is_stage_nash: bool
+    worst_gain: float
+
+
+@dataclass(frozen=True)
+class SoloOptimum:
+    """Best payoff user ``i`` can get when everyone else (device included) sits at zero."""
+
+    user: int
+    value: float
+    profile: ActionProfile
+
+
+@dataclass(frozen=True)
+class HullSample:
+    """Grid sample of the pure-action payoff set.
+
+    ``individually_rational`` marks points that strictly dominate the
+    intervention-backed minmax point componentwise.  For two-user games
+    ``hull_vertices`` holds the convex hull of the sample in
+    counterclockwise order, otherwise ``None``.
+    """
+
+    points: np.ndarray
+    individually_rational: np.ndarray
+    minmax_point: np.ndarray
+    hull_vertices: np.ndarray | None
+
+
+class StageGame:
+    """Common interface for the concrete games.
+
+    Subclasses must set ``n``, ``a_max`` (shape ``(n,)``), ``a0_max``
+    (shape ``(a0_dim,)``) and implement ``payoff_unchecked``.
+    """
+
+    n: int
+    a_max: np.ndarray
+    a0_max: np.ndarray
+    kind: str = "abstract"
+
+    # -- box helpers ---------------------------------------------------
+
+    @property
+    def a0_dim(self) -> int:
+        return self.a0_max.shape[0]
+
+    def null_intervention(self) -> np.ndarray:
+        """The device action that leaves user payoffs untouched."""
+        return np.zeros(self.a0_dim)
+
+    def full_intervention(self) -> np.ndarray:
+        return self.a0_max.copy()
+
+    def validate_profile(self, a0, a) -> tuple[np.ndarray, np.ndarray]:
+        a0 = np.asarray(a0, dtype=float).reshape(-1)
+        a = np.asarray(a, dtype=float).reshape(-1)
+        if a0.shape != (self.a0_dim,):
+            raise GameConfigError(f"device action must have shape ({self.a0_dim},), got {a0.shape}")
+        if a.shape != (self.n,):
+            raise GameConfigError(f"user actions must have shape ({self.n},), got {a.shape}")
+        if np.any(a0 < -BOX_TOL) or np.any(a0 > self.a0_max + BOX_TOL):
+            raise GameConfigError(f"device action {a0} outside box [0, {self.a0_max}]")
+        if np.any(a < -BOX_TOL) or np.any(a > self.a_max + BOX_TOL):
+            raise GameConfigError(f"user actions {a} outside box [0, {self.a_max}]")
+        return a0, a
+
+    # -- payoffs -------------------------------------------------------
+
+    def payoff_unchecked(self, a0: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Vectorised payoffs; ``a0``/``a`` broadcast over leading dims."""
+        raise NotImplementedError
+
+    def payoff(self, a0, a, validate: bool = True) -> np.ndarray:
+        """Payoff vector for one joint action (with box validation)."""
+        if validate:
+            a0, a = self.validate_profile(a0, a)
+        else:
+            a0 = np.asarray(a0, dtype=float)
+            a = np.asarray(a, dtype=float)
+        return self.payoff_unchecked(a0, a)
+
+    def payoff_batch(self, a0: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Payoffs for a batch: ``a0`` shape ``(..., a0_dim)``, ``a`` shape ``(..., n)``."""
+        return self.payoff_unchecked(np.asarray(a0, dtype=float), np.asarray(a, dtype=float))
+
+    # -- best responses ------------------------------------------------
+
+    def best_response(self, i: int, a0, others) -> float:
+        """Own action maximising user ``i``'s payoff against ``(a0, others)``.
+
+        ``others`` is a full-length action vector whose ``i``-th entry is
+        ignored.  Ties are broken toward the smaller action.  The generic
+        implementation runs a bounded scalar optimiser plus an endpoint
+        comparison; subclasses override with closed forms.
+        """
+        a0 = np.asarray(a0, dtype=float).reshape(-1)
+        others = np.asarray(others, dtype=float)
+
+        def neg(x):
+            acts = others.copy()
+            acts[i] = x
+            return -float(self.payoff_unchecked(a0, acts)[i])
+
+        hi = float(self.a_max[i])
+        res = minimize_scalar(neg, bounds=(0.0, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        candidates = [0.0, hi, float(res.x)]
+        vals = [-neg(c) for c in candidates]
+        best = max(vals)
+        # smallest action within tolerance of the best value
+        for c, v in sorted(zip(candidates, vals)):
+            if v >= best - 1e-11 * max(1.0, abs(best)):
+                return c
+        return float(res.x)
+
+    def best_response_batch(self, i: int, a0: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """Vectorised ``best_response`` over a batch of states."""
+        a0 = np.atleast_2d(np.asarray(a0, dtype=float))
+        others = np.atleast_2d(np.asarray(others, dtype=float))
+        out = np.empty(others.shape[0])
+        for k in range(others.shape[0]):
+            out[k] = self.best_response(i, a0[k], others[k])
+        return out
+
+    # -- config round-trip ----------------------------------------------
+
+    def to_config(self) -> dict:
+        raise NotImplementedError
+
+    def with_a0_max(self, a0_max) -> "StageGame":
+        """Copy of this game with a different device action box."""
+        cfg = self.to_config()
+        cfg["a0_max"] = np.asarray(a0_max, dtype=float).reshape(-1).tolist()
+        return game_from_config(cfg)
+
+
+class FlowControlGame(StageGame):
+    """Users share an M/M/1 queue of service rate ``mu``.
+
+    User ``i`` sends at rate ``a_i`` and values throughput-weighted delay
+    as ``a_i**beta_i * max(0, mu - a0 - sum(a))``; the device takes
+    ``a0`` of the capacity for itself.  ``mu >= sum(a_max)`` is required
+    so that the queue stays stable at every admissible profile.
+
+    >>> g = FlowControlGame(mu=10, beta=[2, 2, 3, 3], a_max=[2.5] * 4, a0_max=[2.5])
+    >>> g.payoff([0.0], [2.5, 2.5, 2.5, 2.5])
+    array([0., 0., 0., 0.])
+    """
+
+    kind = "flow"
+
+    def __init__(self, mu: float, beta, a_max, a0_max=0.0):
+        self.mu = float(mu)
+        n = len(np.atleast_1d(np.asarray(beta, dtype=float)))
+        self.n = n
+        self.beta = _as_vector(beta, n, "beta")
+        self.a_max = _as_vector(a_max, n, "a_max")
+        a0 = np.asarray(a0_max, dtype=float).reshape(-1)
+        if a0.shape != (1,):
+            raise GameConfigError("flow-control device action is a scalar capacity grab")
+        self.a0_max = a0
+        if self.mu <= 0 or np.any(self.beta <= 0) or np.any(self.a_max <= 0):
+            raise GameConfigError("mu, beta and a_max must be strictly positive")
+        if self.a0_max[0] < 0:
+            raise GameConfigError("a0_max must be nonnegative")
+        if self.mu < np.sum(self.a_max) - BOX_TOL:
+            raise GameConfigError(
+                f"queue underprovisioned: mu={self.mu} < sum(a_max)={np.sum(self.a_max)}")
+
+    def payoff_unchecked(self, a0, a):
+        cap = self.mu - a0[..., 0] - np.sum(a, axis=-1)
+        cap = np.maximum(cap, 0.0)
+        return np.power(a, self.beta) * cap[..., None]
+
+    def best_response(self, i, a0, others):
+        a0 = np.asarray(a0, dtype=float).reshape(-1)
+        others = np.asarray(others, dtype=float)
+        free = self.mu - a0[0] - (np.sum(others) - others[i])
+        if free <= 0.0:
+            # payoff is identically zero; default to the full rate so that
+            # the all-max profile stays a best-response fixed point
+            return float(self.a_max[i])
+        b = self.beta[i]
+        return float(min(b / (1.0 + b) * free, self.a_max[i]))
+
+    def best_response_batch(self, i, a0, others):
+        a0 = np.asarray(a0, dtype=float)
+        others = np.asarray(others, dtype=float)
+        free = self.mu - a0[..., 0] - (np.sum(others, axis=-1) - others[..., i])
+        b = self.beta[i]
+        interior = np.minimum(b / (1.0 + b) * free, self.a_max[i])
+        return np.where(free <= 0.0, self.a_max[i], interior)
+
+    def deviation_payoffs_grid(self, i, a0_arr, a_arr, grid):
+        free = self.mu - a0_arr[:, 0] - (np.sum(a_arr, axis=-1) - a_arr[:, i])
+        cap = np.maximum(free[:, None] - grid[None, :], 0.0)
+        return np.power(grid, self.beta[i])[None, :] * cap
+
+    def to_config(self):
+        return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
+                "a_max": self.a_max.tolist(), "a0_max": self.a0_max.tolist()}
+
+
+class PowerControlGame(StageGame):
+    """Gaussian interference channel with a jamming device.
+
+    ``gain[i][j]`` is the channel gain from transmitter ``j`` to receiver
+    ``i``; ``intervention_gain[i]`` the gain from the jammer to receiver
+    ``i``; ``noise[i]`` the receiver noise floor.  Payoffs are Shannon
+    rates ``log2(1 + SINR_i)``.
+    """
+
+    kind = "power"
+
+    def __init__(self, gain, intervention_gain, noise, a_max, a0_max=0.0):
+        g = np.asarray(gain, dtype=float)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise GameConfigError("gain must be a square matrix")
+        n = g.shape[0]
+        self.n = n
+        self.gain = g
+        self.intervention_gain = _as_vector(intervention_gain, n, "intervention_gain")
+        self.noise = _as_vector(noise, n, "noise")
+        self.a_max = _as_vector(a_max, n, "a_max")
+        a0 = np.asarray(a0_max, dtype=float).reshape(-1)
+        if a0.shape != (1,):
+            raise GameConfigError("power-control device action is a scalar jamming power")
+        self.a0_max = a0
+        if np.any(g <= 0) or np.any(self.noise <= 0) or np.any(self.intervention_gain < 0):
+            raise GameConfigError("gains must be positive and noise strictly positive")
+        if np.any(self.a_max <= 0) or self.a0_max[0] < 0:
+            raise GameConfigError("power budgets must be positive")
+
+    def payoff_unchecked(self, a0, a):
+        own = np.diagonal(self.gain) * a
+        cross = a @ self.gain.T - own  # interference received by each user
+        denom = self.noise + self.intervention_gain * a0[..., 0:1] + cross
+        return np.log2(1.0 + own / denom)
+
+    def best_response(self, i, a0, others):
+        # rates increase in own power regardless of what anyone else does
+        return float(self.a_max[i])
+
+    def best_response_batch(self, i, a0, others):
+        others = np.asarray(others, dtype=float)
+        return np.full(others.shape[0], self.a_max[i])
+
+    def deviation_payoffs_grid(self, i, a0_arr, a_arr, grid):
+        own = self.gain[i, i] * grid
+        cross = a_arr @ self.gain[i] - self.gain[i, i] * a_arr[:, i]
+        denom = self.noise[i] + self.intervention_gain[i] * a0_arr[:, 0] + cross
+        return np.log2(1.0 + own[None, :] / denom[:, None])
+
+    def to_config(self):
+        return {"kind": self.kind, "gain": self.gain.tolist(),
+                "intervention_gain": self.intervention_gain.tolist(),
+                "noise": self.noise.tolist(), "a_max": self.a_max.tolist(),
+                "a0_max": self.a0_max.tolist()}
+
+
+class PacketDropGame(StageGame):
+    """Flow control where the device drops user ``i``'s packets w.p. ``a0[i]``.
+
+    Payoffs are ``((1 - a0_i) * a_i)**beta_i * (mu - sum(a))``: dropping
+    shrinks the effective rate a user is paid for, while the full sent
+    rate still congests the queue.
+    """
+
+    kind = "packet_drop"
+
+    def __init__(self, mu: float, beta, a_max):
+        self.mu = float(mu)
+        n = len(np.atleast_1d(np.asarray(beta, dtype=float)))
+        self.n = n
+        self.beta = _as_vector(beta, n, "beta")
+        self.a_max = _as_vector(a_max, n, "a_max")
+        self.a0_max = np.ones(n)
+        if self.mu <= 0 or np.any(self.beta <= 0) or np.any(self.a_max <= 0):
+            raise GameConfigError("mu, beta and a_max must be strictly positive")
+        if self.mu < np.sum(self.a_max) - BOX_TOL:
+            raise GameConfigError(
+                f"queue underprovisioned: mu={self.mu} < sum(a_max)={np.sum(self.a_max)}")
+
+    def payoff_unchecked(self, a0, a):
+        cap = self.mu - np.sum(a, axis=-1)
+        eff = np.maximum((1.0 - a0) * a, 0.0)
+        return np.power(eff, self.beta) * cap[..., None]
+
+    def best_response(self, i, a0, others):
+        a0 = np.asarray(a0, dtype=float).reshape(-1)
+        others = np.asarray(others, dtype=float)
+        free = self.mu - (np.sum(others) - others[i])
+        if a0[i] >= 1.0 - 1e-12 or free <= 0.0:
+            return float(self.a_max[i])
+        b = self.beta[i]
+        return float(min(b / (1.0 + b) * free, self.a_max[i]))
+
+    def best_response_batch(self, i, a0, others):
+        a0 = np.asarray(a0, dtype=float)
+        others = np.asarray(others, dtype=float)
+        free = self.mu - (np.sum(others, axis=-1) - others[..., i])
+        interior = np.minimum(self.beta[i] / (1.0 + self.beta[i]) * free, self.a_max[i])
+        flat = (a0[..., i] >= 1.0 - 1e-12) | (free <= 0.0)
+        return np.where(flat, self.a_max[i], interior)
+
+    def deviation_payoffs_grid(self, i, a0_arr, a_arr, grid):
+        free = self.mu - (np.sum(a_arr, axis=-1) - a_arr[:, i])
+        eff = np.maximum((1.0 - a0_arr[:, i])[:, None] * grid[None, :], 0.0)
+        return np.power(eff, self.beta[i]) * (free[:, None] - grid[None, :])
+
+    def minmax_minimizer(self, i):
+        # dropping user i's packets w.p. 1 already floors them at zero;
+        # other users need not be involved beyond playing their maxima
+        a0 = np.zeros(self.n)
+        a0[i] = 1.0
+        return a0
+
+    def to_config(self):
+        return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
+                "a_max": self.a_max.tolist()}
+
+
+_GAME_KINDS = {
+    "flow": FlowControlGame,
+    "power": PowerControlGame,
+    "packet_drop": PacketDropGame,
+}
+
+
+def game_from_config(cfg: dict) -> StageGame:
+    """Build a game from a plain mapping (inverse of ``to_config``)."""
+    cfg = dict(cfg)
+    kind = cfg.pop("kind", None)
+    if kind not in _GAME_KINDS:
+        raise GameConfigError(f"unknown game kind {kind!r}; expected one of {sorted(_GAME_KINDS)}")
+    cls = _GAME_KINDS[kind]
+    if kind == "packet_drop":
+        cfg.pop("a0_max", None)  # fixed at the unit box
+    try:
+        return cls(**cfg)
+    except TypeError as exc:
+        raise GameConfigError(f"bad parameters for {kind!r} game: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# module-level operations
+# ---------------------------------------------------------------------------
+
+def payoff(game: StageGame, profile: ActionProfile) -> np.ndarray:
+    """Payoff vector at ``profile`` with full box validation."""
+    return game.payoff(profile.a0, profile.a)
+
+
+def best_response(game: StageGame, i: int, a0, others) -> float:
+    return game.best_response(i, a0, others)
+
+
+def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
+                     tol: float = 1e-10, max_iter: int = 100_000) -> ActionProfile:
+    """Pure Nash equilibrium of the stage game at a fixed device action.
+
+    Damped simultaneous best-response iteration from the all-max profile.
+    With many strongly coupled users the damped map can be expansive and
+    oscillate instead of settling; in that case the damping is halved
+    and the sweep restarted (up to three times) before giving up.  The
+    fixed point is certified by checking every user's best-response
+    improvement; failure to converge raises :class:`NashIterationError`.
+    """
+    if a0 is None:
+        a0 = game.null_intervention()
+    a0 = np.asarray(a0, dtype=float).reshape(-1)
+    a = game.a_max.astype(float).copy()
+    for attempt in range(4):
+        d = damping / 2 ** attempt
+        a = game.a_max.astype(float).copy()
+        budget = max_iter if attempt == 3 else min(max_iter, 2000)
+        for _ in range(budget):
+            br = np.array([game.best_response(i, a0, a) for i in range(game.n)])
+            nxt = (1.0 - d) * a + d * br
+            if np.max(np.abs(nxt - a)) <= tol:
+                a = nxt
+                break
+            a = nxt
+        else:
+            continue
+        break
+    else:
+        raise NashIterationError(f"no fixed point after {max_iter} iterations (last profile {a})")
+    # certify: no user can improve by more than the gain tolerance
+    u = game.payoff(a0, a, validate=False)
+    for i in range(game.n):
+        bri = game.best_response(i, a0, a)
+        dev = a.copy()
+        dev[i] = bri
+        gain = game.payoff(a0, dev, validate=False)[i] - u[i]
+        if gain > GAIN_TOL:
+            raise NashIterationError(f"iteration settled on a non-equilibrium: user {i} gains {gain}")
+    return ActionProfile(a0=a0, a=a)
+
+
+def minmax(game: StageGame, i: int, with_intervention: bool = True) -> MinmaxResult:
+    """User ``i``'s minmax value, with or without the device's help.
+
+    Payoffs in the games in scope are decreasing in the device action and
+    in everyone else's action, so the minimising profile is the all-max
+    profile (device at its box maximum when allowed, at null otherwise);
+    ``i`` then plays a best response against it.
+    """
+    if with_intervention:
+        if hasattr(game, "minmax_minimizer"):
+            a0 = np.asarray(game.minmax_minimizer(i), dtype=float)
+        else:
+            a0 = game.full_intervention()
+    else:
+        a0 = game.null_intervention()
+    others = game.a_max.astype(float).copy()
+    ai = game.best_response(i, a0, others)
+    prof = others.copy()
+    prof[i] = ai
+    value = float(game.payoff(a0, prof, validate=False)[i])
+    return MinmaxResult(user=i, value=value, profile=ActionProfile(a0=a0, a=prof),
+                        with_intervention=with_intervention)
+
+
+def minmax_values(game: StageGame, with_intervention: bool = True) -> np.ndarray:
+    return np.array([minmax(game, i, with_intervention).value for i in range(game.n)])
+
+
+def mutual_minmax(game: StageGame) -> MutualMinmaxResult:
+    """Profile minmaxing all users at once: device and users at their maxima.
+
+    ``is_stage_nash`` reports whether no user can profitably deviate from
+    it, which is what makes a single absorbing punishment phase credible.
+    """
+    a0 = game.full_intervention()
+    a = game.a_max.astype(float).copy()
+    u = game.payoff(a0, a, validate=False)
+    worst = -np.inf
+    for i in range(game.n):
+        dev = a.copy()
+        dev[i] = game.best_response(i, a0, a)
+        worst = max(worst, float(game.payoff(a0, dev, validate=False)[i] - u[i]))
+    return MutualMinmaxResult(profile=ActionProfile(a0=a0, a=a), payoffs=u,
+                              is_stage_nash=bool(worst <= GAIN_TOL), worst_gain=worst)
+
+
+def solo_optimum(game: StageGame, i: int) -> SoloOptimum:
+    """Best payoff for ``i`` when the device and all other users play zero."""
+    a0 = game.null_intervention()
+    others = np.zeros(game.n)
+    ai = game.best_response(i, a0, others)
+    prof = others.copy()
+    prof[i] = ai
+    value = float(game.payoff(a0, prof, validate=False)[i])
+    return SoloOptimum(user=i, value=value, profile=ActionProfile(a0=a0, a=prof))
+
+
+def solo_values(game: StageGame) -> np.ndarray:
+    return np.array([solo_optimum(game, i).value for i in range(game.n)])
+
+
+def payoff_hull_sample(game: StageGame, grid_points: int = 11,
+                       include_intervention: bool = False) -> HullSample:
+    """Sample the payoff set on a regular action grid.
+
+    By default only user actions are swept (device at null); pass
+    ``include_intervention=True`` to sweep the device box as well.
+    Rejects grids with fewer than two points per axis.
+    """
+    if grid_points < 2:
+        raise GameConfigError("grid_points must be at least 2")
+    axes = [np.linspace(0.0, game.a_max[i], grid_points) for i in range(game.n)]
+    if include_intervention:
+        axes = [np.linspace(0.0, game.a0_max[d], grid_points)
+                for d in range(game.a0_dim)] + axes
+        mesh = np.meshgrid(*axes, indexing="ij")
+        flat = np.stack([m.ravel() for m in mesh], axis=-1)
+        a0s, acts = flat[:, :game.a0_dim], flat[:, game.a0_dim:]
+    else:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        acts = np.stack([m.ravel() for m in mesh], axis=-1)
+        a0s = np.zeros((acts.shape[0], game.a0_dim))
+    pts = game.payoff_batch(a0s, acts)
+    vlow = minmax_values(game, with_intervention=True)
+    ir = np.all(pts > vlow + GAIN_TOL, axis=-1)
+    hull = None
+    if game.n == 2:
+        from scipy.spatial import ConvexHull, QhullError
+        try:
+            h = ConvexHull(pts)
+            hull = pts[h.vertices]
+        except QhullError:
+            hull = None
+    return HullSample(points=pts, individually_rational=ir, minmax_point=vlow,
+                      hull_vertices=hull)
+
+
+def max_stage_payoff(game: StageGame, a0=None, grid_budget: int = 60_000) -> float:
+    """Upper bound ``max_i max_a u_i(a0, a)`` used by the folk-theorem bounds.
+
+    Combines the analytic candidate (each user best-responding while the
+    others sit at zero) with a safety sweep over a coarse action grid.
+    When ``a0`` is ``None`` the device box is swept too.
+    """
+    sweep_a0 = a0 is None
+    base_a0 = game.null_intervention() if sweep_a0 else np.asarray(a0, dtype=float).reshape(-1)
+    best = -np.inf
+    for i in range(game.n):
+        zeros = np.zeros(game.n)
+        ai = game.best_response(i, base_a0, zeros)
+        prof = zeros.copy()
+        prof[i] = ai
+        best = max(best, float(game.payoff(base_a0, prof, validate=False)[i]))
+    ndim = game.n + (game.a0_dim if sweep_a0 else 0)
+    pts = max(2, int(round(grid_budget ** (1.0 / ndim))))
+    axes = [np.linspace(0.0, game.a_max[i], pts) for i in range(game.n)]
+    if sweep_a0:
+        axes = [np.linspace(0.0, game.a0_max[d], pts) for d in range(game.a0_dim)] + axes
+    mesh = np.meshgrid(*axes, indexing="ij")
+    flat = np.stack([m.ravel() for m in mesh], axis=-1)
+    if sweep_a0:
+        a0s, acts = flat[:, :game.a0_dim], flat[:, game.a0_dim:]
+    else:
+        a0s = np.broadcast_to(base_a0, (flat.shape[0], game.a0_dim))
+        acts = flat
+    best = max(best, float(np.max(game.payoff_batch(a0s, acts))))
+    return best
