@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .games import (ActionProfile, StageGame, max_stage_payoff,
                     minmax, minmax_values, mutual_minmax)
@@ -266,6 +267,23 @@ class StateValues:
         return np.array([self.values[s] for s in states])
 
 
+def path_values(u_path: np.ndarray, cs: int, delta: float) -> np.ndarray:
+    """Values ``V[t] = (1-delta) u[t] + delta V[t+1]`` of a preamble entering
+    the cycle ``cs..K-1``: the cycle-entry value is a finite geometric sum, then
+    two backward AR(1) passes seeded with ``delta V[cs]`` fill the cycle tail
+    (whose last period wraps to the entry) and the preamble ``0..cs-1``."""
+    K = u_path.shape[0]
+    disc = delta ** np.arange(K - cs)
+    V = np.empty_like(u_path)
+    V[cs] = (1.0 - delta) / (1.0 - delta ** (K - cs)) * (disc[:, None] * u_path[cs:]).sum(axis=0)
+    zi = delta * V[cs][None, :]
+    for lo, hi in ((cs + 1, K), (0, cs)):
+        if hi > lo:
+            V[lo:hi] = lfilter([1.0 - delta], [1.0, -delta], u_path[lo:hi][::-1],
+                               axis=0, zi=zi)[0][::-1]
+    return V
+
+
 def state_values(game: StageGame, automaton: Automaton, delta: float) -> StateValues:
     """Exact state values from the cycle structure (no fixed-point iteration).
 
@@ -276,19 +294,8 @@ def state_values(game: StageGame, automaton: Automaton, delta: float) -> StateVa
     if not (0.0 < delta < 1.0):
         raise ValueError(f"discount factor must lie in (0, 1), got {delta}")
     a = automaton
-    K, cs = a.path_len, a.cycle_start
-    u_path = game.payoff_batch(a.path_a0, a.path_a)
-    P = K - cs
-    disc = delta ** np.arange(P)
-    v_cs = (1.0 - delta) / (1.0 - delta ** P) * (disc[:, None] * u_path[cs:]).sum(axis=0)
-    V = np.empty_like(u_path)
-    V[cs] = v_cs
-    for t in range(K - 1, cs, -1):
-        nxt = V[cs] if t == K - 1 else V[t + 1]
-        V[t] = (1.0 - delta) * u_path[t] + delta * nxt
-    for t in range(cs - 1, -1, -1):
-        V[t] = (1.0 - delta) * u_path[t] + delta * V[t + 1]
-    vals = {("path", t): V[t] for t in range(K)}
+    V = path_values(game.payoff_batch(a.path_a0, a.path_a), a.cycle_start, delta)
+    vals = {("path", t): V[t] for t in range(a.path_len)}
     if a.kind == "grim":
         vals[("punish_abs",)] = game.payoff_batch(a.abs_a0[None, :], a.abs_a[None, :])[0]
     elif a.kind in ("finite_minmax", "player_specific"):
@@ -420,6 +427,12 @@ def _bisect_min_delta(constraint: Callable[[float], float], tol: float = 1e-6) -
     return hi
 
 
+def _path_profile(game: StageGame, path_profile):
+    """Validated ``(a0, a)`` of a one-profile path plus its stage payoffs."""
+    pa0, pa = _profiles_to_arrays(game, [path_profile])
+    return pa0[0], pa[0], game.payoff(pa0[0], pa[0], validate=False)
+
+
 def min_delta_for_L(game: StageGame, path_profile, L: int | None,
                     tol: float = 1e-6) -> MinDeltaResult:
     """Minimum discount factor sustaining a one-profile path with length-L
@@ -432,12 +445,7 @@ def min_delta_for_L(game: StageGame, path_profile, L: int | None,
     first family, but in exchange requires the mutual minmax profile to
     be a stage Nash equilibrium.
     """
-    if isinstance(path_profile, ActionProfile):
-        pa0, pa = path_profile.a0, path_profile.a
-    else:
-        pa0, pa = path_profile
-    pa0, pa = game.validate_profile(pa0, pa)
-    v = game.payoff(pa0, pa, validate=False)
+    pa0, pa, v = _path_profile(game, path_profile)
     mm = mutual_minmax(game)
     p = mm.payoffs
     d = np.empty(game.n)
@@ -491,12 +499,7 @@ def prescribe_punishment_length(game: StageGame, path_profile) -> int:
     every user, where ``M`` bounds any one-shot payoff at the path's
     device action.
     """
-    if isinstance(path_profile, ActionProfile):
-        pa0, pa = path_profile.a0, path_profile.a
-    else:
-        pa0, pa = path_profile
-    pa0, pa = game.validate_profile(pa0, pa)
-    v = game.payoff(pa0, pa, validate=False)
+    pa0, _, v = _path_profile(game, path_profile)
     p = mutual_minmax(game).payoffs
     M = max_stage_payoff(game, a0=pa0)
     if np.any(v - p <= 0.0):
@@ -515,12 +518,7 @@ def minmax_delta_constraints(game: StageGame, path_profile, L: int,
     punishment-length prescription.  Nonnegative margins certify the pair
     ``(delta, L)``.
     """
-    if isinstance(path_profile, ActionProfile):
-        pa0, pa = path_profile.a0, path_profile.a
-    else:
-        pa0, pa = path_profile
-    pa0, pa = game.validate_profile(pa0, pa)
-    v = game.payoff(pa0, pa, validate=False)
+    pa0, _, v = _path_profile(game, path_profile)
     p = mutual_minmax(game).payoffs
     vlw = minmax_values(game, with_intervention=True)
     M = max_stage_payoff(game, a0=pa0)
@@ -554,12 +552,7 @@ def player_specific_delta_constraints(game: StageGame, path_profile, L: int,
     The punished user's within-punishment constraint is vacuous (they are
     already best-responding), so family (2) ranges over punishers only.
     """
-    if isinstance(path_profile, ActionProfile):
-        pa0, pa = path_profile.a0, path_profile.a
-    else:
-        pa0, pa = path_profile
-    pa0, pa = game.validate_profile(pa0, pa)
-    v = game.payoff(pa0, pa, validate=False)
+    _, _, v = _path_profile(game, path_profile)
     rew_a0, rew_a = _profiles_to_arrays(game, reward_profiles)
     rew_u = game.payoff_batch(rew_a0, rew_a)  # rew_u[i, j] = user j's payoff in i's reward
     own = np.diagonal(rew_u)

@@ -17,11 +17,13 @@ and the intervention-backed minmax point.  The main entry points are
 """
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Automaton, build_minmax_automaton
+from .automata import Automaton, build_minmax_automaton, path_values
 from .games import StageGame, minmax_values, mutual_minmax, solo_optimum
 
 
@@ -340,22 +342,6 @@ class OutcomePath:
                                + (t - self.cycle_start) % self.period])
 
 
-def _cycle_values(u_seq: np.ndarray, cycle_start: int, delta: float) -> np.ndarray:
-    """Exact continuation values of a preamble+cycle stage-payoff sequence."""
-    K = u_seq.shape[0]
-    P = K - cycle_start
-    disc = delta ** np.arange(P)
-    V = np.empty_like(u_seq)
-    V[cycle_start] = ((1.0 - delta) / (1.0 - delta ** P)
-                      * (disc[:, None] * u_seq[cycle_start:]).sum(axis=0))
-    for t in range(K - 1, cycle_start, -1):
-        nxt = V[cycle_start] if t == K - 1 else V[t + 1]
-        V[t] = (1.0 - delta) * u_seq[t] + delta * nxt
-    for t in range(cycle_start - 1, -1, -1):
-        V[t] = (1.0 - delta) * u_seq[t] + delta * V[t + 1]
-    return V
-
-
 def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
                           with_intervention: bool = True,
                           value_tol: float = 1e-6,
@@ -367,7 +353,8 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     evolve by inverting the one-period Bellman step.  The tail is closed
     into a cycle once discounting has shrunk the closure error below
     ``value_tol``, and the resulting exact values are re-checked against
-    the target and the floors.
+    the target and the floors.  Solo payoffs must be diagonal (each solo
+    profile leaves the bystanders at zero).
     """
     v_star = np.asarray(v_star, dtype=float)
     if not (0.0 < delta < 1.0):
@@ -375,6 +362,9 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     n = len(stats.vbar)
     u_solo = stats.solo_payoffs
     scale = float(np.max(stats.vbar))
+    leak = float(np.max(np.abs(u_solo - np.diag(np.diagonal(u_solo)))))
+    if leak > 1e-9 * max(1.0, scale):
+        raise DesignError(f"solo payoffs leak {leak:.3g} to bystanders; time-sharing does not apply")
 
     # a target sitting exactly on a solo payoff vector is a constant path and
     # needs no threshold (the floors degenerate to the minmax point there)
@@ -400,12 +390,20 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     # condition: activations stay feasible as long as the elevated floors
     # keep sum(f_i/vbar_i) <= (1 - n(1-delta))/delta, so half that room is
     # split evenly (in share units) across the users.
-    lnd = np.log(delta)
+    lnd = float(np.log(delta))
     slack = min(1e-4, 0.1 * (1.0 - delta)) * max(1.0, scale / 100.0)
     room = (1.0 - n * (1.0 - delta)) / delta - float(np.sum(nu / stats.vbar))
     m_full = (0.5 * room / n) * stats.vbar if room > 0 else np.zeros(n)
     k_value = int(np.ceil(np.log(0.2 * value_tol / scale) / lnd)) + 1
 
+    # the per-period loop runs on plain floats: with diagonal solo payoffs a
+    # bystander's promise grows to v_j / delta and only the active user's
+    # entry sheds its stage payoff
+    d = float(delta)
+    own_pay = [(1.0 - d) * u for u in np.diagonal(u_solo).tolist()]
+    nu_l = nu.tolist()
+    v_star_l = v_star.tolist()
+    close_tol = 1e-12 * max(1.0, scale)
     best_err = np.inf
     plans = [(m_full, 1), (m_full, 2), (m_full / 4.0, 2), (np.zeros(n), 4)]
     for margin, k_mul in plans:
@@ -417,54 +415,54 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
         K = max(k_value,
                 int(np.ceil(np.log(0.5 * floor_tol / mismatch_bound) / lnd)) + 1)
         K *= k_mul
-        active = np.empty(K, dtype=int)
-        hist = np.empty((K + 1, n))
-        hist[0] = v_star
-        v = v_star.astype(float).copy()
-        closed = None
+        margin_l = margin.tolist()
+        floor = floor_top = (nu + (margin if m_max > 0 else slack)).tolist()
+        active = []
+        hist = array("d", v_star_l)   # flat (K+1, n) promise history
+        v = v_star_l
+        cuts = None
         locked = False
         for t in range(K):
             if m_max > 0:
-                ramp = slack * np.expm1(-(t + 1) * lnd)
-                floor = nu + np.minimum(margin, ramp)
-            else:
-                floor = nu + slack
-            for i in range(n):
-                cand = (v - (1.0 - delta) * u_solo[i]) / delta
-                if np.all(cand >= floor):
-                    active[t] = i
-                    v = cand
+                ramp = slack * math.expm1(-(t + 1) * lnd)
+                floor = floor_top if ramp >= m_max else [
+                    f + min(m, ramp) for f, m in zip(nu_l, margin_l)]
+            grown = [x / d for x in v]
+            # the lowest-indexed user whose activation clears every floor; a
+            # user short of their floor as a bystander is the only candidate,
+            # and two such users leave none
+            short = [j for j in range(n) if not grown[j] >= floor[j]]
+            for i in short or range(n):
+                own = (v[i] - own_pay[i]) / d
+                if len(short) < 2 and own >= floor[i]:
                     break
             else:
                 locked = True
                 break
-            hist[t + 1] = v
-            if np.max(np.abs(v - v_star)) <= 1e-12 * max(1.0, scale):
-                closed = t + 1  # exact return: the whole prefix is the cycle
+            grown[i] = own
+            active.append(i)
+            v = grown
+            hist.extend(v)
+            if (abs(own - v_star_l[i]) <= close_tol
+                    and max([abs(x - y) for x, y in zip(v, v_star_l)]) <= close_tol):
+                cuts = [0]  # exact return: the whole prefix is the cycle
                 break
         if locked:
             continue
-        if closed is not None:
-            seq = active[:closed]
-            values = _cycle_values(u_solo[seq], 0, delta)
-            if (np.max(np.abs(values[0] - v_star)) <= value_tol
-                    and np.min(values - nu) >= -floor_tol):
-                return OutcomePath(active=seq, cycle_start=0, values=values,
-                                   nu=nu, delta=delta, v_star=v_star)
-            best_err = min(best_err, float(np.max(np.abs(values[0] - v_star))))
-            continue
-        # rank candidate cut points by the wrap mismatch they would inject,
-        # measured against the margin that protects each user's floor
-        cs_all = np.arange(1, K)
-        wrap = (hist[cs_all] - hist[K]) / (1.0 - delta ** (K - cs_all))[:, None]
-        norm = np.maximum(margin, max(slack, 1e-12))
-        score = np.max(np.abs(wrap) / norm, axis=1)
-        for idx in np.argsort(score)[:64]:
-            cs = int(cs_all[idx])
-            values = _cycle_values(u_solo[active[:K]], cs, delta)
+        active = np.array(active, dtype=int)
+        if cuts is None:
+            # rank candidate cut points by the wrap mismatch they would inject,
+            # measured against the margin that protects each user's floor
+            hist = np.frombuffer(hist, dtype=float).reshape(K + 1, n)
+            cs_all = np.arange(1, K)
+            wrap = (hist[cs_all] - hist[K]) / (1.0 - delta ** (K - cs_all))[:, None]
+            norm = np.maximum(margin, max(slack, 1e-12))
+            cuts = cs_all[np.argsort(np.max(np.abs(wrap) / norm, axis=1))[:64]].tolist()
+        for cs in cuts:
+            values = path_values(u_solo[active], cs, delta)
             err = float(np.max(np.abs(values[0] - v_star)))
             if err <= value_tol and np.min(values - nu) >= -floor_tol:
-                return OutcomePath(active=active[:K], cycle_start=cs,
+                return OutcomePath(active=active, cycle_start=cs,
                                    values=values, nu=nu, delta=delta,
                                    v_star=v_star)
             best_err = min(best_err, err)

@@ -39,8 +39,15 @@ class NashIterationError(RuntimeError):
     """Raised when the damped best-response iteration fails to converge."""
 
 
-def _as_vector(x, n, name) -> np.ndarray:
+def _finite(x, name) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise GameConfigError(f"{name} must be finite, got {x!r}")
+    return arr
+
+
+def _as_vector(x, n, name) -> np.ndarray:
+    arr = _finite(x, name)
     if arr.ndim == 0:
         arr = np.full(n, float(arr))
     if arr.shape != (n,):
@@ -233,12 +240,12 @@ class FlowControlGame(StageGame):
     kind = "flow"
 
     def __init__(self, mu: float, beta, a_max, a0_max=0.0):
-        self.mu = float(mu)
+        self.mu = float(_finite(mu, "mu"))
         n = len(np.atleast_1d(np.asarray(beta, dtype=float)))
         self.n = n
         self.beta = _as_vector(beta, n, "beta")
         self.a_max = _as_vector(a_max, n, "a_max")
-        a0 = np.asarray(a0_max, dtype=float).reshape(-1)
+        a0 = _finite(a0_max, "a0_max").reshape(-1)
         if a0.shape != (1,):
             raise GameConfigError("flow-control device action is a scalar capacity grab")
         self.a0_max = a0
@@ -296,7 +303,7 @@ class PowerControlGame(StageGame):
     kind = "power"
 
     def __init__(self, gain, intervention_gain, noise, a_max, a0_max=0.0):
-        g = np.asarray(gain, dtype=float)
+        g = _finite(gain, "gain")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise GameConfigError("gain must be a square matrix")
         n = g.shape[0]
@@ -305,7 +312,7 @@ class PowerControlGame(StageGame):
         self.intervention_gain = _as_vector(intervention_gain, n, "intervention_gain")
         self.noise = _as_vector(noise, n, "noise")
         self.a_max = _as_vector(a_max, n, "a_max")
-        a0 = np.asarray(a0_max, dtype=float).reshape(-1)
+        a0 = _finite(a0_max, "a0_max").reshape(-1)
         if a0.shape != (1,):
             raise GameConfigError("power-control device action is a scalar jamming power")
         self.a0_max = a0
@@ -352,7 +359,7 @@ class PacketDropGame(StageGame):
     kind = "packet_drop"
 
     def __init__(self, mu: float, beta, a_max):
-        self.mu = float(mu)
+        self.mu = float(_finite(mu, "mu"))
         n = len(np.atleast_1d(np.asarray(beta, dtype=float)))
         self.n = n
         self.beta = _as_vector(beta, n, "beta")

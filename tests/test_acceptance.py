@@ -25,8 +25,8 @@ from repgame.design import (assemble_protocol, delta_bar, delta_mu,
                             optimize_welfare)
 from repgame.experiments import (load_config, punishment_length_curves,
                                  reference_path, run_experiment)
-from repgame.games import (FlowControlGame, PacketDropGame, minmax,
-                           minmax_values)
+from repgame.games import (FlowControlGame, PacketDropGame, PowerControlGame,
+                           minmax, minmax_values)
 from repgame.simulate import profitability_scan
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fig_flow.json"
@@ -311,6 +311,51 @@ def test_outcome_path_contract_random_instances():
             continue
         shares = base + slack * rng.dirichlet(np.ones(n))
         v_star = shares * stats.vbar
+        db = delta_bar(stats, v_star)
+        if db > 0.9985:
+            continue
+        delta = float(rng.uniform(db + 1e-3, 0.9995))
+        path = generate_outcome_path(stats, v_star, delta)
+        assert np.max(np.abs(path.values[0] - v_star)) <= 1e-6
+        assert np.max(path.nu - path.values) <= 1e-9
+        share_sums = np.sum(path.values / stats.vbar, axis=1)
+        assert np.max(np.abs(share_sums - 1.0)) <= 1e-8
+        built += 1
+
+
+def _draw_packet_drop(rng, n):
+    amax = np.round(rng.uniform(0.5, 3.0, n), 2)
+    return PacketDropGame(mu=float(np.round(np.sum(amax) * rng.uniform(1.05, 1.6), 3)),
+                          beta=np.round(rng.uniform(1.5, 4.0, n), 2), a_max=amax)
+
+
+def _draw_power(rng, n):
+    gain = rng.uniform(0.6, 1.4, (n, n))
+    np.fill_diagonal(gain, rng.uniform(0.8, 1.2, n))
+    return PowerControlGame(gain=np.round(gain, 3),
+                            intervention_gain=np.round(rng.uniform(0.5, 1.5, n), 3),
+                            noise=np.round(rng.uniform(0.005, 0.05, n), 4),
+                            a_max=np.round(rng.uniform(0.5, 1.5, n), 2),
+                            a0_max=[round(float(rng.uniform(2.0, 6.0)), 2)])
+
+
+@pytest.mark.parametrize("draw", [_draw_packet_drop, _draw_power])
+def test_outcome_path_contract_other_game_kinds(draw):
+    """The path contract of the flow test above, on 20 random packet-drop
+    and 20 random power-control instances: target within 1e-6, shares on
+    the weighted simplex within 1e-8, no dip below the floors beyond 1e-9."""
+    rng = np.random.default_rng(11)
+    built = draws = 0
+    while built < 20:
+        draws += 1
+        assert draws < 400, "instance generation stalled"
+        n = int(rng.integers(2, 5))
+        stats = deviation_stats(draw(rng, n))
+        base = stats.minmax(True) / stats.vbar
+        slack = 1.0 - float(np.sum(base))
+        if slack < 0.05:
+            continue
+        v_star = (base + slack * rng.dirichlet(np.ones(n))) * stats.vbar
         db = delta_bar(stats, v_star)
         if db > 0.9985:
             continue

@@ -12,8 +12,8 @@ from repgame.automata import (AutomatonError, build_minmax_automaton,
                               find_min_delta_for_constraints, min_delta_for_L,
                               minmax_delta_constraints,
                               player_specific_delta_constraints,
-                              prescribe_punishment_length, prescribe_reward_delay,
-                              state_values, verify_spe)
+                              path_values, prescribe_punishment_length,
+                              prescribe_reward_delay, state_values, verify_spe)
 from repgame.games import ActionProfile, FlowControlGame, PacketDropGame, minmax
 
 MARGIN_PATH = [0.8889715613961255, 0.8889715613961255, 2.5, 2.5]
@@ -137,6 +137,30 @@ def test_state_values_match_value_iteration(L, delta):
     oracle = value_iteration_oracle(g, aut, delta)
     for s in aut.reachable_states():
         assert np.allclose(sv[s], oracle[s], atol=1e-10)
+
+
+def backward_recursion_oracle(u, cycle_start, delta):
+    """Cycle-entry geometric sum, then V[t] = (1-d) u[t] + d V[t+1] period by
+    period, the last period wrapping to the cycle entry."""
+    K = u.shape[0]
+    disc = delta ** np.arange(K - cycle_start)
+    V = np.empty_like(u)
+    V[cycle_start] = ((1.0 - delta) / (1.0 - delta ** (K - cycle_start))
+                      * (disc[:, None] * u[cycle_start:]).sum(axis=0))
+    for t in list(range(K - 1, cycle_start, -1)) + list(range(cycle_start - 1, -1, -1)):
+        nxt = V[cycle_start] if t == K - 1 else V[t + 1]
+        V[t] = (1.0 - delta) * u[t] + delta * nxt
+    return V
+
+
+@pytest.mark.parametrize("K", [1, 2, 37])
+def test_path_values_kernel_matches_backward_recursion(K):
+    rng = np.random.default_rng(K)
+    u = rng.uniform(0.0, 50.0, (K, 3))
+    delta = 0.93
+    for cs in sorted({0, 1, K // 2, K - 1} & set(range(K))):
+        V = path_values(u, cs, delta)
+        assert np.array_equal(V, backward_recursion_oracle(u, cs, delta)), cs
 
 
 def test_state_values_grim_closed_form():

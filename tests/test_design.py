@@ -6,6 +6,8 @@ module existed.  Where practical the tests also carry a live independent
 oracle (linear programming for the welfare targets, discounted
 accumulation for the paths).
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -271,6 +273,20 @@ def test_outcome_path_rejects_low_delta(stats):
     t = optimize_welfare(stats, np.full(4, 1.0), "sum")
     with pytest.raises(DesignError):
         generate_outcome_path(stats, t.v, 0.9)  # threshold is 0.9872
+
+
+def test_outcome_path_rejects_leaking_solo_payoffs(stats):
+    t = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
+    tol = 1e-9 * float(np.max(stats.vbar))
+    for leak, ok in ((0.5 * tol, True), (2.0 * tol, False), (1e-3, False)):
+        u = stats.solo_payoffs.copy()
+        u[0, 2] = leak
+        leaky = dataclasses.replace(stats, solo_payoffs=u)
+        if ok:
+            generate_outcome_path(leaky, t.v, 0.95)
+        else:
+            with pytest.raises(DesignError, match="leak"):
+                generate_outcome_path(leaky, t.v, 0.95)
 
 
 def test_assembled_protocol_is_spe(stats):

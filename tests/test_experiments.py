@@ -367,6 +367,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("experiment", ["fig3", "tradeoff", "verify"])
+def test_cli_non_finite_game_parameter_exits_2(tmp_path, capsys, experiment):
+    raw = json.loads(CONFIG.read_text())
+    raw["game"]["mu"] = float("nan")
+    p = tmp_path / "nan_mu.json"
+    p.write_text(json.dumps(raw))   # writes the bare NaN token Python's json reads back
+    assert "NaN" in p.read_text()
+    rc = main(["--experiment", experiment, "--config", str(p), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert "mu must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_cli_internal_failure_exits_3(tmp_path, monkeypatch, capsys):
     def boom(config, jobs=1):
         raise DecompositionError("path closure failed its accuracy contract")

@@ -97,6 +97,23 @@ def test_underprovisioned_queue_rejected():
         PacketDropGame(mu=3.0, beta=[1, 1], a_max=[2.0, 2.0])
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: FlowControlGame(mu=np.nan, beta=[2, 2], a_max=[1.0, 1.0], a0_max=[1.0]), "mu"),
+    (lambda: FlowControlGame(mu=5.0, beta=[2, np.inf], a_max=[1.0, 1.0], a0_max=[1.0]), "beta"),
+    (lambda: FlowControlGame(mu=5.0, beta=[2, 2], a_max=[1.0, 1.0], a0_max=[np.nan]), "a0_max"),
+    (lambda: PacketDropGame(mu=np.nan, beta=[2, 2], a_max=[1.0, 1.0]), "mu"),
+    (lambda: PacketDropGame(mu=5.0, beta=[2, 2], a_max=[1.0, np.nan]), "a_max"),
+    (lambda: PowerControlGame(gain=[[1.0, 0.5], [0.5, 1.0]], intervention_gain=[1.0, 1.0],
+                              noise=[0.01, np.nan], a_max=[1.0, 1.0], a0_max=[1.0]), "noise"),
+    (lambda: PowerControlGame(gain=[[1.0, np.nan], [0.5, 1.0]], intervention_gain=[1.0, 1.0],
+                              noise=[0.01, 0.01], a_max=[1.0, 1.0], a0_max=[1.0]), "gain"),
+])
+def test_non_finite_parameters_rejected(build, field):
+    # NaN slips through every `x <= 0` style check, so finiteness is tested first
+    with pytest.raises(GameConfigError, match=f"^{field} must be finite"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # best responses
 # ---------------------------------------------------------------------------
