@@ -13,13 +13,19 @@ Three automaton families are implemented, all built around a target path
   periods of ``i``-targeted minmax followed by an absorbing reward
   profile that treats the punishers better than the punished.
 
-States are plain tuples: ``("path", t)``, ``("punish", i, l)``,
-``("punish_abs",)`` and ``("reward", i)``.
+At the API, states are plain tuples: ``("path", t)``, ``("punish", i, l)``,
+``("punish_abs",)`` and ``("reward", i)``.  Inside, every automaton has one
+fixed layout (:attr:`Automaton.layout`): path states ``0..K-1``, then the
+absorbing state ``K`` (grim) or the spells ``K + i*L + l``, then the reward
+states ``K + n*L + i`` (player-specific).  The path is a table of distinct
+profiles plus the row each period plays, so it is validated, valued and
+scanned once per profile.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -38,16 +44,21 @@ class AutomatonError(ValueError):
 
 
 def _profiles_to_arrays(game: StageGame, profiles) -> tuple[np.ndarray, np.ndarray]:
-    a0s, acts = [], []
-    for p in profiles:
-        if isinstance(p, ActionProfile):
-            a0, a = p.a0, p.a
-        else:
-            a0, a = p
-        a0, a = game.validate_profile(a0, a)
-        a0s.append(a0)
-        acts.append(a)
-    return np.array(a0s), np.array(acts)
+    """Validated ``(a0, a)`` rows of a sequence of profiles or ``(a0, a)`` pairs."""
+    valid = [game.validate_profile(*((p.a0, p.a) if isinstance(p, ActionProfile) else p))
+             for p in profiles]
+    return np.array([a0 for a0, _ in valid]), np.array([a for _, a in valid])
+
+
+class Layout(NamedTuple):
+    """Stacked profile table plus the index arrays of the state layout."""
+
+    a0: np.ndarray    # (R, a0_dim): path table, then punishment and reward profiles
+    a: np.ndarray     # (R, n)
+    row: np.ndarray   # (S,) table row each state plays
+    nxt: np.ndarray   # (S,) successor of each state when everyone complies
+    pun: np.ndarray   # (n,) state a deviation by each user leads to
+    spells: np.ndarray   # (L, n) state of phase l of user i's punishment spell (L=0 for grim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +67,9 @@ class Automaton:
 
     kind: str
     n: int
-    path_a0: np.ndarray
-    path_a: np.ndarray
+    table_a0: np.ndarray      # (P, a0_dim) distinct path profiles
+    table_a: np.ndarray       # (P, n)
+    path_index: np.ndarray    # (K,) int, table row played in each path period
     cycle_start: int
     L: int | None = None
     punish_a0: np.ndarray | None = None   # (n, a0_dim), row i = device action vs i
@@ -69,47 +81,81 @@ class Automaton:
 
     @property
     def path_len(self) -> int:
-        return self.path_a.shape[0]
+        return self.path_index.shape[0]
+
+    @property
+    def n_states(self) -> int:
+        return self.layout.row.shape[0]
 
     @property
     def initial_state(self) -> State:
         return ("path", 0)
 
-    def output(self, state: State) -> tuple[np.ndarray, np.ndarray]:
-        tag = state[0]
-        if tag == "path":
-            t = state[1]
-            return self.path_a0[t], self.path_a[t]
-        if tag == "punish":
-            i = state[1]
-            return self.punish_a0[i], self.punish_a[i]
-        if tag == "punish_abs":
-            return self.abs_a0, self.abs_a
-        if tag == "reward":
-            i = state[1]
-            return self.reward_a0[i], self.reward_a[i]
+    def state_index(self, state: State) -> int:
+        """Layout position of a named state."""
+        tag, K = state[0], self.path_len
+        if tag == "path" and 0 <= state[1] < K:
+            return int(state[1])
+        if tag == "punish_abs" and self.kind == "grim":
+            return K
+        if tag == "punish" and self.kind != "grim":
+            i, l = state[1], state[2]
+            if 0 <= i < self.n and 0 <= l < self.L:
+                return int(self.layout.spells[l, i])
+        if tag == "reward" and self.kind == "player_specific" and 0 <= state[1] < self.n:
+            return int(self.layout.nxt[self.layout.spells[-1, state[1]]])   # where i's spell ends
         raise KeyError(f"unknown state {state!r}")
+
+    def state_at(self, k: int) -> State:
+        """Named state at layout position ``k``, inverting :attr:`layout`."""
+        k, K = int(k), self.path_len
+        if not 0 <= k < self.n_states:
+            raise IndexError(f"state position {k} outside 0..{self.n_states - 1}")
+        if k < K:
+            return ("path", k)
+        if self.kind == "grim":
+            return ("punish_abs",)
+        i, l = divmod(k - K, self.L)
+        return ("punish", i, l) if i < self.n else ("reward", k - K - self.n * self.L)
+
+    @cached_property
+    def layout(self) -> Layout:
+        """The stacked profile table and, per layout position, the table row
+        played and the compliant successor; plus each user's punishment entry
+        and spell.  The named-state methods below all read it."""
+        K, n, P = self.path_len, self.n, self.table_a.shape[0]
+        nxt = np.append(np.arange(1, K), self.cycle_start)
+        if self.kind == "grim":
+            return Layout(np.vstack([self.table_a0, self.abs_a0]),
+                          np.vstack([self.table_a, self.abs_a]),
+                          row=np.append(self.path_index, P), nxt=np.append(nxt, K),
+                          pun=np.full(n, K), spells=np.empty((0, n), dtype=int))
+        L = self.L
+        spells = K + np.arange(n * L).reshape(n, L).T
+        reward = K + n * L + np.arange(n)
+        # a spell's last period exits to the path start or to the punished user's reward
+        exits = reward if self.kind == "player_specific" else np.zeros(n, dtype=int)
+        nxt = [nxt, np.vstack([spells[1:], exits]).T.ravel()]
+        a0s, acts = [self.table_a0, self.punish_a0], [self.table_a, self.punish_a]
+        row = [self.path_index, P + np.repeat(np.arange(n), L)]
+        if self.kind == "player_specific":
+            a0s.append(self.reward_a0)
+            acts.append(self.reward_a)
+            row.append(P + n + np.arange(n))
+            nxt.append(reward)
+        return Layout(np.vstack(a0s), np.vstack(acts), row=np.concatenate(row),
+                      nxt=np.concatenate(nxt), pun=spells[0], spells=spells)
+
+    def output(self, state: State) -> tuple[np.ndarray, np.ndarray]:
+        r = self.layout.row[self.state_index(state)]
+        return self.layout.a0[r], self.layout.a[r]
 
     def next_on_path(self, state: State) -> State:
         """Successor state when everyone complies."""
-        tag = state[0]
-        if tag == "path":
-            t = state[1] + 1
-            return ("path", t if t < self.path_len else self.cycle_start)
-        if tag == "punish":
-            i, l = state[1], state[2] + 1
-            if l < self.L:
-                return ("punish", i, l)
-            if self.kind == "player_specific":
-                return ("reward", i)
-            return ("path", 0)
-        # absorbing states
-        return state
+        return self.state_at(self.layout.nxt[self.state_index(state)])
 
     def punish_entry(self, deviator: int) -> State:
-        if self.kind == "grim":
-            return ("punish_abs",)
-        return ("punish", deviator, 0)
+        return self.state_at(self.layout.pun[deviator])
 
     def transition(self, state: State, a_realized) -> State:
         """Next state given realized user actions (the device never deviates).
@@ -130,15 +176,8 @@ class Automaton:
         return self.next_on_path(state)
 
     def reachable_states(self) -> list[State]:
-        states: list[State] = [("path", t) for t in range(self.path_len)]
-        if self.kind == "grim":
-            states.append(("punish_abs",))
-        else:
-            for i in range(self.n):
-                states.extend(("punish", i, l) for l in range(self.L))
-            if self.kind == "player_specific":
-                states.extend(("reward", i) for i in range(self.n))
-        return states
+        """Every state, in layout order."""
+        return [self.state_at(k) for k in range(self.n_states)]
 
 
 def _fmt(arr) -> str:
@@ -176,34 +215,49 @@ def describe(automaton: Automaton) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
+def _path_table(game: StageGame, path_profiles: Sequence, path_index, cycle_start: int):
+    """Validated path profiles plus the row each period plays (in order when
+    ``path_index`` is None)."""
+    a0, a = _profiles_to_arrays(game, path_profiles)
+    index = np.arange(a.shape[0]) if path_index is None else np.array(path_index)
+    in_table = np.all((index >= 0) & (index < a.shape[0]))
+    if index.ndim != 1 or index.dtype.kind not in "iu" or not in_table:
+        raise AutomatonError(f"path_index must be integers indexing the {a.shape[0]} path profiles")
+    if not (0 <= cycle_start < index.shape[0]):
+        raise AutomatonError(f"cycle_start {cycle_start} outside path of length {index.shape[0]}")
+    return a0, a, index
+
+
 def build_minmax_automaton(game: StageGame, path_profiles: Sequence, L: int | None,
-                           cycle_start: int = 0) -> Automaton:
+                           cycle_start: int = 0, path_index=None) -> Automaton:
     """Target-path automaton punishing with the mutual minmax profile.
 
     ``L=None`` builds the grim variant (absorbing punishment), which
     requires the mutual minmax profile to be a stage Nash equilibrium.
     Finite ``L`` holds the deviator to a best response while everyone
     else, device included, plays their maximum for ``L`` periods.
+    ``path_index[t]`` names the profile played in period ``t``; by
+    default the profiles are played in order.
     """
-    path_a0, path_a = _profiles_to_arrays(game, path_profiles)
-    if not (0 <= cycle_start < path_a.shape[0]):
-        raise AutomatonError(f"cycle_start {cycle_start} outside path of length {path_a.shape[0]}")
+    tab_a0, tab_a, index = _path_table(game, path_profiles, path_index, cycle_start)
     mm = mutual_minmax(game)
     if L is None:
         if not mm.is_stage_nash:
             raise AutomatonError(
                 "grim punishment needs the mutual minmax profile to be a stage Nash "
                 f"equilibrium (worst deviation gain {mm.worst_gain:.3g})")
-        return Automaton(kind="grim", n=game.n, path_a0=path_a0, path_a=path_a,
-                         cycle_start=cycle_start, abs_a0=mm.profile.a0, abs_a=mm.profile.a)
+        return Automaton(kind="grim", n=game.n, table_a0=tab_a0, table_a=tab_a,
+                         path_index=index, cycle_start=cycle_start,
+                         abs_a0=mm.profile.a0, abs_a=mm.profile.a)
     if L < 1:
         raise AutomatonError("punishment length L must be at least 1")
     pun_a0 = np.tile(mm.profile.a0, (game.n, 1))
     pun_a = np.tile(mm.profile.a, (game.n, 1))
     for i in range(game.n):
         pun_a[i, i] = game.best_response(i, mm.profile.a0, mm.profile.a)
-    return Automaton(kind="finite_minmax", n=game.n, path_a0=path_a0, path_a=path_a,
-                     cycle_start=cycle_start, L=int(L), punish_a0=pun_a0, punish_a=pun_a)
+    return Automaton(kind="finite_minmax", n=game.n, table_a0=tab_a0, table_a=tab_a,
+                     path_index=index, cycle_start=cycle_start, L=int(L),
+                     punish_a0=pun_a0, punish_a=pun_a)
 
 
 def build_player_specific_automaton(game: StageGame, path_profiles: Sequence, L: int,
@@ -218,9 +272,7 @@ def build_player_specific_automaton(game: StageGame, path_profiles: Sequence, L:
     """
     if L is None or L < 1:
         raise AutomatonError("player-specific punishment needs a finite L >= 1")
-    path_a0, path_a = _profiles_to_arrays(game, path_profiles)
-    if not (0 <= cycle_start < path_a.shape[0]):
-        raise AutomatonError(f"cycle_start {cycle_start} outside path of length {path_a.shape[0]}")
+    tab_a0, tab_a, index = _path_table(game, path_profiles, None, cycle_start)
     rew_a0, rew_a = _profiles_to_arrays(game, reward_profiles)
     if rew_a.shape[0] != game.n:
         raise AutomatonError("need one reward profile per user")
@@ -231,8 +283,7 @@ def build_player_specific_automaton(game: StageGame, path_profiles: Sequence, L:
         pun_a0[i] = mm.profile.a0
         pun_a[i] = mm.profile.a
     # ordering precondition on discounted-average-relevant stage payoffs
-    path_u = game.payoff_batch(path_a0, path_a)
-    v_path_min = path_u.min(axis=0)
+    v_path_min = game.payoff_batch(tab_a0, tab_a).min(axis=0)
     rew_u = game.payoff_batch(rew_a0, rew_a)  # row i = payoffs in i's reward phase
     own = np.diagonal(rew_u)
     for i in range(game.n):
@@ -244,27 +295,25 @@ def build_player_specific_automaton(game: StageGame, path_profiles: Sequence, L:
                 raise AutomatonError(
                     f"user {j} must strictly prefer rewarding (phase {i}) to being "
                     "the rewarded deviator")
-    return Automaton(kind="player_specific", n=game.n, path_a0=path_a0, path_a=path_a,
-                     cycle_start=cycle_start, L=int(L), punish_a0=pun_a0, punish_a=pun_a,
-                     reward_a0=rew_a0, reward_a=rew_a)
+    return Automaton(kind="player_specific", n=game.n, table_a0=tab_a0, table_a=tab_a,
+                     path_index=index, cycle_start=cycle_start, L=int(L),
+                     punish_a0=pun_a0, punish_a=pun_a, reward_a0=rew_a0, reward_a=rew_a)
 
 
 # ---------------------------------------------------------------------------
 # state values
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StateValues:
     """Discounted average payoff vector promised at each automaton state."""
 
     delta: float
-    values: dict
+    automaton: Automaton
+    array: np.ndarray    # (S, n), row k = value at layout position k
 
     def __getitem__(self, state: State) -> np.ndarray:
-        return self.values[state]
-
-    def as_array(self, states: Sequence[State]) -> np.ndarray:
-        return np.array([self.values[s] for s in states])
+        return self.array[self.automaton.state_index(state)]
 
 
 def path_values(u_path: np.ndarray, cs: int, delta: float) -> np.ndarray:
@@ -294,22 +343,18 @@ def state_values(game: StageGame, automaton: Automaton, delta: float) -> StateVa
     if not (0.0 < delta < 1.0):
         raise ValueError(f"discount factor must lie in (0, 1), got {delta}")
     a = automaton
-    V = path_values(game.payoff_batch(a.path_a0, a.path_a), a.cycle_start, delta)
-    vals = {("path", t): V[t] for t in range(a.path_len)}
-    if a.kind == "grim":
-        vals[("punish_abs",)] = game.payoff_batch(a.abs_a0[None, :], a.abs_a[None, :])[0]
-    elif a.kind in ("finite_minmax", "player_specific"):
-        u_pun = game.payoff_batch(a.punish_a0, a.punish_a)
-        if a.kind == "player_specific":
-            u_rew = game.payoff_batch(a.reward_a0, a.reward_a)
-            for i in range(a.n):
-                vals[("reward", i)] = u_rew[i]
-        for i in range(a.n):
-            v_exit = u_rew[i] if a.kind == "player_specific" else V[0]
-            for l in range(a.L):
-                w = delta ** (a.L - l)
-                vals[("punish", i, l)] = (1.0 - w) * u_pun[i] + w * v_exit
-    return StateValues(delta=delta, values=vals)
+    lay = a.layout
+    u = game.payoff_batch(lay.a0, lay.a)[lay.row]   # (S, n) stage payoffs per state
+    K = a.path_len
+    V = np.empty_like(u)
+    V[:K] = path_values(u[:K], a.cycle_start, delta)
+    V[K:] = u[K:]   # absorbing states; punishment spells are overwritten below
+    if a.kind != "grim":
+        v_exit = V[lay.nxt[lay.spells[-1]]]   # row i: value after i's last period
+        for l, k in enumerate(lay.spells):
+            w = delta ** (a.L - l)
+            V[k] = (1.0 - w) * u[k] + w * v_exit
+    return StateValues(delta=delta, automaton=a, array=V)
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +378,37 @@ class SpeReport:
         return f"{verdict}: worst one-shot deviation gain {self.worst_gain:.3g}{loc}"
 
 
-def _deviation_payoffs_grid(game: StageGame, i: int, a0_arr: np.ndarray,
-                            a_arr: np.ndarray, grid: np.ndarray,
-                            chunk: int = 2048) -> np.ndarray:
-    """Payoff to ``i`` for each grid action at each state, shape (S, G)."""
-    fast = getattr(game, "deviation_payoffs_grid", None)
-    if fast is not None:
-        return fast(i, a0_arr, a_arr, grid)
-    S, G = a_arr.shape[0], grid.shape[0]
-    out = np.empty((S, G))
-    for lo in range(0, S, chunk):
-        hi = min(lo + chunk, S)
-        block = np.repeat(a_arr[lo:hi, None, :], G, axis=1)
-        block[:, :, i] = grid[None, :]
-        a0_block = np.repeat(a0_arr[lo:hi, None, :], G, axis=1)
-        out[lo:hi] = game.payoff_batch(a0_block, block)[:, :, i]
-    return out
+def _best_deviations(game: StageGame, a0_tab: np.ndarray, a_tab: np.ndarray,
+                     grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Most profitable one-shot deviation of each user from each profile.
+
+    Returns the stage payoffs ``d`` and the actions reaching them, both
+    (R, n): the better of the analytic best response and a dense grid of
+    ``grid_points`` actions (the best response wins ties).
+    """
+    R = a_tab.shape[0]
+    d = np.empty(a_tab.shape)
+    act = np.empty(a_tab.shape)
+    for i in range(game.n):
+        br = game.best_response_batch(i, a0_tab, a_tab)
+        a_br = a_tab.copy()
+        a_br[:, i] = br
+        d_br = game.payoff_batch(a0_tab, a_br)[:, i]
+        grid = np.linspace(0.0, game.a_max[i], grid_points)
+        d_grid_all = game.deviation_payoffs_grid(i, a0_tab, a_tab, grid)
+        g_idx = np.argmax(d_grid_all, axis=1)
+        d_grid = d_grid_all[np.arange(R), g_idx]
+        d[:, i] = np.maximum(d_br, d_grid)
+        act[:, i] = np.where(d_br >= d_grid, br, grid[g_idx])
+    return d, act
+
+
+def _worst_cell(gains: np.ndarray) -> tuple[int, int]:
+    """``(state, user)`` of the largest gain; ties go to the lowest user, then
+    the lowest state."""
+    k = np.argmax(gains, axis=0)
+    i = int(np.argmax(gains[k, np.arange(gains.shape[1])]))
+    return int(k[i]), i
 
 
 def verify_spe(game: StageGame, automaton: Automaton, delta: float,
@@ -358,37 +418,20 @@ def verify_spe(game: StageGame, automaton: Automaton, delta: float,
     For each state and user the most profitable deviation is taken as the
     better of the analytic best response and a dense action grid; the
     deviation gain weighs the stage gain against the switch from the
-    compliant continuation to the punishment continuation.
+    compliant continuation to the punishment continuation.  Stage payoffs
+    and deviations are computed once per distinct profile and gathered
+    onto the states.
     """
-    states = automaton.reachable_states()
-    sv = state_values(game, automaton, delta)
-    idx = {s: k for k, s in enumerate(states)}
-    V = sv.as_array(states)
-    a0_arr = np.array([automaton.output(s)[0] for s in states])
-    a_arr = np.array([automaton.output(s)[1] for s in states])
-    next_idx = np.array([idx[automaton.next_on_path(s)] for s in states])
-    U = game.payoff_batch(a0_arr, a_arr)
-
-    worst = (-np.inf, None, None, None)  # gain, state, user, action
-    for i in range(game.n):
-        pun_idx = np.array([idx[automaton.punish_entry(i)] if automaton.kind != "grim"
-                            else idx[("punish_abs",)] for _ in states])
-        br = game.best_response_batch(i, a0_arr, a_arr)
-        a_br = a_arr.copy()
-        a_br[:, i] = br
-        d_br = game.payoff_batch(a0_arr, a_br)[:, i]
-        grid = np.linspace(0.0, game.a_max[i], grid_points)
-        d_grid_all = _deviation_payoffs_grid(game, i, a0_arr, a_arr, grid)
-        g_idx = np.argmax(d_grid_all, axis=1)
-        d_grid = d_grid_all[np.arange(len(states)), g_idx]
-        d = np.maximum(d_br, d_grid)
-        gain = (1.0 - delta) * (d - U[:, i]) + delta * (V[pun_idx, i] - V[next_idx, i])
-        k = int(np.argmax(gain))
-        if gain[k] > worst[0]:
-            act = br[k] if d_br[k] >= d_grid[k] else grid[g_idx[k]]
-            worst = (float(gain[k]), states[k], i, float(act))
-    return SpeReport(ok=worst[0] <= tol, worst_gain=worst[0], state=worst[1],
-                     user=worst[2], action=worst[3], n_states=len(states),
+    lay = automaton.layout
+    V = state_values(game, automaton, delta).array
+    U = game.payoff_batch(lay.a0, lay.a)
+    d, act = _best_deviations(game, lay.a0, lay.a, grid_points)
+    users = np.arange(game.n)
+    gain = (1.0 - delta) * (d - U)[lay.row] + delta * (V[lay.pun, users] - V[lay.nxt])
+    k, i = _worst_cell(gain)
+    worst = float(gain[k, i])
+    return SpeReport(ok=worst <= tol, worst_gain=worst, state=automaton.state_at(k),
+                     user=i, action=float(act[lay.row[k], i]), n_states=automaton.n_states,
                      grid_points=grid_points, tol=tol)
 
 

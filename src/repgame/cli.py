@@ -28,13 +28,8 @@ def main(argv=None) -> int:
                         help="JSON config (see configs/fig_flow.json)")
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="output directory (created if missing)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker threads for sweep cells (default 1)")
     args = parser.parse_args(argv)
 
-    if args.jobs < 1:
-        print("config error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         config = load_config(args.config, args.experiment)
     except ConfigError as exc:
@@ -42,7 +37,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        table = run_experiment(config, jobs=args.jobs)
+        table = run_experiment(config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         dest = emit_curves(table, out / f"{args.experiment}.csv")

@@ -404,7 +404,7 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     nu_l = nu.tolist()
     v_star_l = v_star.tolist()
     close_tol = 1e-12 * max(1.0, scale)
-    best_err = np.inf
+    best_err, best_dip, locked_plans, k_max = np.inf, None, 0, 0
     plans = [(m_full, 1), (m_full, 2), (m_full / 4.0, 2), (np.zeros(n), 4)]
     for margin, k_mul in plans:
         m_max = float(np.max(margin))
@@ -415,6 +415,7 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
         K = max(k_value,
                 int(np.ceil(np.log(0.5 * floor_tol / mismatch_bound) / lnd)) + 1)
         K *= k_mul
+        k_max = max(k_max, K)
         margin_l = margin.tolist()
         floor = floor_top = (nu + (margin if m_max > 0 else slack)).tolist()
         active = []
@@ -448,6 +449,7 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
                 cuts = [0]  # exact return: the whole prefix is the cycle
                 break
         if locked:
+            locked_plans += 1
             continue
         active = np.array(active, dtype=int)
         if cuts is None:
@@ -461,22 +463,30 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
         for cs in cuts:
             values = path_values(u_solo[active], cs, delta)
             err = float(np.max(np.abs(values[0] - v_star)))
-            if err <= value_tol and np.min(values - nu) >= -floor_tol:
+            dips = np.min(values - nu, axis=0)
+            if err <= value_tol and np.min(dips) >= -floor_tol:
                 return OutcomePath(active=active, cycle_start=cs,
                                    values=values, nu=nu, delta=delta,
                                    v_star=v_star)
             best_err = min(best_err, err)
+            j = int(np.argmin(dips))
+            if dips[j] < -floor_tol and (best_dip is None or dips[j] > best_dip[0]):
+                best_dip = (float(dips[j]), j)
+    floor = ("no cut dipped below a floor" if best_dip is None else
+             f"smallest floor dip {-best_dip[0]:.3g} below user {best_dip[1]}'s floor")
     raise DecompositionError(
         "could not close the outcome path to the requested accuracy "
-        f"(best value error {best_err:.3g})")
+        f"(best value error {best_err:.3g}; {floor}; {locked_plans} of {len(plans)} "
+        f"plans locked; largest K tried {k_max})")
 
 
 def assemble_protocol(game: StageGame, stats: DeviationStats,
                       path: OutcomePath) -> Automaton:
-    """Grim automaton playing the outcome path with the device quiet."""
+    """Grim automaton playing the outcome path with the device quiet: its
+    profile table holds the n solo profiles and ``path.active`` indexes it."""
     null = game.null_intervention()
-    profiles = [(null, stats.solo_actions[i]) for i in path.active]
-    return build_minmax_automaton(game, profiles, L=None, cycle_start=path.cycle_start)
+    return build_minmax_automaton(game, [(null, a) for a in stats.solo_actions], L=None,
+                                  cycle_start=path.cycle_start, path_index=path.active)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,12 @@ command line:
 * ``verify``   -- build the protocol for one target and run both
   deviation scanners against it.
 
-Everything is deterministic: the same config produces the same CSV bytes,
-and sweep cells are pure functions dispatched in a fixed order (``jobs``
-only changes wall-clock time, never content).
+Everything is deterministic: the same config produces the same CSV bytes.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +29,7 @@ from scipy.optimize import brentq, minimize
 
 from . import __version__
 from .automata import min_delta_for_L, verify_spe
-from .design import (assemble_protocol, delta_bar, deviation_stats,
+from .design import (DeviationStats, assemble_protocol, delta_bar, deviation_stats,
                      generate_outcome_path, guarantee_feasible, optimize_welfare)
 from .games import (FlowControlGame, GameConfigError, StageGame, game_from_config,
                     minmax_values, mutual_minmax, solve_stage_nash)
@@ -201,9 +198,6 @@ class ResultTable:
         lines.extend(",".join(_cell(x) for x in row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
-    def column(self, name: str) -> list:
-        return [row[self.columns.index(name)] for row in self.rows]
-
 
 def _cell(x) -> str:
     if x is None:
@@ -225,15 +219,6 @@ def emit_curves(table: ResultTable, path) -> Path:
     dest = Path(path)
     dest.write_text(table.to_csv_text())
     return dest
-
-
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map; ``jobs > 1`` fans out to a thread pool."""
-    items = list(items)
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _welfare_of(u: np.ndarray, kind: str) -> float:
@@ -399,8 +384,25 @@ def _ascend(game: StageGame, start, gamma: np.ndarray, kind: str, passes: int,
 # scheme comparison (the "table2" experiment)
 # ---------------------------------------------------------------------------
 
-def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARE_KINDS,
-                        jobs: int = 1) -> ResultTable:
+def _scheme_rows(game: StageGame, stats: DeviationStats, gam: np.ndarray, kind: str,
+                 u_ne: np.ndarray, seed=None) -> list:
+    """``[scheme, value, min_delta]`` for each of ``SCHEMES`` at one
+    guarantee vector and welfare kind; ``u_ne`` is the stage-Nash payoff and
+    ``seed`` starts the one-shot search (see ``constrained_welfare_search``)."""
+    rows = [["nash", _welfare_of(u_ne, kind) if np.all(u_ne >= gam - 1e-9) else None, None]]
+    found = constrained_welfare_search(game, gam, kind, seed=seed)
+    rows.append(["one_shot", found.value if found else None, None])
+    for scheme, device in (("repeated_no_intervention", False),
+                           ("repeated_with_intervention", True)):
+        if guarantee_feasible(stats, gam, device):
+            target = optimize_welfare(stats, gam, kind, device)
+            rows.append([scheme, target.value, delta_bar(stats, target.v, device)])
+        else:
+            rows.append([scheme, None, None])
+    return rows
+
+
+def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARE_KINDS) -> ResultTable:
     """Welfare comparison across enforcement schemes.
 
     One row per (scheme, guarantee level, welfare kind).  ``min_delta``
@@ -418,25 +420,10 @@ def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARE_KINDS,
     seeds = _grid_pass(game, [(np.full(game.n, g), kind) for kind, g in cells],
                        0.05, 8_000_000)
 
-    def block(k):
-        kind, g = cells[k]
-        gam = np.full(game.n, g)
-        rows = [["nash", g, kind,
-                 _welfare_of(u_ne, kind) if np.all(u_ne >= gam - 1e-9) else None, None]]
-        found = constrained_welfare_search(game, gam, kind,
-                                           seed=None if seeds is None else seeds[k])
-        rows.append(["one_shot", g, kind, found.value if found else None, None])
-        for scheme, device in (("repeated_no_intervention", False),
-                               ("repeated_with_intervention", True)):
-            if guarantee_feasible(stats, gam, device):
-                target = optimize_welfare(stats, gam, kind, device)
-                rows.append([scheme, g, kind, target.value,
-                             delta_bar(stats, target.v, device)])
-            else:
-                rows.append([scheme, g, kind, None, None])
-        return rows
-
-    rows = [row for blk in _pmap(block, range(len(cells)), jobs) for row in blk]
+    rows = [[scheme, g, kind, value, d]
+            for k, (kind, g) in enumerate(cells)
+            for scheme, value, d in _scheme_rows(game, stats, np.full(game.n, g), kind, u_ne,
+                                                 seed=None if seeds is None else seeds[k])]
     return ResultTable(BASELINE_COLUMNS, rows)
 
 
@@ -478,8 +465,7 @@ def reference_path(game: StageGame, margin: float = 1.1) -> np.ndarray:
     return a
 
 
-def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None,
-                             jobs: int = 1) -> ResultTable:
+def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None) -> ResultTable:
     """Minimum enforcing discount factor against punishment length.
 
     One curve per device cap.  When the mutual-minmax profile is a stage
@@ -503,7 +489,7 @@ def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None,
         return [[float(a0), int(L), min_delta_for_L(g, profile, int(L)).delta]
                 for L in L_values]
 
-    rows = [row for blk in _pmap(curve, a0_values, jobs) for row in blk]
+    rows = [row for a0 in a0_values for row in curve(a0)]
     return ResultTable(("a0_max", "L", "min_delta"), rows)
 
 
@@ -511,7 +497,7 @@ def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None,
 # population scaling (the "scaling" experiment)
 # ---------------------------------------------------------------------------
 
-def scaling_sweep(n_range, welfares=WELFARE_KINDS, jobs: int = 1) -> ResultTable:
+def scaling_sweep(n_range, welfares=WELFARE_KINDS) -> ResultTable:
     """Welfare vs population size under two capacity rules.
 
     ``linear`` provisions capacity with the population (mu = N),
@@ -526,8 +512,7 @@ def scaling_sweep(n_range, welfares=WELFARE_KINDS, jobs: int = 1) -> ResultTable
     """
     lo, hi = int(n_range[0]), int(n_range[1])
 
-    def cell(args):
-        rule, n = args
+    def cell(rule, n):
         mu = float(n if rule == "linear" else min(n, 10))
         if mu < n - 1e-12:
             return [[rule, n, scheme, kind, None, None]
@@ -538,24 +523,11 @@ def scaling_sweep(n_range, welfares=WELFARE_KINDS, jobs: int = 1) -> ResultTable
         gam = np.maximum(np.minimum(0.1 * stats.vbar, mu / n), stats.minmax(True) + 1e-9)
         ne = solve_stage_nash(game)
         u_ne = game.payoff(ne.a0, ne.a)
-        rows = []
-        for kind in welfares:
-            rows.append([rule, n, "nash", kind,
-                         _welfare_of(u_ne, kind) if np.all(u_ne >= gam - 1e-9) else None, None])
-            found = constrained_welfare_search(game, gam, kind)
-            rows.append([rule, n, "one_shot", kind, found.value if found else None, None])
-            for scheme, device in (("repeated_no_intervention", False),
-                                   ("repeated_with_intervention", True)):
-                if guarantee_feasible(stats, gam, device):
-                    target = optimize_welfare(stats, gam, kind, device)
-                    rows.append([rule, n, scheme, kind, target.value,
-                                 delta_bar(stats, target.v, device)])
-                else:
-                    rows.append([rule, n, scheme, kind, None, None])
-        return rows
+        return [[rule, n, scheme, kind, value, d] for kind in welfares
+                for scheme, value, d in _scheme_rows(game, stats, gam, kind, u_ne)]
 
-    cells = [(rule, n) for rule in ("linear", "capped") for n in range(lo, hi + 1)]
-    rows = [row for blk in _pmap(cell, cells, jobs) for row in blk]
+    rows = [row for rule in ("linear", "capped") for n in range(lo, hi + 1)
+            for row in cell(rule, n)]
     return ResultTable(("capacity_rule", "n", "scheme", "welfare_kind", "value", "min_delta"), rows)
 
 
@@ -564,7 +536,7 @@ def scaling_sweep(n_range, welfares=WELFARE_KINDS, jobs: int = 1) -> ResultTable
 # ---------------------------------------------------------------------------
 
 def tradeoff_sweep(game_cfg: dict, axis: str, gamma_levels, a0_values, delta_grid,
-                   welfare: str = "sum", tol: float = 1e-4, jobs: int = 1) -> ResultTable:
+                   welfare: str = "sum", tol: float = 1e-4) -> ResultTable:
     """One trade-off family for the welfare-optimal target.
 
     ``delta_vs_gamma``: enforcement threshold vs guarantee level, one
@@ -608,17 +580,14 @@ def tradeoff_sweep(game_cfg: dict, axis: str, gamma_levels, a0_values, delta_gri
         return hi_a
 
     if axis == "delta_vs_gamma":
-        points = [(a0, g) for a0 in a0_values for g in gamma_levels]
-        rows = _pmap(lambda p: [axis, p[1], None, p[0], threshold(p[0], p[1]), None],
-                     points, jobs)
+        rows = [[axis, g, None, a0, threshold(a0, g), None]
+                for a0 in a0_values for g in gamma_levels]
     elif axis == "a0_vs_delta":
-        points = [(g, d) for g in gamma_levels for d in delta_grid]
-        rows = _pmap(lambda p: [axis, p[0], p[1], None, None, required_cap(p[0], p[1])],
-                     points, jobs)
+        rows = [[axis, g, d, None, None, required_cap(g, d)]
+                for g in gamma_levels for d in delta_grid]
     else:  # a0_vs_gamma
-        points = [(d, g) for d in delta_grid for g in gamma_levels]
-        rows = _pmap(lambda p: [axis, p[1], p[0], None, None, required_cap(p[1], p[0])],
-                     points, jobs)
+        rows = [[axis, g, d, None, None, required_cap(g, d)]
+                for d in delta_grid for g in gamma_levels]
     return ResultTable(TRADEOFF_COLUMNS, rows)
 
 
@@ -667,19 +636,19 @@ def verification_report(game: StageGame, welfare: str, gamma: float, delta: floa
 # dispatch
 # ---------------------------------------------------------------------------
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
+def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run one experiment and stamp the result with config hash + version."""
     game = game_from_config(config.game)
     if config.experiment == "table2":
-        table = baseline_comparison(game, config.gamma, jobs=jobs)
+        table = baseline_comparison(game, config.gamma)
     elif config.experiment == "fig3":
         table = punishment_length_curves(config.game, config.a0_values,
-                                         config.L_values, config.path, jobs=jobs)
+                                         config.L_values, config.path)
     elif config.experiment == "scaling":
-        table = scaling_sweep(config.n_range, jobs=jobs)
+        table = scaling_sweep(config.n_range)
     elif config.experiment == "tradeoff":
         blocks = [tradeoff_sweep(config.game, axis, config.gamma, config.a0_values,
-                                 config.delta_grid, config.welfare, jobs=jobs)
+                                 config.delta_grid, config.welfare)
                   for axis in TRADEOFF_AXES]
         table = ResultTable(TRADEOFF_COLUMNS, [row for b in blocks for row in b.rows])
     elif config.experiment == "verify":

@@ -212,6 +212,14 @@ class StageGame:
             out[k] = self.best_response(i, a0[k], others[k])
         return out
 
+    def deviation_payoffs_grid(self, i: int, a0_arr: np.ndarray, a_arr: np.ndarray,
+                               grid: np.ndarray) -> np.ndarray:
+        """Payoff to ``i`` for each ``grid`` action against each profile, shape
+        ``(R, G)``; subclasses override with closed forms."""
+        block = np.repeat(a_arr[:, None, :], grid.shape[0], axis=1)
+        block[:, :, i] = grid
+        return self.payoff_batch(a0_arr[:, None, :], block)[:, :, i]
+
     # -- config round-trip ----------------------------------------------
 
     def to_config(self) -> dict:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .automata import SPE_GAIN_TOL, Automaton, State, _deviation_payoffs_grid, state_values
+from .automata import (SPE_GAIN_TOL, Automaton, Layout, State, StateValues,
+                       _best_deviations, _worst_cell, state_values)
 from .games import StageGame
 
 
@@ -98,7 +99,7 @@ def run(game: StageGame, automaton: Automaton, delta: float, T: int,
 
 def _rollout_value(game: StageGame, automaton: Automaton, delta: float,
                    state: State, override: tuple[int, float] | None,
-                   horizon: int, tail: dict) -> np.ndarray:
+                   horizon: int, tail: StateValues) -> np.ndarray:
     """Discounted value of play from ``state``, exact via a tail closure."""
     total = np.zeros(game.n)
     for t in range(horizon):
@@ -124,7 +125,7 @@ def deviation_gain(game: StageGame, automaton: Automaton, delta: float,
     a0, a = automaton.output(state)
     if action is None:
         action = game.best_response(user, a0, a)
-    sv = state_values(game, automaton, delta).values
+    sv = state_values(game, automaton, delta)
     v_comply = _rollout_value(game, automaton, delta, state, None, horizon, sv)
     v_dev = _rollout_value(game, automaton, delta, state, (user, float(action)),
                            horizon, sv)
@@ -140,8 +141,7 @@ class ScanReport:
     n_states: int
     horizon: int
     tol: float
-    gains: np.ndarray     # (n_states, n) one-shot deviation gains
-    states: list
+    gains: np.ndarray     # (n_states, n) one-shot deviation gains, in layout order
 
     def __str__(self):
         verdict = "no profitable deviation" if self.ok else "PROFITABLE deviation"
@@ -149,39 +149,28 @@ class ScanReport:
                 f"{self.n_states} states (suffix horizon {self.horizon})")
 
 
-def _truncated_state_values(game: StageGame, automaton: Automaton, delta: float,
-                            states: list, U: np.ndarray, horizon: int) -> np.ndarray:
+def _truncated_state_values(automaton: Automaton, delta: float, lay: Layout,
+                            u: np.ndarray, horizon: int) -> np.ndarray:
     """Per-state discounted values from explicit truncated suffix sums.
 
     Path states are valued in one backward AR(1) pass over the path extended
     ``horizon`` periods into its cycle; punishment states accumulate their
     finite block explicitly and defer to the exit value; absorbing states use
-    the truncated geometric sum of their constant stage payoff.
+    the truncated geometric sum of their constant stage payoff.  ``u`` holds
+    the stage payoffs of every layout position.
     """
-    idx = {s: k for k, s in enumerate(states)}
-    W = np.empty((len(states), game.n))
+    W = np.empty_like(u)
     K, cs = automaton.path_len, automaton.cycle_start
-    u_path = U[:K]
     ext = cs + (np.arange(horizon) % (K - cs)) if K > cs else np.zeros(horizon, dtype=int)
-    full = np.concatenate([u_path, u_path[ext]], axis=0)
+    full = np.concatenate([u[:K], u[:K][ext]], axis=0)
     suffix = lfilter([1.0 - delta], [1.0, -delta], full[::-1], axis=0)[::-1]
     W[:K] = suffix[:K]
-    if automaton.kind == "grim":
-        k = idx[("punish_abs",)]
-        W[k] = (1.0 - delta ** horizon) * U[k]
-        return W
-    for i in range(game.n):
-        if automaton.kind == "player_specific":
-            kr = idx[("reward", i)]
-            W[kr] = (1.0 - delta ** horizon) * U[kr]
-            exit_value = W[kr]
-        else:
-            exit_value = W[idx[("path", 0)]]
-        u_pun = U[idx[("punish", i, 0)]]
-        value = exit_value
-        for l in range(automaton.L - 1, -1, -1):
-            value = (1.0 - delta) * u_pun + delta * value
-            W[idx[("punish", i, l)]] = value
+    W[K:] = (1.0 - delta ** horizon) * u[K:]   # absorbing; spells are overwritten below
+    if automaton.kind != "grim":
+        value = W[lay.nxt[lay.spells[-1]]]   # row i: value after i's last period
+        for k in lay.spells[::-1]:
+            value = (1.0 - delta) * u[k] + delta * value
+            W[k] = value
     return W
 
 
@@ -191,38 +180,23 @@ def profitability_scan(game: StageGame, automaton: Automaton, delta: float,
     """One-shot deviation scan valued by truncated suffix sums only.
 
     Independent counterpart of ``verify_spe``: the deviation search is the
-    same (analytic best response plus a dense grid) but every continuation is
-    valued by explicitly accumulating at most ``horizon`` discounted periods,
-    with ``horizon`` chosen so the truncation error stays below
+    same (analytic best response plus a dense grid, once per distinct
+    profile) but every continuation is valued by explicitly accumulating
+    at most ``horizon`` discounted periods, with ``horizon`` chosen from
+    the payoffs the states play so the truncation error stays below
     ``suffix_err``.  Agreement between the two reports certifies the
     closed-form state values.
     """
-    states = automaton.reachable_states()
-    idx = {s: k for k, s in enumerate(states)}
-    a0_arr = np.array([automaton.output(s)[0] for s in states])
-    a_arr = np.array([automaton.output(s)[1] for s in states])
-    U = game.payoff_batch(a0_arr, a_arr)
-    scale = max(1.0, float(np.max(np.abs(U))))
+    lay = automaton.layout
+    U = game.payoff_batch(lay.a0, lay.a)
+    scale = max(1.0, float(np.max(np.abs(U[np.unique(lay.row)]))))
     horizon = int(np.ceil(np.log(suffix_err / scale) / np.log(delta))) + 1
-    W = _truncated_state_values(game, automaton, delta, states, U, horizon)
-    next_idx = np.array([idx[automaton.next_on_path(s)] for s in states])
-
-    gains = np.empty((len(states), game.n))
-    worst = (-np.inf, None, None)
-    for i in range(game.n):
-        pun = idx[automaton.punish_entry(i)]
-        br = game.best_response_batch(i, a0_arr, a_arr)
-        a_br = a_arr.copy()
-        a_br[:, i] = br
-        d_br = game.payoff_batch(a0_arr, a_br)[:, i]
-        grid = np.linspace(0.0, game.a_max[i], grid_points)
-        d_grid = np.max(_deviation_payoffs_grid(game, i, a0_arr, a_arr, grid), axis=1)
-        d = np.maximum(d_br, d_grid)
-        gains[:, i] = ((1.0 - delta) * (d - U[:, i])
-                       + delta * (W[pun, i] - W[next_idx, i]))
-        k = int(np.argmax(gains[:, i]))
-        if gains[k, i] > worst[0]:
-            worst = (float(gains[k, i]), states[k], i)
-    return ScanReport(ok=worst[0] <= tol, worst_gain=worst[0], state=worst[1],
-                      user=worst[2], n_states=len(states), horizon=horizon,
-                      tol=tol, gains=gains, states=states)
+    W = _truncated_state_values(automaton, delta, lay, U[lay.row], horizon)
+    d, _ = _best_deviations(game, lay.a0, lay.a, grid_points)
+    users = np.arange(game.n)
+    gains = (1.0 - delta) * (d - U)[lay.row] + delta * (W[lay.pun, users] - W[lay.nxt])
+    k, i = _worst_cell(gains)
+    worst = float(gains[k, i])
+    return ScanReport(ok=worst <= tol, worst_gain=worst, state=automaton.state_at(k),
+                      user=i, n_states=automaton.n_states, horizon=horizon,
+                      tol=tol, gains=gains)

@@ -267,19 +267,44 @@ def test_spe_verification_suite():
     g = fig_game()
     stats = deviation_stats(g)
     start = time.perf_counter()
+    _check_protocols(g, stats, 3.0)
+    assert time.perf_counter() - start < 5.0
+
+
+def _check_protocols(game, stats, level):
+    """Both scanners on the sum and maxmin protocols for a uniform guarantee
+    ``level`` at delta_bar + 1e-3, midway to one, and 0.999."""
     for welfare in ("sum", "maxmin"):
-        target = optimize_welfare(stats, np.full(4, 3.0), welfare)
+        target = optimize_welfare(stats, np.full(game.n, level), welfare)
         db = delta_bar(stats, target.v)
         for delta in (db + 1e-3, 0.5 * (db + 1.0), 0.999):
             path = generate_outcome_path(stats, target.v, delta)
-            aut = assemble_protocol(g, stats, path)
-            rep = verify_spe(g, aut, delta)
-            scan = profitability_scan(g, aut, delta)
+            aut = assemble_protocol(game, stats, path)
+            rep = verify_spe(game, aut, delta)
+            scan = profitability_scan(game, aut, delta)
             tag = f"{welfare} at delta={delta:.6f}"
             assert rep.ok and rep.worst_gain <= 1e-9, tag
             assert scan.ok and scan.worst_gain <= 1e-9, tag
             assert abs(rep.worst_gain - scan.worst_gain) <= 1e-8, tag
-    assert time.perf_counter() - start < 5.0
+
+
+OTHER_KINDS = {
+    "packet_drop": (lambda: PacketDropGame(mu=10.0, beta=[2, 2, 3, 3], a_max=[2.5] * 4), 3.0),
+    "power": (lambda: PowerControlGame(gain=[[1.0, 0.9, 1.1], [1.0, 1.0, 0.95], [1.05, 1.0, 1.0]],
+                                       intervention_gain=[1.0, 1.0, 1.0],
+                                       noise=[0.01, 0.012, 0.008], a_max=[1.0, 1.0, 1.0],
+                                       a0_max=[5.0]), 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OTHER_KINDS))
+def test_spe_verification_other_game_kinds(kind):
+    """The suite above on the packet-drop game of the reference config and
+    on a 3-user power game (the benchmark's protocol games): both scanners
+    report worst gain <= 1e-9 and agree within 1e-8."""
+    make, level = OTHER_KINDS[kind]
+    game = make()
+    _check_protocols(game, deviation_stats(game), level)
 
 
 # ---------------------------------------------------------------------------

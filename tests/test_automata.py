@@ -14,7 +14,10 @@ from repgame.automata import (AutomatonError, build_minmax_automaton,
                               player_specific_delta_constraints,
                               path_values, prescribe_punishment_length,
                               prescribe_reward_delay, state_values, verify_spe)
+from repgame.design import (assemble_protocol, deviation_stats, generate_outcome_path,
+                            optimize_welfare)
 from repgame.games import ActionProfile, FlowControlGame, PacketDropGame, minmax
+from repgame.simulate import deviation_gain, profitability_scan
 
 MARGIN_PATH = [0.8889715613961255, 0.8889715613961255, 2.5, 2.5]
 
@@ -113,6 +116,80 @@ def test_cyclic_path_advance():
     assert seen == [0, 1, 2, 1, 2, 1]
 
 
+def packet_drop_player_specific(L=2):
+    g = PacketDropGame(mu=10.0, beta=[2, 2, 3], a_max=[3.0, 3.0, 4.0])
+    path = ActionProfile([0.0] * 3, [2.4, 2.4, 3.2])
+    rewards = []
+    for i in range(3):
+        a = np.array([2.4, 2.4, 3.2])
+        a[i] *= 0.3
+        rewards.append(ActionProfile([0.0] * 3, a))
+    return g, build_player_specific_automaton(g, [path], L=L, reward_profiles=rewards)
+
+
+def layout_automaton(kind):
+    profs = [ActionProfile([0.0], [1.0, 1.0, 2.0, 2.0]),
+             ActionProfile([0.5], [2.0, 2.0, 1.0, 1.0])]
+    if kind == "grim":
+        return build_minmax_automaton(fig_game(2.5), profs, L=None, cycle_start=2,
+                                      path_index=[1, 0, 1, 1, 0])
+    if kind == "finite_minmax":
+        return build_minmax_automaton(fig_game(1.0), profs, L=3, cycle_start=1,
+                                      path_index=[0, 0, 1])
+    return packet_drop_player_specific(L=3)[1]
+
+
+# (row, nxt, pun) of the layout_automaton machines, written out by hand:
+# grim plays rows [1 0 1 1 0] with cycle_start 2, then the absorbing row 2;
+# finite_minmax plays [0 0 1] with cycle_start 1, then four 3-period spells
+# (rows 2..5) that restart the path; player_specific plays its one profile,
+# then three 3-period spells (rows 1..3) ending in the reward states (rows 4..6).
+EXPECTED_LAYOUT = {
+    "grim": ([1, 0, 1, 1, 0, 2], [1, 2, 3, 4, 2, 5], [5, 5, 5, 5]),
+    "finite_minmax": ([0, 0, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5],
+                      [1, 2, 1, 4, 5, 0, 7, 8, 0, 10, 11, 0, 13, 14, 0], [3, 6, 9, 12]),
+    "player_specific": ([0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 5, 6],
+                        [0, 2, 3, 10, 5, 6, 11, 8, 9, 12, 10, 11, 12], [1, 4, 7]),
+}
+
+
+@pytest.mark.parametrize("kind", ["grim", "finite_minmax", "player_specific"])
+def test_layout_agrees_with_named_states(kind):
+    aut = layout_automaton(kind)
+    assert aut.kind == kind
+    lay = aut.layout
+    row, nxt, pun = EXPECTED_LAYOUT[kind]
+    assert lay.row.tolist() == row and lay.nxt.tolist() == nxt and lay.pun.tolist() == pun
+    states = aut.reachable_states()
+    assert len(states) == aut.n_states == len(row)
+    for k, s in enumerate(states):
+        assert aut.state_at(k) == s and aut.state_index(s) == k
+        a0, a = aut.output(s)
+        assert np.array_equal(lay.a0[lay.row[k]], a0) and np.array_equal(lay.a[lay.row[k]], a)
+        assert aut.state_at(lay.nxt[k]) == aut.next_on_path(s)
+    assert [aut.state_at(k) for k in lay.pun] == [aut.punish_entry(i) for i in range(aut.n)]
+    assert lay.spells.shape == (aut.L or 0, aut.n)
+    for (l, i), k in np.ndenumerate(lay.spells):
+        assert aut.state_at(k) == ("punish", i, l)
+    assert states[aut.path_len:aut.path_len + 2] == {
+        "grim": [("punish_abs",)],
+        "finite_minmax": [("punish", 0, 0), ("punish", 0, 1)],
+        "player_specific": [("punish", 0, 0), ("punish", 0, 1)]}[kind]
+    if kind == "player_specific":
+        assert states[-3:] == [("reward", 0), ("reward", 1), ("reward", 2)]
+    with pytest.raises(IndexError):
+        aut.state_at(aut.n_states)
+    with pytest.raises(KeyError):
+        aut.state_index(("path", aut.path_len))
+
+
+def test_path_index_must_index_the_profiles():
+    with pytest.raises(AutomatonError, match="path_index"):
+        build_minmax_automaton(fig_game(2.5), [margin_profile()], L=None, path_index=[0, 1])
+    with pytest.raises(AutomatonError, match="path_index"):
+        build_minmax_automaton(fig_game(2.5), [margin_profile()], L=None, path_index=[0.0])
+
+
 def test_describe_is_stable():
     aut = build_minmax_automaton(fig_game(2.5), [margin_profile()], L=None)
     text = describe(aut)
@@ -185,14 +262,7 @@ def test_state_values_finite_punishment_formula():
 
 
 def test_player_specific_values_and_ordering():
-    g = PacketDropGame(mu=10.0, beta=[2, 2, 3], a_max=[3.0, 3.0, 4.0])
-    path = ActionProfile([0.0] * 3, [2.4, 2.4, 3.2])
-    rewards = []
-    for i in range(3):
-        a = np.array([2.4, 2.4, 3.2])
-        a[i] *= 0.3
-        rewards.append(ActionProfile([0.0] * 3, a))
-    aut = build_player_specific_automaton(g, [path], L=2, reward_profiles=rewards)
+    g, aut = packet_drop_player_specific()
     delta = 0.93
     sv = state_values(g, aut, delta)
     oracle = value_iteration_oracle(g, aut, delta)
@@ -216,23 +286,32 @@ def test_player_specific_ordering_rejected():
 # subgame perfection
 # ---------------------------------------------------------------------------
 
-def brute_force_spe_check(game, automaton, delta, points=300):
-    """Independent one-shot deviation scan with dict-based state values."""
+def brute_force_gains(game, automaton, delta, points=300):
+    """Independent one-shot deviation gains over named states, (S, n) in
+    ``reachable_states`` order: each user tries every grid action and the
+    scalar best response."""
     sv = state_values(game, automaton, delta)
-    worst = -np.inf
-    for s in automaton.reachable_states():
+    states = automaton.reachable_states()
+    gains = np.full((len(states), game.n), -np.inf)
+    for k, s in enumerate(states):
         a0, a = automaton.output(s)
         u = game.payoff(a0, a, validate=False)
         v_next = sv[automaton.next_on_path(s)]
         for i in range(game.n):
             v_pun = sv[automaton.punish_entry(i)]
-            for x in np.linspace(0.0, game.a_max[i], points):
+            for x in [*np.linspace(0.0, game.a_max[i], points),
+                      game.best_response(i, a0, a)]:
                 dev = a.copy()
                 dev[i] = x
                 du = game.payoff(a0, dev, validate=False)[i]
                 gain = (1 - delta) * (du - u[i]) + delta * (v_pun[i] - v_next[i])
-                worst = max(worst, gain)
-    return worst
+                gains[k, i] = max(gains[k, i], gain)
+    return gains
+
+
+def brute_force_spe_check(game, automaton, delta, points=300):
+    """Worst one-shot deviation gain of the brute-force scan."""
+    return float(np.max(brute_force_gains(game, automaton, delta, points)))
 
 
 def test_verify_spe_grim_threshold():
@@ -248,6 +327,44 @@ def test_verify_spe_grim_threshold():
     # agreement with the brute-force scan
     assert np.isclose(bad.worst_gain, brute_force_spe_check(g, aut, 0.73, points=200),
                       atol=1e-12)
+
+
+def test_verify_spe_reports_the_interior_best_response():
+    """When the analytic best response falls between grid points it beats
+    the grid, and the report names it as the deviation action."""
+    g = fig_game(2.5)
+    prof = ActionProfile([0.0], [2.4, 2.4, 2.4, 2.4])
+    rep = verify_spe(g, build_minmax_automaton(g, [prof], L=None), 0.1)
+    assert not rep.ok and rep.state == ("path", 0)
+    br = g.best_response(rep.user, prof.a0, prof.a)
+    assert 0.0 < br < g.a_max[rep.user]
+    assert np.min(np.abs(np.linspace(0.0, g.a_max[rep.user], 200) - br)) > 1e-6
+    assert rep.action == br
+
+
+def test_verify_spe_matches_brute_force_on_assembled_protocol():
+    """A 176-period protocol that time-shares four solo profiles: gathered
+    onto the states, the per-profile scans agree with the brute-force scan
+    of every named state -- where the protocol holds, where it fails at an
+    interior path state (0.84) and where it fails at the start (0.6)."""
+    g = fig_game(2.5)
+    stats = deviation_stats(g)
+    target = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
+    aut = assemble_protocol(g, stats, generate_outcome_path(stats, target.v, 0.88))
+    assert 100 <= aut.path_len <= 300 and aut.table_a.shape[0] == 4
+    for delta in (0.88, 0.84, 0.6):
+        brute = brute_force_gains(g, aut, delta, points=40)
+        i = int(np.argmax(brute.max(axis=0)))   # ties go to the lowest user, then state
+        k = int(np.argmax(brute[:, i]))
+        rep = verify_spe(g, aut, delta, grid_points=40)
+        assert rep.ok == (delta == 0.88)
+        assert np.isclose(rep.worst_gain, brute[k, i], rtol=0.0, atol=1e-12)
+        if not rep.ok:
+            assert (rep.state, rep.user) == (aut.state_at(k), i)
+            assert deviation_gain(g, aut, delta, rep.state, rep.user, rep.action) \
+                == pytest.approx(rep.worst_gain, abs=1e-10)
+        scan = profitability_scan(g, aut, delta, grid_points=40)
+        assert np.allclose(scan.gains, brute, rtol=0.0, atol=1e-8)
 
 
 def test_verify_spe_finite_L_bound_is_one_sided():

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import repgame.design
 from repgame.automata import verify_spe
 from repgame.design import (DecompositionError, DesignError, assemble_protocol,
                             delta_bar, delta_mu, design_protocol, deviation_stats,
                             generate_outcome_path, guarantee_feasible,
                             guarantee_floors, optimize_welfare, validate_assumptions)
-from repgame.games import FlowControlGame, PowerControlGame
+from repgame.games import FlowControlGame, PowerControlGame, StageGame
 
 VBAR = np.array([46.875, 46.875, 117.1875, 117.1875])
 MINMAX_WITHOUT = np.array([125.0 / 54.0, 125.0 / 54.0, 4.119873046875, 4.119873046875])
@@ -287,6 +288,45 @@ def test_outcome_path_rejects_leaking_solo_payoffs(stats):
         else:
             with pytest.raises(DesignError, match="leak"):
                 generate_outcome_path(leaky, t.v, 0.95)
+
+
+def test_decomposition_error_names_the_floor_check(stats, monkeypatch):
+    """When every cut fails only the floor check, the error names that check,
+    the user and the work tried, not just the (tiny) value error."""
+    t = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
+    nu = guarantee_floors(stats, t.v)
+    exact = repgame.design.path_values
+
+    def dipped(u, cs, delta):
+        values = exact(u, cs, delta)
+        values[-1, 1] = nu[1] - 1e-8
+        return values
+
+    monkeypatch.setattr(repgame.design, "path_values", dipped)
+    with pytest.raises(DecompositionError) as err:
+        generate_outcome_path(stats, t.v, 0.95)
+    msg = str(err.value)
+    assert "floor dip 1e-08 below user 1's floor" in msg
+    assert "of 4 plans locked" in msg and "largest K tried" in msg
+
+
+def test_assemble_protocol_validates_each_solo_profile_once(stats, monkeypatch):
+    g = fig_game()
+    t = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
+    path = generate_outcome_path(stats, t.v, 0.95)
+    assert len(path.active) >= 100
+    calls = []
+    validate = StageGame.validate_profile
+
+    def counted(self, a0, a):
+        calls.append(1)
+        return validate(self, a0, a)
+
+    monkeypatch.setattr(StageGame, "validate_profile", counted)
+    aut = assemble_protocol(g, stats, path)
+    assert len(calls) <= g.n + 2
+    assert np.array_equal(aut.path_index, path.active) and aut.cycle_start == path.cycle_start
+    assert np.array_equal(aut.table_a[aut.path_index], stats.solo_actions[path.active])
 
 
 def test_assembled_protocol_is_spe(stats):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repgame import games
 from repgame.games import (FlowControlGame, GameConfigError, PacketDropGame,
-                           PowerControlGame, game_from_config, minmax,
+                           PowerControlGame, StageGame, game_from_config, minmax,
                            minmax_values, mutual_minmax, payoff_hull_sample,
                            solo_values, solve_stage_nash)
 
@@ -198,6 +198,22 @@ def test_batched_best_response_agrees_with_scalar():
             batch = g.best_response_batch(i, a0s, acts)
             single = [g.best_response(i, a0s[k], acts[k]) for k in range(S)]
             assert np.allclose(batch, single, atol=1e-12)
+
+
+def test_closed_form_deviation_grids_match_the_generic_one():
+    """Each game's closed-form ``deviation_payoffs_grid`` equals the generic
+    base-class version, which substitutes every grid action into the profile."""
+    for g in (reference_flow_game(1.5), PacketDropGame(mu=10.0, beta=[2, 2, 3, 3], a_max=[2.5] * 4),
+              strong_interference_power_game()):
+        rng = np.random.default_rng(5)
+        a0s = rng.uniform(0, 1, size=(9, g.a0_dim)) * g.a0_max
+        acts = rng.uniform(0, 1, size=(9, g.n)) * g.a_max
+        for i in range(g.n):
+            grid = np.linspace(0.0, g.a_max[i], 200)
+            generic = StageGame.deviation_payoffs_grid(g, i, a0s, acts, grid)
+            assert generic.shape == (9, 200)
+            assert np.allclose(g.deviation_payoffs_grid(i, a0s, acts, grid), generic,
+                               rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,19 @@ def test_profitability_scan_full_pipeline():
     assert scan.gains.shape == (len(aut.reachable_states()), 4)
 
 
+def test_unplayed_table_rows_change_nothing():
+    """A path-table row no state plays (here a solo profile paying far more
+    than the path) moves neither scanner, nor the scan's horizon."""
+    g = fig_game()
+    lone = grim_margin_automaton()
+    padded = build_minmax_automaton(g, [margin_profile(), ActionProfile([0.0], [0, 0, 0, 2.5])],
+                                    L=None, path_index=[0])
+    for delta in (0.73, 0.95):
+        a, b = profitability_scan(g, lone, delta), profitability_scan(g, padded, delta)
+        assert a.horizon == b.horizon and np.array_equal(a.gains, b.gains)
+        assert verify_spe(g, lone, delta) == verify_spe(g, padded, delta)
+
+
 def test_finite_L_scan_agreement():
     g = fig_game(1.0)
     aut = build_minmax_automaton(g, [margin_profile()], L=6)
