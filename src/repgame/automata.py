@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .games import (ActionProfile, StageGame, max_stage_payoff,
+from .games import (ActionProfile, StageGame, best_response_payoffs, max_stage_payoff,
                     minmax, minmax_values, mutual_minmax)
 
 State = tuple
@@ -253,8 +253,7 @@ def build_minmax_automaton(game: StageGame, path_profiles: Sequence, L: int | No
         raise AutomatonError("punishment length L must be at least 1")
     pun_a0 = np.tile(mm.profile.a0, (game.n, 1))
     pun_a = np.tile(mm.profile.a, (game.n, 1))
-    for i in range(game.n):
-        pun_a[i, i] = game.best_response(i, mm.profile.a0, mm.profile.a)
+    np.fill_diagonal(pun_a, game.best_responses(mm.profile.a0, mm.profile.a))
     return Automaton(kind="finite_minmax", n=game.n, table_a0=tab_a0, table_a=tab_a,
                      path_index=index, cycle_start=cycle_start, L=int(L),
                      punish_a0=pun_a0, punish_a=pun_a)
@@ -389,17 +388,17 @@ def _best_deviations(game: StageGame, a0_tab: np.ndarray, a_tab: np.ndarray,
     R = a_tab.shape[0]
     d = np.empty(a_tab.shape)
     act = np.empty(a_tab.shape)
+    br = game.best_responses(a0_tab, a_tab)
     for i in range(game.n):
-        br = game.best_response_batch(i, a0_tab, a_tab)
         a_br = a_tab.copy()
-        a_br[:, i] = br
+        a_br[:, i] = br[:, i]
         d_br = game.payoff_batch(a0_tab, a_br)[:, i]
         grid = np.linspace(0.0, game.a_max[i], grid_points)
         d_grid_all = game.deviation_payoffs_grid(i, a0_tab, a_tab, grid)
         g_idx = np.argmax(d_grid_all, axis=1)
         d_grid = d_grid_all[np.arange(R), g_idx]
         d[:, i] = np.maximum(d_br, d_grid)
-        act[:, i] = np.where(d_br >= d_grid, br, grid[g_idx])
+        act[:, i] = np.where(d_br >= d_grid, br[:, i], grid[g_idx])
     return d, act
 
 
@@ -491,11 +490,7 @@ def min_delta_for_L(game: StageGame, path_profile, L: int | None,
     pa0, pa, v = _path_profile(game, path_profile)
     mm = mutual_minmax(game)
     p = mm.payoffs
-    d = np.empty(game.n)
-    for i in range(game.n):
-        dev = pa.copy()
-        dev[i] = game.best_response(i, pa0, pa)
-        d[i] = game.payoff(pa0, dev, validate=False)[i]
+    d = best_response_payoffs(game, pa0, pa)
     vlw = minmax_values(game, with_intervention=True)
 
     if L is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import Automaton, build_minmax_automaton, path_values
-from .games import StageGame, minmax_values, mutual_minmax, solo_optimum
+from .games import StageGame, best_response_payoffs, minmax_values, mutual_minmax
 
 
 class DesignError(ValueError):
@@ -100,9 +100,11 @@ def validate_assumptions(game: StageGame, hull_grid: int = 11,
         name="mutual_minmax_is_stage_nash", passed=mm.is_stage_nash,
         detail=f"worst one-shot gain at the mutual minmax profile: {mm.worst_gain:.3g}",
         witness=mm.worst_gain))
+    null = game.null_intervention()
+    solo_u = np.array([game.payoff(null, a, validate=False)   # row i: payoffs at i's solo profile
+                       for a in np.diag(game.best_responses(null, np.zeros(game.n)))])
     worst_leak = (None, 0.0)
-    for i in range(game.n):
-        u = game.payoff(*_solo_profile(game, i), validate=False)
+    for i, u in enumerate(solo_u):
         leak = float(np.max(np.abs(np.delete(u, i))))
         if leak > worst_leak[1]:
             worst_leak = (i, leak)
@@ -110,7 +112,7 @@ def validate_assumptions(game: StageGame, hull_grid: int = 11,
         name="solo_optimum_leaves_others_at_zero", passed=worst_leak[1] <= tol,
         detail=f"largest payoff leak to a bystander: {worst_leak[1]:.3g}",
         witness=worst_leak))
-    vbar = np.array([solo_optimum(game, i).value for i in range(game.n)])
+    vbar = np.diagonal(solo_u)
     pts_axes = [np.linspace(0.0, game.a_max[i], hull_grid) for i in range(game.n)]
     mesh = np.meshgrid(*pts_axes, indexing="ij")
     acts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -122,11 +124,6 @@ def validate_assumptions(game: StageGame, hull_grid: int = 11,
         detail=f"max normalized payoff sum {ratios[k]:.6g} at a={np.round(acts[k], 4)}",
         witness=(float(ratios[k]), acts[k])))
     return AssumptionReport(checks=tuple(checks))
-
-
-def _solo_profile(game: StageGame, i: int):
-    s = solo_optimum(game, i)
-    return s.profile.a0, s.profile.a
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +156,12 @@ class DeviationStats:
 
 def deviation_stats(game: StageGame) -> DeviationStats:
     n = game.n
-    solo_actions = np.zeros((n, n))
-    vbar = np.zeros(n)
-    for i in range(n):
-        s = solo_optimum(game, i)
-        solo_actions[i] = s.profile.a
-        vbar[i] = s.value
     null = game.null_intervention()
+    solo_actions = np.diag(game.best_responses(null, np.zeros(n)))
     solo_payoffs = game.payoff_batch(np.tile(null, (n, 1)), solo_actions)
-    y = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                y[i, j] = vbar[i]
-                continue
-            dev = solo_actions[i].copy()
-            dev[j] = game.best_response(j, null, solo_actions[i])
-            y[i, j] = game.payoff(null, dev, validate=False)[j]
+    # user i best-responds to its own solo profile with that profile: diag(y) = vbar
+    y = best_response_payoffs(game, null, solo_actions)
+    vbar = np.diagonal(y).copy()
     masked = y + np.diag(np.full(n, -np.inf))
     w = masked.max(axis=0)
     return DeviationStats(vbar=vbar, solo_actions=solo_actions, solo_payoffs=solo_payoffs,

@@ -31,8 +31,8 @@ from . import __version__
 from .automata import min_delta_for_L, verify_spe
 from .design import (DeviationStats, assemble_protocol, delta_bar, deviation_stats,
                      generate_outcome_path, guarantee_feasible, optimize_welfare)
-from .games import (FlowControlGame, GameConfigError, StageGame, game_from_config,
-                    minmax_values, mutual_minmax, solve_stage_nash)
+from .games import (FlowControlGame, GameConfigError, NashIterationError, StageGame,
+                    game_from_config, minmax_values, mutual_minmax, solve_stage_nash)
 from .simulate import profitability_scan
 
 EXPERIMENTS = ("table2", "fig3", "scaling", "tradeoff", "verify")
@@ -306,7 +306,7 @@ def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 
             seeds = [game.a_max * 0.5, game.a_max * 0.75, game.a_max.astype(float)]
             try:
                 seeds.append(solve_stage_nash(game).a)
-            except Exception:
+            except NashIterationError:
                 pass
 
     best = None

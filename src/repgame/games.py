@@ -13,8 +13,10 @@ games are provided:
 * :class:`PacketDropGame` -- flow control where the device drops each
   user's packets independently with some probability.
 
-All payoff functions are vectorised over leading batch dimensions, which
-the equilibrium checkers rely on for speed.
+Each game is its payoff function plus one best-response map, both
+vectorised over leading batch dimensions.  The stage Nash point, the
+minmax floors, the solo optima and the one-shot deviation checks are all
+built from those two maps.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 #: tolerance for box-constraint checks on actions
 BOX_TOL = 1e-9
@@ -119,8 +120,9 @@ class HullSample:
 class StageGame:
     """Common interface for the concrete games.
 
-    Subclasses must set ``n``, ``a_max`` (shape ``(n,)``), ``a0_max``
-    (shape ``(a0_dim,)``) and implement ``payoff_unchecked``.
+    Subclasses set ``n``, ``a_max`` (shape ``(n,)``) and ``a0_max`` (shape
+    ``(a0_dim,)``), and implement ``payoff_unchecked`` and
+    ``best_responses``; everything else is derived from those two maps.
     """
 
     n: int
@@ -175,47 +177,27 @@ class StageGame:
 
     # -- best responses ------------------------------------------------
 
+    def best_responses(self, a0: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Every user's best response, shape ``(..., n)``: entry ``i`` is the
+        own action maximising ``i``'s payoff against ``a0`` and the other
+        entries of ``a`` (``a[..., i]`` is ignored); where that payoff does
+        not depend on the own action, the reply is ``a_max[i]``.  Vectorised
+        over leading batch dimensions, like ``payoff_unchecked``."""
+        raise NotImplementedError
+
     def best_response(self, i: int, a0, others) -> float:
-        """Own action maximising user ``i``'s payoff against ``(a0, others)``.
+        """User ``i``'s entry of :meth:`best_responses` at one profile."""
+        return float(self.best_responses(np.asarray(a0, dtype=float).reshape(-1),
+                                          np.asarray(others, dtype=float))[i])
 
-        ``others`` is a full-length action vector whose ``i``-th entry is
-        ignored.  Ties are broken toward the smaller action.  The generic
-        implementation runs a bounded scalar optimiser plus an endpoint
-        comparison; subclasses override with closed forms.
-        """
-        a0 = np.asarray(a0, dtype=float).reshape(-1)
-        others = np.asarray(others, dtype=float)
-
-        def neg(x):
-            acts = others.copy()
-            acts[i] = x
-            return -float(self.payoff_unchecked(a0, acts)[i])
-
-        hi = float(self.a_max[i])
-        res = minimize_scalar(neg, bounds=(0.0, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        candidates = [0.0, hi, float(res.x)]
-        vals = [-neg(c) for c in candidates]
-        best = max(vals)
-        # smallest action within tolerance of the best value
-        for c, v in sorted(zip(candidates, vals)):
-            if v >= best - 1e-11 * max(1.0, abs(best)):
-                return c
-        return float(res.x)
-
-    def best_response_batch(self, i: int, a0: np.ndarray, others: np.ndarray) -> np.ndarray:
-        """Vectorised ``best_response`` over a batch of states."""
-        a0 = np.atleast_2d(np.asarray(a0, dtype=float))
-        others = np.atleast_2d(np.asarray(others, dtype=float))
-        out = np.empty(others.shape[0])
-        for k in range(others.shape[0]):
-            out[k] = self.best_response(i, a0[k], others[k])
-        return out
+    def minmax_minimizer(self, i: int) -> np.ndarray:
+        """Device action holding user ``i`` to their minmax value."""
+        return self.full_intervention()
 
     def deviation_payoffs_grid(self, i: int, a0_arr: np.ndarray, a_arr: np.ndarray,
                                grid: np.ndarray) -> np.ndarray:
         """Payoff to ``i`` for each ``grid`` action against each profile, shape
-        ``(R, G)``; subclasses override with closed forms."""
+        ``(R, G)``."""
         block = np.repeat(a_arr[:, None, :], grid.shape[0], axis=1)
         block[:, :, i] = grid
         return self.payoff_batch(a0_arr[:, None, :], block)[:, :, i]
@@ -270,29 +252,12 @@ class FlowControlGame(StageGame):
         cap = np.maximum(cap, 0.0)
         return np.power(a, self.beta) * cap[..., None]
 
-    def best_response(self, i, a0, others):
-        a0 = np.asarray(a0, dtype=float).reshape(-1)
-        others = np.asarray(others, dtype=float)
-        free = self.mu - a0[0] - (np.sum(others) - others[i])
-        if free <= 0.0:
-            # payoff is identically zero; default to the full rate so that
-            # the all-max profile stays a best-response fixed point
-            return float(self.a_max[i])
-        b = self.beta[i]
-        return float(min(b / (1.0 + b) * free, self.a_max[i]))
-
-    def best_response_batch(self, i, a0, others):
-        a0 = np.asarray(a0, dtype=float)
-        others = np.asarray(others, dtype=float)
-        free = self.mu - a0[..., 0] - (np.sum(others, axis=-1) - others[..., i])
-        b = self.beta[i]
-        interior = np.minimum(b / (1.0 + b) * free, self.a_max[i])
-        return np.where(free <= 0.0, self.a_max[i], interior)
-
-    def deviation_payoffs_grid(self, i, a0_arr, a_arr, grid):
-        free = self.mu - a0_arr[:, 0] - (np.sum(a_arr, axis=-1) - a_arr[:, i])
-        cap = np.maximum(free[:, None] - grid[None, :], 0.0)
-        return np.power(grid, self.beta[i])[None, :] * cap
+    def best_responses(self, a0, a):
+        free = self.mu - a0 - (np.sum(a, axis=-1, keepdims=True) - a)
+        interior = np.minimum(self.beta / (1.0 + self.beta) * free, self.a_max)
+        # a saturated queue pays zero whatever i sends; the full rate keeps
+        # the all-max profile a best-response fixed point
+        return np.where(free <= 0.0, self.a_max, interior)
 
     def to_config(self):
         return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
@@ -335,19 +300,9 @@ class PowerControlGame(StageGame):
         denom = self.noise + self.intervention_gain * a0[..., 0:1] + cross
         return np.log2(1.0 + own / denom)
 
-    def best_response(self, i, a0, others):
+    def best_responses(self, a0, a):
         # rates increase in own power regardless of what anyone else does
-        return float(self.a_max[i])
-
-    def best_response_batch(self, i, a0, others):
-        others = np.asarray(others, dtype=float)
-        return np.full(others.shape[0], self.a_max[i])
-
-    def deviation_payoffs_grid(self, i, a0_arr, a_arr, grid):
-        own = self.gain[i, i] * grid
-        cross = a_arr @ self.gain[i] - self.gain[i, i] * a_arr[:, i]
-        denom = self.noise[i] + self.intervention_gain[i] * a0_arr[:, 0] + cross
-        return np.log2(1.0 + own[None, :] / denom[:, None])
+        return np.broadcast_to(self.a_max, np.broadcast(a0, a).shape).copy()
 
     def to_config(self):
         return {"kind": self.kind, "gain": self.gain.tolist(),
@@ -384,27 +339,11 @@ class PacketDropGame(StageGame):
         eff = np.maximum((1.0 - a0) * a, 0.0)
         return np.power(eff, self.beta) * cap[..., None]
 
-    def best_response(self, i, a0, others):
-        a0 = np.asarray(a0, dtype=float).reshape(-1)
-        others = np.asarray(others, dtype=float)
-        free = self.mu - (np.sum(others) - others[i])
-        if a0[i] >= 1.0 - 1e-12 or free <= 0.0:
-            return float(self.a_max[i])
-        b = self.beta[i]
-        return float(min(b / (1.0 + b) * free, self.a_max[i]))
-
-    def best_response_batch(self, i, a0, others):
-        a0 = np.asarray(a0, dtype=float)
-        others = np.asarray(others, dtype=float)
-        free = self.mu - (np.sum(others, axis=-1) - others[..., i])
-        interior = np.minimum(self.beta[i] / (1.0 + self.beta[i]) * free, self.a_max[i])
-        flat = (a0[..., i] >= 1.0 - 1e-12) | (free <= 0.0)
-        return np.where(flat, self.a_max[i], interior)
-
-    def deviation_payoffs_grid(self, i, a0_arr, a_arr, grid):
-        free = self.mu - (np.sum(a_arr, axis=-1) - a_arr[:, i])
-        eff = np.maximum((1.0 - a0_arr[:, i])[:, None] * grid[None, :], 0.0)
-        return np.power(eff, self.beta[i]) * (free[:, None] - grid[None, :])
+    def best_responses(self, a0, a):
+        free = self.mu - (np.sum(a, axis=-1, keepdims=True) - a)
+        interior = np.minimum(self.beta / (1.0 + self.beta) * free, self.a_max)
+        # a user whose packets are all dropped is paid zero whatever it sends
+        return np.where((a0 >= 1.0 - 1e-12) | (free <= 0.0), self.a_max, interior)
 
     def minmax_minimizer(self, i):
         # dropping user i's packets w.p. 1 already floors them at zero;
@@ -449,8 +388,18 @@ def payoff(game: StageGame, profile: ActionProfile) -> np.ndarray:
     return game.payoff(profile.a0, profile.a)
 
 
-def best_response(game: StageGame, i: int, a0, others) -> float:
-    return game.best_response(i, a0, others)
+def best_response_payoffs(game: StageGame, a0, a) -> np.ndarray:
+    """Payoff each user earns by a one-shot best response, the others held
+    fixed: entry ``[..., i]`` for ``a`` of shape ``(n,)`` or ``(R, n)`` and
+    one device action ``a0``.  Each deviation is evaluated as a profile of
+    its own, so every entry rounds exactly as that single profile does."""
+    br = game.best_responses(a0, a)
+    out = np.empty(br.shape)
+    for k in np.ndindex(br.shape):
+        dev = a[k[:-1]].copy()
+        dev[k[-1]] = br[k]
+        out[k] = game.payoff(a0, dev, validate=False)[k[-1]]
+    return out
 
 
 def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
@@ -467,32 +416,29 @@ def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
     if a0 is None:
         a0 = game.null_intervention()
     a0 = np.asarray(a0, dtype=float).reshape(-1)
-    a = game.a_max.astype(float).copy()
+    spent, step = 0, np.inf
     for attempt in range(4):
         d = damping / 2 ** attempt
         a = game.a_max.astype(float).copy()
         budget = max_iter if attempt == 3 else min(max_iter, 2000)
         for _ in range(budget):
-            br = np.array([game.best_response(i, a0, a) for i in range(game.n)])
-            nxt = (1.0 - d) * a + d * br
-            if np.max(np.abs(nxt - a)) <= tol:
-                a = nxt
-                break
+            nxt = (1.0 - d) * a + d * game.best_responses(a0, a)
+            step = np.max(np.abs(nxt - a))
             a = nxt
-        else:
-            continue
-        break
+            if step <= tol:
+                break
+        if step <= tol:
+            break
+        spent += budget
     else:
-        raise NashIterationError(f"no fixed point after {max_iter} iterations (last profile {a})")
+        raise NashIterationError(
+            f"no fixed point after {spent} iterations over 4 attempts (final damping {d:g}, "
+            f"last step {step:.3g}, last profile {a})")
     # certify: no user can improve by more than the gain tolerance
-    u = game.payoff(a0, a, validate=False)
-    for i in range(game.n):
-        bri = game.best_response(i, a0, a)
-        dev = a.copy()
-        dev[i] = bri
-        gain = game.payoff(a0, dev, validate=False)[i] - u[i]
-        if gain > GAIN_TOL:
-            raise NashIterationError(f"iteration settled on a non-equilibrium: user {i} gains {gain}")
+    gain = best_response_payoffs(game, a0, a) - game.payoff(a0, a, validate=False)
+    i = int(np.argmax(gain))
+    if gain[i] > GAIN_TOL:
+        raise NashIterationError(f"iteration settled on a non-equilibrium: user {i} gains {gain[i]}")
     return ActionProfile(a0=a0, a=a)
 
 
@@ -501,20 +447,12 @@ def minmax(game: StageGame, i: int, with_intervention: bool = True) -> MinmaxRes
 
     Payoffs in the games in scope are decreasing in the device action and
     in everyone else's action, so the minimising profile is the all-max
-    profile (device at its box maximum when allowed, at null otherwise);
-    ``i`` then plays a best response against it.
+    profile (device at ``minmax_minimizer(i)`` when allowed, at null
+    otherwise); ``i`` then plays a best response against it.
     """
-    if with_intervention:
-        if hasattr(game, "minmax_minimizer"):
-            a0 = np.asarray(game.minmax_minimizer(i), dtype=float)
-        else:
-            a0 = game.full_intervention()
-    else:
-        a0 = game.null_intervention()
-    others = game.a_max.astype(float).copy()
-    ai = game.best_response(i, a0, others)
-    prof = others.copy()
-    prof[i] = ai
+    a0 = game.minmax_minimizer(i) if with_intervention else game.null_intervention()
+    prof = game.a_max.astype(float).copy()
+    prof[i] = game.best_response(i, a0, prof)
     value = float(game.payoff(a0, prof, validate=False)[i])
     return MinmaxResult(user=i, value=value, profile=ActionProfile(a0=a0, a=prof),
                         with_intervention=with_intervention)
@@ -533,11 +471,7 @@ def mutual_minmax(game: StageGame) -> MutualMinmaxResult:
     a0 = game.full_intervention()
     a = game.a_max.astype(float).copy()
     u = game.payoff(a0, a, validate=False)
-    worst = -np.inf
-    for i in range(game.n):
-        dev = a.copy()
-        dev[i] = game.best_response(i, a0, a)
-        worst = max(worst, float(game.payoff(a0, dev, validate=False)[i] - u[i]))
+    worst = float(np.max(best_response_payoffs(game, a0, a) - u))
     return MutualMinmaxResult(profile=ActionProfile(a0=a0, a=a), payoffs=u,
                               is_stage_nash=bool(worst <= GAIN_TOL), worst_gain=worst)
 
@@ -545,16 +479,14 @@ def mutual_minmax(game: StageGame) -> MutualMinmaxResult:
 def solo_optimum(game: StageGame, i: int) -> SoloOptimum:
     """Best payoff for ``i`` when the device and all other users play zero."""
     a0 = game.null_intervention()
-    others = np.zeros(game.n)
-    ai = game.best_response(i, a0, others)
-    prof = others.copy()
-    prof[i] = ai
+    prof = np.zeros(game.n)
+    prof[i] = game.best_response(i, a0, prof)
     value = float(game.payoff(a0, prof, validate=False)[i])
     return SoloOptimum(user=i, value=value, profile=ActionProfile(a0=a0, a=prof))
 
 
 def solo_values(game: StageGame) -> np.ndarray:
-    return np.array([solo_optimum(game, i).value for i in range(game.n)])
+    return best_response_payoffs(game, game.null_intervention(), np.zeros(game.n))
 
 
 def payoff_hull_sample(game: StageGame, grid_points: int = 11,
@@ -602,13 +534,7 @@ def max_stage_payoff(game: StageGame, a0=None, grid_budget: int = 60_000) -> flo
     """
     sweep_a0 = a0 is None
     base_a0 = game.null_intervention() if sweep_a0 else np.asarray(a0, dtype=float).reshape(-1)
-    best = -np.inf
-    for i in range(game.n):
-        zeros = np.zeros(game.n)
-        ai = game.best_response(i, base_a0, zeros)
-        prof = zeros.copy()
-        prof[i] = ai
-        best = max(best, float(game.payoff(base_a0, prof, validate=False)[i]))
+    best = float(np.max(best_response_payoffs(game, base_a0, np.zeros(game.n))))
     ndim = game.n + (game.a0_dim if sweep_a0 else 0)
     pts = max(2, int(round(grid_budget ** (1.0 / ndim))))
     axes = [np.linspace(0.0, game.a_max[i], pts) for i in range(game.n)]

@@ -13,7 +13,7 @@ from repgame.experiments import (ConfigError, ResultTable, baseline_comparison,
                                  emit_curves, load_config, punishment_length_curves,
                                  reference_path, run_experiment, scaling_sweep,
                                  tradeoff_sweep, verification_report)
-from repgame.games import game_from_config
+from repgame.games import NashIterationError, game_from_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "fig_flow.json"
@@ -166,6 +166,35 @@ def test_one_shot_seeded_matches_grid_route():
     grid = constrained_welfare_search(game, gam, "sum")
     seeded = constrained_welfare_search(game, gam, "sum", seed=grid.profile)
     assert seeded.value == pytest.approx(grid.value, abs=1e-12)
+
+
+def test_one_shot_fallback_seed_lets_other_errors_through(monkeypatch):
+    """Past the grid cap the search seeds from the stage Nash point when it
+    converges; only a non-converging iteration may be skipped."""
+    def broken(game):
+        raise TypeError("broken best-response map")
+    monkeypatch.setattr(xp, "solve_stage_nash", broken)
+    with pytest.raises(TypeError, match="broken best-response map"):
+        constrained_welfare_search(fig_game(), np.ones(4), "sum", grid_cap=0)
+
+
+def test_one_shot_fallback_without_nash_uses_the_box_seeds(monkeypatch):
+    def diverges(game):
+        raise NashIterationError("no fixed point")
+    starts = []
+    ascend = xp._ascend
+
+    def recorded(game, start, *args):
+        starts.append(start)
+        return ascend(game, start, *args)
+    monkeypatch.setattr(xp, "solve_stage_nash", diverges)
+    monkeypatch.setattr(xp, "_ascend", recorded)
+    game = fig_game()
+    found = constrained_welfare_search(game, np.ones(4), "sum", grid_cap=0)
+    assert found is not None and np.all(found.payoffs >= 1.0 - 1e-9)
+    assert len(starts) == 3
+    for got, scale in zip(starts, (0.5, 0.75, 1.0)):
+        assert np.array_equal(got, game.a_max * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repgame import games
 from repgame.games import (FlowControlGame, GameConfigError, PacketDropGame,
-                           PowerControlGame, StageGame, game_from_config, minmax,
+                           PowerControlGame, game_from_config, minmax,
                            minmax_values, mutual_minmax, payoff_hull_sample,
                            solo_values, solve_stage_nash)
 
@@ -187,33 +187,52 @@ def test_intervention_only_punishes(a0, a):
     assert np.all(drop.payoff(a0, a) <= drop.payoff(null3, a) + 1e-12)
 
 
-def test_batched_best_response_agrees_with_scalar():
-    for g in (reference_flow_game(1.5), PacketDropGame(mu=10.0, beta=[2, 2, 3, 3], a_max=[2.5] * 4),
-              strong_interference_power_game()):
-        rng = np.random.default_rng(11)
-        S = 17
-        a0s = rng.uniform(0, 1, size=(S, g.a0_dim)) * g.a0_max
-        acts = rng.uniform(0, 1, size=(S, g.n)) * g.a_max
-        for i in range(g.n):
-            batch = g.best_response_batch(i, a0s, acts)
-            single = [g.best_response(i, a0s[k], acts[k]) for k in range(S)]
-            assert np.allclose(batch, single, atol=1e-12)
+def _map_rows(g, rng, S=40):
+    """Random profiles plus rows where some user's payoff is flat in its own
+    action: a saturated queue (flow) or fully dropped packets (packet drop)."""
+    a0s = rng.uniform(0, 1, size=(S, g.a0_dim)) * g.a0_max
+    acts = rng.uniform(0, 1, size=(S, g.n)) * g.a_max
+    if g.kind == "flow":
+        a0s[:3] = g.a0_max
+        acts[:3] = g.a_max           # free = mu - a0 - (others) <= 0 for every user
+        acts[1, 0] = 0.0             # user 0's free capacity is still <= 0
+    if g.kind == "packet_drop":
+        a0s[:3] = 0.0
+        acts[:3] = g.a_max           # the interior reply is below a_max here
+        a0s[0] = 1.0                 # everyone dropped
+        a0s[1, 2] = 1.0              # one user dropped
+        a0s[2, 3] = 1.0
+    return a0s, acts
 
 
-def test_closed_form_deviation_grids_match_the_generic_one():
-    """Each game's closed-form ``deviation_payoffs_grid`` equals the generic
-    base-class version, which substitutes every grid action into the profile."""
-    for g in (reference_flow_game(1.5), PacketDropGame(mu=10.0, beta=[2, 2, 3, 3], a_max=[2.5] * 4),
-              strong_interference_power_game()):
-        rng = np.random.default_rng(5)
-        a0s = rng.uniform(0, 1, size=(9, g.a0_dim)) * g.a0_max
-        acts = rng.uniform(0, 1, size=(9, g.n)) * g.a_max
+@pytest.mark.parametrize("g", [reference_flow_game(2.5),
+                               PacketDropGame(mu=10.0, beta=[2, 2, 3, 3], a_max=[2.5] * 4),
+                               strong_interference_power_game()],
+                         ids=["flow", "packet_drop", "power"])
+def test_best_responses_match_per_user_search(g):
+    """The ``(S, n)`` map against a dense grid search over each user's own
+    action, one user and one profile at a time."""
+    a0s, acts = _map_rows(g, np.random.default_rng(11))
+    br = g.best_responses(a0s, acts)
+    assert br.shape == acts.shape
+    assert np.array_equal(g.best_responses(a0s[:, None], acts[:, None]), br[:, None])
+    flat_rows = 0
+    for k in range(acts.shape[0]):
         for i in range(g.n):
-            grid = np.linspace(0.0, g.a_max[i], 200)
-            generic = StageGame.deviation_payoffs_grid(g, i, a0s, acts, grid)
-            assert generic.shape == (9, 200)
-            assert np.allclose(g.deviation_payoffs_grid(i, a0s, acts, grid), generic,
-                               rtol=1e-12, atol=1e-12)
+            grid = np.linspace(0.0, g.a_max[i], 4001)
+            dev = np.tile(acts[k], (grid.size, 1))
+            dev[:, i] = grid
+            vals = g.payoff_batch(a0s[k], dev)[:, i]
+            at_br = acts[k].copy()
+            at_br[i] = br[k, i]
+            assert g.best_response(i, a0s[k], acts[k]) == br[k, i]
+            assert g.payoff(a0s[k], at_br, validate=False)[i] >= vals.max() - 1e-9
+            if np.all(vals == 0.0):
+                flat_rows += 1
+                assert br[k, i] == g.a_max[i]   # flat payoff: the full action
+            else:
+                assert abs(br[k, i] - grid[np.argmax(vals)]) <= grid[1]
+    assert flat_rows >= {"flow": 9, "packet_drop": 6, "power": 0}[g.kind]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +248,38 @@ def test_stage_nash_of_reference_game():
     # independent certificate: nobody improves on a dense grid
     for i in range(4):
         assert u[i] >= grid_best_payoff(g, i, prof.a0, prof.a) - 1e-7
+
+
+def test_stage_nash_matches_per_user_iteration_on_12_user_scaling_game():
+    """``solve_stage_nash`` on the largest ``scaling`` game against the damped
+    iteration written out per user with the flow closed form."""
+    n, mu = 12, 12.0
+    g = FlowControlGame(mu=mu, beta=[3.0] * n, a_max=[1.0] * n, a0_max=[1.0])
+
+    def reply(i, a):
+        free = mu - 0.0 - (np.sum(a) - a[i])
+        return 1.0 if free <= 0.0 else min(3.0 / (1.0 + 3.0) * free, 1.0)
+
+    for attempt in range(4):
+        d = 0.5 / 2 ** attempt
+        a = np.ones(n)
+        for _ in range(100_000 if attempt == 3 else 2000):
+            nxt = (1.0 - d) * a + d * np.array([reply(i, a) for i in range(n)])
+            step, a = np.max(np.abs(nxt - a)), nxt
+            if step <= 1e-10:
+                break
+        if step <= 1e-10:
+            break
+    assert np.array_equal(solve_stage_nash(g).a, a)
+
+
+def test_stage_nash_failure_reports_the_iteration():
+    g = reference_flow_game()
+    msg = (r"no fixed point after 4 iterations over 4 attempts \(final damping 0\.0625, "
+           r"last step [0-9.e+-]+, last profile")
+    with pytest.raises(games.NashIterationError, match=msg) as err:
+        solve_stage_nash(g, tol=0.0, max_iter=1)
+    assert float(str(err.value).split("last step ")[1].split(",")[0]) > 0.0
 
 
 def test_stage_nash_under_full_intervention_is_all_max():
@@ -266,6 +317,7 @@ def test_minmax_without_intervention_frozen():
 def test_minmax_with_intervention_frozen(a0_max, expected):
     g = reference_flow_game(a0_max)
     assert np.allclose(minmax_values(g, with_intervention=True), expected, atol=1e-12)
+    assert np.array_equal(g.minmax_minimizer(1), g.a0_max)   # the base-class minimiser
 
 
 def test_minmax_matches_enumeration_small_game():
