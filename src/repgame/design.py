@@ -182,12 +182,27 @@ class TargetPayoff:
     gamma: np.ndarray
 
 
+def _infeasibility(stats: DeviationStats, gamma, with_intervention: bool) -> str | None:
+    """Which test of :func:`guarantee_feasible` fails, naming the binding
+    user; None when both pass."""
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), stats.vbar.shape)
+    over = np.flatnonzero(~(gamma <= stats.vbar + 1e-12))
+    if over.size:
+        i = int(over[0])
+        return (f"user {i}'s floor {gamma[i]:.6g} exceeds their solo optimum "
+                f"vbar = {stats.vbar[i]:.6g}")
+    shares = np.maximum(gamma, stats.minmax(with_intervention)) / stats.vbar
+    total = np.sum(shares)
+    if not total < 1.0 - 1e-12:
+        i = int(np.argmax(shares))
+        return (f"the normalised floors sum(max(gamma, minmax) / vbar) = {total:.6g} "
+                f"reach 1; user {i} has the largest share, {shares[i]:.6g}")
+    return None
+
+
 def guarantee_feasible(stats: DeviationStats, gamma, with_intervention: bool = True) -> bool:
     """Is the guarantee region nonempty: floors below the simplex, above minmax."""
-    gamma = np.asarray(gamma, dtype=float)
-    floors = np.maximum(gamma, stats.minmax(with_intervention))
-    return bool(np.all(gamma <= stats.vbar + 1e-12)
-                and np.sum(floors / stats.vbar) < 1.0 - 1e-12)
+    return _infeasibility(stats, gamma, with_intervention) is None
 
 
 def optimize_welfare(stats: DeviationStats, gamma, welfare: str,
@@ -203,8 +218,9 @@ def optimize_welfare(stats: DeviationStats, gamma, welfare: str,
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != stats.vbar.shape:
         raise DesignError(f"gamma must have shape {stats.vbar.shape}, got {gamma.shape}")
-    if not guarantee_feasible(stats, gamma, with_intervention):
-        raise DesignError(f"guarantee {gamma} is infeasible: floors exceed the payoff simplex")
+    reason = _infeasibility(stats, gamma, with_intervention)
+    if reason is not None:
+        raise DesignError(f"guarantee {gamma} is infeasible: {reason}")
     floors = np.maximum(gamma, stats.minmax(with_intervention))
     vbar = stats.vbar
     if welfare == "sum":

@@ -29,8 +29,9 @@ from scipy.optimize import brentq, minimize
 
 from . import __version__
 from .automata import min_delta_for_L, verify_spe
-from .design import (DeviationStats, assemble_protocol, delta_bar, deviation_stats,
-                     generate_outcome_path, guarantee_feasible, optimize_welfare)
+from .design import (DesignError, DeviationStats, assemble_protocol, delta_bar,
+                     deviation_stats, generate_outcome_path, guarantee_feasible,
+                     optimize_welfare)
 from .games import (FlowControlGame, GameConfigError, NashIterationError, StageGame,
                     game_from_config, minmax_values, mutual_minmax, solve_stage_nash)
 from .simulate import profitability_scan
@@ -236,14 +237,28 @@ class SearchResult:
     payoffs: np.ndarray
 
 
-def _score(U: np.ndarray, gamma: np.ndarray, kind: str):
-    """Rank payoff rows: feasibility first, then welfare (infeasible rows
-    rank by their worst floor shortfall, so ascent can climb into the
-    feasible set)."""
-    margin = np.min(U - gamma, axis=-1)
-    ok = margin >= -1e-9
-    w = U.sum(axis=-1) if kind == "sum" else U.min(axis=-1)
-    return ok, np.where(ok, w, margin)
+def _score(U: np.ndarray, cells):
+    """Rank the payoff rows of ``U`` (shape ``(R, n)``) for each
+    ``(gamma, kind)`` cell, ``gamma`` of shape ``(n,)``: feasibility first, then welfare (infeasible
+    rows rank by their worst floor shortfall, so ascent can climb into the
+    feasible set).  Yields one ``(ok, val)`` pair of length-R arrays per
+    cell, in order.
+
+    The block is reduced once for all cells, user-major.  A numpy
+    reduction over the short last axis runs one inner loop per row, so the
+    floor margins and the row minimum are taken over axis 0 of one
+    contiguous ``(n, R)`` copy: n length-R passes.  The row sum alone stays
+    ``U.sum(axis=-1)``, because summing the copy adds in a different order
+    once n >= 8, which could move a welfare tie and so the pick.  Cells
+    are yielded one at a time, so a grid slab holds one cell's arrays.
+    """
+    UT = np.ascontiguousarray(U.T)
+    welfare = {kind: U.sum(axis=-1) if kind == "sum" else UT.min(axis=0)
+               for kind in {kind for _, kind in cells}}
+    for gamma, kind in cells:
+        margin = (UT - gamma[:, None]).min(axis=0)
+        ok = margin >= -1e-9
+        yield ok, np.where(ok, welfare[kind], margin)
 
 
 def _pick(ok: np.ndarray, val: np.ndarray) -> int:
@@ -256,7 +271,12 @@ def _pick(ok: np.ndarray, val: np.ndarray) -> int:
 def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
     """One streamed sweep of the product action grid, scored for every
     ``(gamma, kind)`` cell at once.  Returns one seed profile per cell,
-    or None when the grid would exceed ``grid_cap`` points."""
+    or None when the grid would exceed ``grid_cap`` points.
+
+    The grid is streamed in slabs of fixed first action; each slab's
+    payoff block is reduced once for all cells by :func:`_score`, and a
+    slab's pick replaces the running best only when it is strictly
+    better, so the first profile in grid order wins ties."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, step), [am]]))
             for am in game.a_max]
     if int(np.prod([len(ax) for ax in axes])) > grid_cap:
@@ -269,9 +289,7 @@ def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
     best = [None] * len(cells)
     for x in axes[0]:
         prof[:, 0] = x
-        U = game.payoff_batch(null, prof)
-        for k, (gamma, kind) in enumerate(cells):
-            ok, val = _score(U, gamma, kind)
+        for k, (ok, val) in enumerate(_score(game.payoff_batch(null, prof), cells)):
             j = _pick(ok, val)
             cand = (bool(ok[j]), float(val[j]), prof[j].copy())
             if best[k] is None or (cand[0], cand[1]) > (best[k][0], best[k][1]):
@@ -297,7 +315,7 @@ def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 
     """
     if kind not in WELFARE_KINDS:
         raise ValueError(f"unknown welfare {kind!r}")
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (game.n,))
     if seed is not None:
         seeds = [np.asarray(seed, dtype=float)]
     else:
@@ -358,7 +376,8 @@ def _ascend(game: StageGame, start, gamma: np.ndarray, kind: str, passes: int,
     """Coordinate ascent with a geometrically shrinking search window."""
     null = game.null_intervention()
     a = np.clip(np.asarray(start, dtype=float), 0.0, game.a_max)
-    ok, val = _score(game.payoff(null, a, validate=False)[None, :], gamma, kind)
+    cells = [(gamma, kind)]
+    [(ok, val)] = _score(game.payoff(null, a, validate=False)[None, :], cells)
     cur = (bool(ok[0]), float(val[0]))
     for p in range(passes):
         frac = 0.5 * 0.7 ** p
@@ -368,7 +387,7 @@ def _ascend(game: StageGame, start, gamma: np.ndarray, kind: str, passes: int,
             cand = np.linspace(max(0.0, a[i] - half), min(float(game.a_max[i]), a[i] + half), points)
             prof = np.repeat(a[None, :], points, axis=0)
             prof[:, i] = cand
-            ok, val = _score(game.payoff_batch(null, prof), gamma, kind)
+            [(ok, val)] = _score(game.payoff_batch(null, prof), cells)
             j = _pick(ok, val)
             key = (bool(ok[j]), float(val[j]))
             if key > (cur[0], cur[1] + 1e-13):
@@ -606,9 +625,10 @@ def verification_report(game: StageGame, welfare: str, gamma: float, delta: floa
     """
     stats = deviation_stats(game)
     gam = np.full(game.n, float(gamma))
-    if not guarantee_feasible(stats, gam, True):
-        raise ConfigError(f"guarantee level {gamma} is infeasible for this game")
-    target = optimize_welfare(stats, gam, welfare, True)
+    try:
+        target = optimize_welfare(stats, gam, welfare, True)
+    except DesignError as exc:
+        raise ConfigError(str(exc)) from None
     db = delta_bar(stats, target.v, True)
     build_delta = float(delta) if delta >= db + 1e-9 else min(db + 1e-3, 0.5 * (db + 1.0))
     path = generate_outcome_path(stats, target.v, build_delta)

@@ -134,6 +134,22 @@ def test_infeasible_guarantee_rejected(stats):
         optimize_welfare(stats, np.full(4, 40.0), "sum")
 
 
+def test_infeasible_guarantee_names_the_user_above_vbar(stats):
+    gamma = np.array([1.0, 1.0, 1.0, 200.0])   # vbar_3 = 117.1875
+    assert not guarantee_feasible(stats, gamma)
+    with pytest.raises(DesignError, match=r"infeasible: user 3's floor 200 exceeds "
+                                          r"their solo optimum vbar = 117\.188"):
+        optimize_welfare(stats, gamma, "sum")
+
+
+def test_infeasible_guarantee_names_the_floor_sum_and_largest_share(stats):
+    # each floor is below its vbar, but 2 * 40/46.875 + 2 * 40/117.1875 > 1
+    with pytest.raises(DesignError, match=r"infeasible: the normalised floors "
+                                          r"sum\(max\(gamma, minmax\) / vbar\) = 2\.38933 "
+                                          r"reach 1; user 0 has the largest share, 0\.853333"):
+        optimize_welfare(stats, np.full(4, 40.0), "maxmin")
+
+
 def test_floors_below_minmax_are_slack(stats):
     """Asking for less than the minmax value costs nothing: the effective
     floor is the no-intervention minmax when the device stays out."""

@@ -13,11 +13,13 @@ from repgame.experiments import (ConfigError, ResultTable, baseline_comparison,
                                  emit_curves, load_config, punishment_length_curves,
                                  reference_path, run_experiment, scaling_sweep,
                                  tradeoff_sweep, verification_report)
-from repgame.games import NashIterationError, game_from_config
+from repgame.games import (FlowControlGame, NashIterationError, PacketDropGame,
+                           PowerControlGame, game_from_config)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "fig_flow.json"
 GOLDEN = Path(__file__).parent / "data" / "table2_golden.csv"
+SCALING_GOLDEN = Path(__file__).parent / "data" / "scaling_2_5_golden.csv"
 
 GAME_CFG = {"kind": "flow", "mu": 10.0, "beta": [2.0, 2.0, 3.0, 3.0],
             "a_max": [2.5, 2.5, 2.5, 2.5], "a0_max": [2.5]}
@@ -197,6 +199,62 @@ def test_one_shot_fallback_without_nash_uses_the_box_seeds(monkeypatch):
         assert np.array_equal(got, game.a_max * scale)
 
 
+def _row_major_seeds(game, cells, step):
+    """The one-shot grid seeds by the row-major rule: payoffs of the whole
+    grid at once, each cell reduced over the user axis row by row, and the
+    first grid index wins among the best rows."""
+    axes = [np.unique(np.concatenate([np.arange(0.0, am, step), [am]])) for am in game.a_max]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, game.n)
+    U = game.payoff_batch(game.null_intervention(), grid)
+    seeds = []
+    for gamma, kind in cells:
+        margin = np.min(U - gamma, axis=-1)
+        ok = margin >= -1e-9
+        val = np.where(ok, U.sum(axis=-1) if kind == "sum" else U.min(axis=-1), margin)
+        idx = np.flatnonzero(ok)
+        seeds.append(grid[idx[np.argmax(val[idx])] if idx.size else np.argmax(val)])
+    return seeds
+
+
+def _power_game(n):
+    gain = np.full((n, n), 0.1) + 0.9 * np.eye(n)
+    return PowerControlGame(gain=gain, intervention_gain=np.ones(n), noise=np.full(n, 0.1),
+                            a_max=np.linspace(0.6, 1.0, n), a0_max=[1.0])
+
+
+GRID_GAMES = {
+    "flow-2": FlowControlGame(mu=4.0, beta=[2.0, 3.0], a_max=[1.5, 1.2], a0_max=[1.0]),
+    "flow-3": FlowControlGame(mu=3.5, beta=[1.5, 2.0, 3.0], a_max=[1.0, 1.0, 0.8], a0_max=[0.5]),
+    # beta = 1: every profile with the same total load ties on the sum in
+    # exact arithmetic, so the pick turns on how the nine payoffs are added
+    "flow-9": FlowControlGame(mu=1.3, beta=[1.0] * 9, a_max=[0.1] * 9, a0_max=[0.2]),
+    "power-2": _power_game(2),
+    "power-3": _power_game(3),
+    "packet-2": PacketDropGame(mu=3.0, beta=[2.0, 1.0], a_max=[1.0, 1.5]),
+    "packet-3": PacketDropGame(mu=3.0, beta=[1.0, 2.0, 2.5], a_max=[0.8, 1.0, 1.0]),
+    "packet-9": PacketDropGame(mu=1.0, beta=[1.0] * 9, a_max=[0.1] * 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GAMES))
+def test_grid_pass_matches_row_major_rule(name):
+    """The user-major grid pass picks the very profiles of the row-major
+    rule, for uniform and per-user floors, both welfare kinds, and a cell
+    that no profile meets (rows then rank by floor margin)."""
+    game = GRID_GAMES[name]
+    u_mid = game.payoff(game.null_intervention(), game.a_max / 2)
+    out_of_reach = np.zeros(game.n)
+    out_of_reach[-1] = 1e6
+    floors = [np.full(game.n, 0.5 * np.min(u_mid)),
+              u_mid * np.linspace(0.2, 1.0, game.n),
+              out_of_reach]
+    cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
+    got = xp._grid_pass(game, cells, 0.05, 8_000_000)
+    want = _row_major_seeds(game, cells, 0.05)
+    for (gamma, kind), g, w in zip(cells, got, want):
+        assert np.array_equal(g, w), (gamma, kind, g, w)
+
+
 # ---------------------------------------------------------------------------
 # scheme comparison table
 # ---------------------------------------------------------------------------
@@ -277,6 +335,11 @@ def test_scaling_small_populations():
     assert val == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
+def test_scaling_matches_golden():
+    """Pins the grid-seeded one-shot cells (n <= 5) along with the rest."""
+    assert scaling_sweep((2, 5)).to_csv_text() == SCALING_GOLDEN.read_text()
+
+
 def test_scaling_overload_rows_are_na():
     t = scaling_sweep((11, 11))
     for rule, n, scheme, kind, val, d in t.rows:
@@ -347,6 +410,15 @@ def test_verification_report_below_threshold_reports_gain():
 
 def test_verification_rejects_impossible_guarantee():
     with pytest.raises(ConfigError, match="infeasible"):
+        verification_report(fig_game(), "sum", 40.0, 0.95)
+
+
+def test_verification_names_the_binding_floor():
+    with pytest.raises(ConfigError, match=r"infeasible: user 0's floor 50 exceeds their "
+                                          r"solo optimum vbar = 46\.875"):
+        verification_report(fig_game(), "sum", 50.0, 0.95)
+    with pytest.raises(ConfigError, match=r"sum\(max\(gamma, minmax\) / vbar\) = 2\.38933 "
+                                          r"reach 1; user 0 has the largest share"):
         verification_report(fig_game(), "sum", 40.0, 0.95)
 
 
