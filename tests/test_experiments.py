@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "fig_flow.json"
 GOLDEN = Path(__file__).parent / "data" / "table2_golden.csv"
 SCALING_GOLDEN = Path(__file__).parent / "data" / "scaling_2_5_golden.csv"
+SCALING_FALLBACK_GOLDEN = Path(__file__).parent / "data" / "scaling_6_12_golden.csv"
 
 GAME_CFG = {"kind": "flow", "mu": 10.0, "beta": [2.0, 2.0, 3.0, 3.0],
             "a_max": [2.5, 2.5, 2.5, 2.5], "a0_max": [2.5]}
@@ -186,9 +187,9 @@ def test_one_shot_fallback_without_nash_uses_the_box_seeds(monkeypatch):
     starts = []
     ascend = xp._ascend
 
-    def recorded(game, start, *args):
-        starts.append(start)
-        return ascend(game, start, *args)
+    def recorded(game, stack, *args):
+        starts.extend(stack)
+        return ascend(game, stack, *args)
     monkeypatch.setattr(xp, "solve_stage_nash", diverges)
     monkeypatch.setattr(xp, "_ascend", recorded)
     game = fig_game()
@@ -253,6 +254,73 @@ def test_grid_pass_matches_row_major_rule(name):
     want = _row_major_seeds(game, cells, 0.05)
     for (gamma, kind), g, w in zip(cells, got, want):
         assert np.array_equal(g, w), (gamma, kind, g, w)
+
+
+def _ascend_one(game, start, gamma, kind, passes=50, points=33):
+    """Coordinate ascent from one start, written out line by line: each
+    coordinate step scores a ``points``-point line by the row-major rule,
+    moves on an improvement of more than 1e-13, and the ascent stops after
+    a pass without a move once the window is below 1e-10.  Returns
+    ``(ok, val, profile, passes run)``."""
+    null = game.null_intervention()
+
+    def best(U):
+        margin = np.min(U - gamma, axis=-1)
+        ok = margin >= -1e-9
+        val = np.where(ok, U.sum(axis=-1) if kind == "sum" else U.min(axis=-1), margin)
+        idx = np.flatnonzero(ok)
+        j = int(idx[np.argmax(val[idx])] if idx.size else np.argmax(val))
+        return j, (bool(ok[j]), float(val[j]))
+
+    a = np.clip(np.asarray(start, dtype=float), 0.0, game.a_max)
+    _, cur = best(game.payoff(null, a, validate=False)[None, :])
+    for p in range(passes):
+        frac = 0.5 * 0.7 ** p
+        moved = False
+        for i in range(game.n):
+            half = frac * float(game.a_max[i])
+            cand = np.linspace(max(0.0, a[i] - half), min(float(game.a_max[i]), a[i] + half), points)
+            prof = np.repeat(a[None, :], points, axis=0)
+            prof[:, i] = cand
+            j, key = best(game.payoff_batch(null, prof))
+            if key > (cur[0], cur[1] + 1e-13):
+                a[i], cur, moved = cand[j], key, True
+        if not moved and frac * float(np.max(game.a_max)) < 1e-10:
+            return cur[0], cur[1], a, p + 1
+    return cur[0], cur[1], a, passes
+
+
+ASCENT_GAMES = {
+    **{name: GRID_GAMES[name] for name in ("flow-2", "flow-3", "power-3", "packet-3")},
+    "flow-9": FlowControlGame(mu=9.5, beta=[1.0, 1.5, 2.0] * 3, a_max=[1.0] * 9, a0_max=[0.5]),
+    # boxes this small make the window fall below 1e-10 before the last
+    # pass, and with so little noise a start that stopped would still move
+    "power-tiny": PowerControlGame(gain=np.full((3, 3), 0.25) + 0.75 * np.eye(3),
+                                   intervention_gain=np.ones(3), noise=np.full(3, 1e-7),
+                                   a_max=[2e-3, 1e-3, 3e-3], a0_max=[1e-3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_GAMES))
+def test_stacked_ascent_matches_single_start_ascents(name):
+    """Starts climbing in lockstep end exactly where each would end alone."""
+    game = ASCENT_GAMES[name]
+    rng = np.random.default_rng(7)
+    u_mid = game.payoff(game.null_intervention(), game.a_max / 2)
+    out_of_reach = np.zeros(game.n)
+    out_of_reach[-1] = 1e6
+    starts = rng.uniform(-0.1, 1.1, size=(4, game.n)) * game.a_max
+    ran = set()
+    for gamma in (u_mid * np.linspace(0.2, 1.0, game.n), out_of_reach):
+        for kind in ("sum", "maxmin"):
+            ok, val, profiles = xp._ascend(game, starts, gamma, kind, 50)
+            for s, start in enumerate(starts):
+                want_ok, want_val, want_a, passes = _ascend_one(game, start, gamma, kind)
+                assert ok[s] == want_ok and val[s] == want_val, (gamma, kind, s)
+                assert np.array_equal(profiles[s], want_a), (gamma, kind, s)
+                ran.add(passes)
+    # only the tiny boxes stop early, and their starts stop at different passes
+    assert ran == {50} if name != "power-tiny" else len(ran) > 1 and min(ran) < 50
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +406,24 @@ def test_scaling_small_populations():
 def test_scaling_matches_golden():
     """Pins the grid-seeded one-shot cells (n <= 5) along with the rest."""
     assert scaling_sweep((2, 5)).to_csv_text() == SCALING_GOLDEN.read_text()
+
+
+def test_scaling_fallback_cells_match_golden():
+    """Pins the one-shot cells past the grid cap (n >= 6), which start the
+    ascent from the box diagonal and the stage Nash point."""
+    assert scaling_sweep((6, 12)).to_csv_text() == SCALING_FALLBACK_GOLDEN.read_text()
+
+
+def test_scaling_solves_each_stage_nash_once(monkeypatch):
+    calls = []
+    solve = xp.solve_stage_nash
+
+    def counted(game, *args, **kwargs):
+        calls.append(game.n)
+        return solve(game, *args, **kwargs)
+    monkeypatch.setattr(xp, "solve_stage_nash", counted)
+    scaling_sweep((6, 6))   # both rules build the same 6-user game
+    assert calls == [6]
 
 
 def test_scaling_overload_rows_are_na():
