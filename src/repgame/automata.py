@@ -385,21 +385,14 @@ def _best_deviations(game: StageGame, a0_tab: np.ndarray, a_tab: np.ndarray,
     (R, n): the better of the analytic best response and a dense grid of
     ``grid_points`` actions (the best response wins ties).
     """
-    R = a_tab.shape[0]
-    d = np.empty(a_tab.shape)
-    act = np.empty(a_tab.shape)
     br = game.best_responses(a0_tab, a_tab)
-    for i in range(game.n):
-        a_br = a_tab.copy()
-        a_br[:, i] = br[:, i]
-        d_br = game.payoff_batch(a0_tab, a_br)[:, i]
-        grid = np.linspace(0.0, game.a_max[i], grid_points)
-        d_grid_all = game.deviation_payoffs_grid(i, a0_tab, a_tab, grid)
-        g_idx = np.argmax(d_grid_all, axis=1)
-        d_grid = d_grid_all[np.arange(R), g_idx]
-        d[:, i] = np.maximum(d_br, d_grid)
-        act[:, i] = np.where(d_br >= d_grid, br[:, i], grid[g_idx])
-    return d, act
+    d_br = game.deviation_payoffs(a0_tab, a_tab, br)
+    grid = np.linspace(0.0, game.a_max, grid_points)   # (G, n), column i = user i's grid
+    d_grid_all = game.deviation_payoffs(a0_tab[:, None], a_tab[:, None], grid)   # (R, G, n)
+    g_idx = np.argmax(d_grid_all, axis=1)
+    d_grid = np.take_along_axis(d_grid_all, g_idx[:, None], axis=1)[:, 0]
+    act = np.where(d_br >= d_grid, br, np.take_along_axis(grid, g_idx, axis=0))
+    return np.maximum(d_br, d_grid), act
 
 
 def _worst_cell(gains: np.ndarray) -> tuple[int, int]:
@@ -447,32 +440,26 @@ class MinDeltaResult:
     margins: dict | None = None
 
 
-def _bisect_min_delta(constraint: Callable[[float], float], tol: float = 1e-6) -> float | None:
-    """Smallest delta in (0,1) with ``constraint(delta) >= 0`` (None if none).
-
-    Assumes the constraint margin is nondecreasing in delta, which holds
-    for all the incentive families here whenever the path dominates the
-    punishment payoff.
-    """
-    hi = 1.0 - 1e-12
-    if constraint(hi) < 0.0:
-        return None
-    lo = 0.0
-    if constraint(lo) >= 0.0:
-        return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _path_profile(game: StageGame, path_profile):
     """Validated ``(a0, a)`` of a one-profile path plus its stage payoffs."""
     pa0, pa = _profiles_to_arrays(game, [path_profile])
-    return pa0[0], pa[0], game.payoff(pa0[0], pa[0], validate=False)
+    return pa0[0], pa[0], game.payoff_batch(pa0[0], pa[0])
+
+
+def _minmax_families(v, p, dev, vlw, L: int | None, delta: float) -> dict:
+    """Margins of the mutual-minmax constraint families at ``delta``.
+
+    ``path``: deviating from the path (stage payoff ``dev``: the exact
+    best-response payoff, or the blanket bound ``M``) must not pay against
+    ``L`` punishment periods at the mutual minmax payoff ``p`` (forever
+    when ``L`` is None).  ``punishment`` (finite ``L`` only): sitting
+    through the punishment must beat abandoning the scheme for the
+    guaranteed minmax payoff ``vlw``.
+    """
+    if L is None:
+        return {"path": delta / (1.0 - delta) * (v - p) - (dev - v)}
+    geo = delta * (1.0 - delta ** L) / (1.0 - delta) if delta < 1.0 else float(L)
+    return {"path": geo * (v - p) - (dev - v), "punishment": delta ** L * (v - p) - (vlw - p)}
 
 
 def min_delta_for_L(game: StageGame, path_profile, L: int | None,
@@ -489,43 +476,22 @@ def min_delta_for_L(game: StageGame, path_profile, L: int | None,
     """
     pa0, pa, v = _path_profile(game, path_profile)
     mm = mutual_minmax(game)
-    p = mm.payoffs
+    if L is None and not mm.is_stage_nash:
+        raise AutomatonError(
+            "absorbing punishment requires the mutual minmax profile to be a "
+            "stage Nash equilibrium; use a finite L instead")
+    if L is not None and L < 1:
+        raise ValueError("punishment length must be at least 1")
     d = best_response_payoffs(game, pa0, pa)
     vlw = minmax_values(game, with_intervention=True)
 
-    if L is None:
-        if not mm.is_stage_nash:
-            raise AutomatonError(
-                "absorbing punishment requires the mutual minmax profile to be a "
-                "stage Nash equilibrium; use a finite L instead")
+    def fams(delta):
+        return _minmax_families(v, mm.payoffs, d, vlw, L, delta)
 
-        def margin(delta):
-            return float(np.min(delta / (1.0 - delta) * (v - p) - (d - v)))
-
-        def margins_at(delta):
-            return {"path": (delta / (1.0 - delta) * (v - p) - (d - v)).tolist()}
-    else:
-        if L < 1:
-            raise ValueError("punishment length must be at least 1")
-
-        def fams(delta):
-            geo = delta * (1.0 - delta ** L) / (1.0 - delta) if delta < 1.0 else float(L)
-            f1 = geo * (v - p) - (d - v)
-            f2 = delta ** L * (v - p) - (vlw - p)
-            return f1, f2
-
-        def margin(delta):
-            f1, f2 = fams(delta)
-            return float(min(np.min(f1), np.min(f2)))
-
-        def margins_at(delta):
-            f1, f2 = fams(delta)
-            return {"path": f1.tolist(), "punishment": f2.tolist()}
-
-    delta = _bisect_min_delta(margin, tol=tol)
+    delta = find_min_delta_for_constraints(fams, tol=tol)
     if delta is None:
         return MinDeltaResult(delta=None, feasible=False, L=L, binding=None)
-    m = margins_at(delta)
+    m = {k: f.tolist() for k, f in fams(delta).items()}
     binding = min(m, key=lambda k: min(m[k]))
     return MinDeltaResult(delta=delta, feasible=True, L=L, binding=binding, margins=m)
 
@@ -557,13 +523,9 @@ def minmax_delta_constraints(game: StageGame, path_profile, L: int,
     ``(delta, L)``.
     """
     pa0, _, v = _path_profile(game, path_profile)
-    p = mutual_minmax(game).payoffs
-    vlw = minmax_values(game, with_intervention=True)
-    M = max_stage_payoff(game, a0=pa0)
-    geo = delta * (1.0 - delta ** L) / (1.0 - delta)
-    f1 = geo * (v - p) - (M - v)
-    f2 = (1.0 - delta ** L) * p + delta ** L * v - vlw
-    return {"path": f1.tolist(), "punishment": f2.tolist()}
+    fams = _minmax_families(v, mutual_minmax(game).payoffs, max_stage_payoff(game, a0=pa0),
+                            minmax_values(game, with_intervention=True), L, delta)
+    return {k: f.tolist() for k, f in fams.items()}
 
 
 def prescribe_reward_delay(game: StageGame, reward_profiles) -> int:
@@ -597,38 +559,55 @@ def player_specific_delta_constraints(game: StageGame, path_profile, L: int,
     vlw = minmax_values(game, with_intervention=True)
     M = max_stage_payoff(game, a0=None)
     n = game.n
-    q = np.empty((n, n))  # q[i, j] = user j's payoff while i is punished
-    for i in range(n):
-        mm = minmax(game, i, with_intervention=True)
-        q[i] = game.payoff(mm.profile.a0, mm.profile.a, validate=False)
+    # q[i, j] = user j's payoff while i is punished
+    q = np.array([game.payoff_batch(mm.profile.a0, mm.profile.a)
+                  for mm in (minmax(game, i, with_intervention=True) for i in range(n))])
     dl = float(delta)
-    out = {"path": [], "punishing": [], "reward_other": [], "reward_own": []}
-    for i in range(n):
-        out["path"].append(dl * (1 - dl ** L) * (v[i] - vlw[i])
-                           + dl ** (L + 1) * (v[i] - own[i]) - (1 - dl) * (M - v[i]))
-        out["reward_own"].append(dl * (1 - dl ** L) / (1 - dl) * (own[i] - vlw[i])
-                                 - (M - own[i]))
-        for j in range(n):
-            if j == i:
-                continue
-            for l in range(L):
-                lhs = dl ** (L + 1) * (rew_u[i, j] - own[j])
-                rhs = ((1 - dl) * (M - q[i, j])
-                       + dl * (1 - dl ** (L - l - 1)) * (vlw[j] - q[i, j])
-                       + dl ** (L - l) * (1 - dl ** (l + 1)) * (vlw[j] - rew_u[i, j]))
-                out["punishing"].append(lhs - rhs)
-            out["reward_other"].append(dl * (1 - dl ** L) * (rew_u[i, j] - vlw[j])
-                                       + dl ** (L + 1) * (rew_u[i, j] - own[j])
-                                       - (1 - dl) * (M - rew_u[i, j]))
-    return {k: np.asarray(vals) for k, vals in out.items()}
+    # [i, j, l]: user j in phase l of i's punishment (reward_other has one
+    # phase); the punished user's own entries j == i are dropped, keeping the
+    # (i, j, l) order
+    r, qq, vj, oj = rew_u[:, :, None], q[:, :, None], vlw[None, :, None], own[None, :, None]
+    ll = np.arange(L)
+    # powers of delta by Python's pow, as the scalar formulas took them
+    # (numpy's vector pow can differ by an ulp)
+    pw = np.array([dl ** k for k in range(L + 1)])
+    punishing = (dl ** (L + 1) * (r - oj)
+                 - ((1 - dl) * (M - qq)
+                    + dl * (1 - pw[L - ll - 1]) * (vj - qq)
+                    + pw[L - ll] * (1 - pw[ll + 1]) * (vj - r)))
+    reward_other = dl * (1 - dl ** L) * (r - vj) + dl ** (L + 1) * (r - oj) - (1 - dl) * (M - r)
+    punishers = ~np.eye(n, dtype=bool)
+    return {"path": dl * (1 - dl ** L) * (v - vlw) + dl ** (L + 1) * (v - own)
+                    - (1 - dl) * (M - v),
+            "punishing": punishing[punishers].ravel(),
+            "reward_other": reward_other[punishers].ravel(),
+            "reward_own": dl * (1 - dl ** L) / (1 - dl) * (own - vlw) - (M - own)}
 
 
 def find_min_delta_for_constraints(constraint_fn: Callable[[float], dict],
                                    tol: float = 1e-6) -> float | None:
-    """Bisect for the smallest delta with every family margin >= 0."""
+    """Smallest delta in (0,1) with every family margin of
+    ``constraint_fn(delta)`` >= 0, by bisection (None if none).
+
+    Assumes the margins are nondecreasing in delta, which holds for all
+    the incentive families here whenever the path dominates the
+    punishment payoff.
+    """
 
     def margin(delta):
         fams = constraint_fn(delta)
         return float(min(np.min(np.asarray(v)) for v in fams.values() if np.size(v)))
 
-    return _bisect_min_delta(margin, tol=tol)
+    hi = 1.0 - 1e-12
+    if margin(hi) < 0.0:
+        return None
+    lo = 0.0
+    if margin(lo) >= 0.0:
+        return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi

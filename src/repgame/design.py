@@ -78,14 +78,25 @@ class AssumptionReport:
                          for c in self.checks)
 
 
-def validate_assumptions(game: StageGame, hull_grid: int = 11,
-                         tol: float = 1e-9) -> AssumptionReport:
+def _solo_leak(solo_payoffs: np.ndarray) -> tuple[int, float, bool]:
+    """The solo profile leaking the most payoff to a bystander, that leak,
+    and whether it stays within ``1e-9 * max(1, max vbar)``, the tolerance
+    under which time-sharing solo profiles spans the payoff simplex.
+    ``solo_payoffs[i]`` is the payoff vector at user ``i``'s solo profile."""
+    vbar = np.diagonal(solo_payoffs)
+    leaks = np.max(np.abs(solo_payoffs - np.diag(vbar)), axis=1)
+    i = int(np.argmax(leaks))
+    return i, float(leaks[i]), bool(leaks[i] <= 1e-9 * max(1.0, float(np.max(vbar))))
+
+
+def validate_assumptions(game: StageGame, hull_grid: int = 11) -> AssumptionReport:
     """Check the structural premises the design pipeline leans on.
 
     1. The mutual minmax profile is a stage Nash equilibrium (so the grim
        protocol's punishment is credible).
-    2. Each user's solo optimum leaves everyone else at exactly zero (so
-       time-sharing solo profiles spans the payoff simplex).
+    2. Each user's solo optimum leaves everyone else at zero, within the
+       tolerance of :func:`generate_outcome_path` (so time-sharing solo
+       profiles spans the payoff simplex).
     3. The sampled pure-payoff set lies inside that simplex (so nothing
        outside the time-sharing hull is being given up).
 
@@ -101,17 +112,12 @@ def validate_assumptions(game: StageGame, hull_grid: int = 11,
         detail=f"worst one-shot gain at the mutual minmax profile: {mm.worst_gain:.3g}",
         witness=mm.worst_gain))
     null = game.null_intervention()
-    solo_u = np.array([game.payoff(null, a, validate=False)   # row i: payoffs at i's solo profile
-                       for a in np.diag(game.best_responses(null, np.zeros(game.n)))])
-    worst_leak = (None, 0.0)
-    for i, u in enumerate(solo_u):
-        leak = float(np.max(np.abs(np.delete(u, i))))
-        if leak > worst_leak[1]:
-            worst_leak = (i, leak)
+    # row i: payoffs at i's solo profile
+    solo_u = game.payoff_batch(null, np.diag(game.best_responses(null, np.zeros(game.n))))
+    i, leak, ok = _solo_leak(solo_u)
     checks.append(AssumptionCheck(
-        name="solo_optimum_leaves_others_at_zero", passed=worst_leak[1] <= tol,
-        detail=f"largest payoff leak to a bystander: {worst_leak[1]:.3g}",
-        witness=worst_leak))
+        name="solo_optimum_leaves_others_at_zero", passed=ok,
+        detail=f"largest payoff leak to a bystander: {leak:.3g}", witness=(i, leak)))
     vbar = np.diagonal(solo_u)
     pts_axes = [np.linspace(0.0, game.a_max[i], hull_grid) for i in range(game.n)]
     mesh = np.meshgrid(*pts_axes, indexing="ij")
@@ -364,8 +370,8 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     n = len(stats.vbar)
     u_solo = stats.solo_payoffs
     scale = float(np.max(stats.vbar))
-    leak = float(np.max(np.abs(u_solo - np.diag(np.diagonal(u_solo)))))
-    if leak > 1e-9 * max(1.0, scale):
+    _, leak, ok = _solo_leak(u_solo)
+    if not ok:
         raise DesignError(f"solo payoffs leak {leak:.3g} to bystanders; time-sharing does not apply")
 
     # a target sitting exactly on a solo payoff vector is a constant path and
@@ -499,7 +505,6 @@ def assemble_protocol(game: StageGame, stats: DeviationStats,
 class ProtocolDesign:
     game: StageGame
     stats: DeviationStats
-    assumptions: AssumptionReport
     target: TargetPayoff
     threshold: float
     path: OutcomePath | None
@@ -511,19 +516,19 @@ def design_protocol(game: StageGame, gamma, welfare: str,
     """End-to-end pipeline: stats, target, threshold and (given a discount
     factor) the explicit equilibrium protocol."""
     gamma = np.asarray(gamma, dtype=float)
-    report = validate_assumptions(game)
-    if not report.passed("mutual_minmax_is_stage_nash"):
+    if not mutual_minmax(game).is_stage_nash:
         raise DesignError("intervention is too weak: mutual minmax is not a stage "
                           "Nash equilibrium, so the grim protocol is not credible")
-    if not report.passed("solo_optimum_leaves_others_at_zero"):
-        raise DesignError("solo optima leak payoff to bystanders; the time-sharing "
-                          "construction does not apply")
     stats = deviation_stats(game)
+    _, leak, ok = _solo_leak(stats.solo_payoffs)
+    if not ok:
+        raise DesignError(f"solo optima leak {leak:.3g} to bystanders; the time-sharing "
+                          "construction does not apply")
     target = optimize_welfare(stats, gamma, welfare)
     threshold = delta_bar(stats, target.v)
     path = automaton = None
     if delta is not None:
         path = generate_outcome_path(stats, target.v, delta)
         automaton = assemble_protocol(game, stats, path)
-    return ProtocolDesign(game=game, stats=stats, assumptions=report, target=target,
+    return ProtocolDesign(game=game, stats=stats, target=target,
                           threshold=threshold, path=path, automaton=automaton)

@@ -29,8 +29,8 @@ from scipy.optimize import brentq, minimize
 
 from . import __version__
 from .automata import min_delta_for_L, verify_spe
-from .design import (DesignError, DeviationStats, assemble_protocol, delta_bar,
-                     deviation_stats, generate_outcome_path, guarantee_feasible,
+from .design import (WELFARES, DesignError, DeviationStats, _welfare_value, assemble_protocol,
+                     delta_bar, deviation_stats, generate_outcome_path, guarantee_feasible,
                      optimize_welfare)
 from .games import (FlowControlGame, GameConfigError, NashIterationError, StageGame,
                     game_from_config, minmax_values, mutual_minmax, solve_stage_nash)
@@ -38,7 +38,6 @@ from .simulate import profitability_scan
 
 EXPERIMENTS = ("table2", "fig3", "scaling", "tradeoff", "verify")
 SCHEMES = ("nash", "one_shot", "repeated_no_intervention", "repeated_with_intervention")
-WELFARE_KINDS = ("sum", "maxmin")
 TRADEOFF_AXES = ("delta_vs_gamma", "a0_vs_delta", "a0_vs_gamma")
 
 BASELINE_COLUMNS = ("scheme", "gamma", "welfare_kind", "value", "min_delta")
@@ -139,8 +138,8 @@ def load_config(path, experiment: str) -> ExperimentConfig:
     if min(delta_grid) <= 0.0 or max(delta_grid) >= 1.0:
         raise ConfigError("'delta_grid' entries must lie strictly inside (0, 1)")
     welfare = raw.get("welfare", "sum")
-    if welfare not in WELFARE_KINDS:
-        raise ConfigError(f"unknown welfare {welfare!r}; expected one of {WELFARE_KINDS}")
+    if welfare not in WELFARES:
+        raise ConfigError(f"unknown welfare {welfare!r}; expected one of {WELFARES}")
     delta = raw.get("delta")
     if delta is not None:
         delta = float(delta)
@@ -220,10 +219,6 @@ def emit_curves(table: ResultTable, path) -> Path:
     dest = Path(path)
     dest.write_text(table.to_csv_text())
     return dest
-
-
-def _welfare_of(u: np.ndarray, kind: str) -> float:
-    return float(np.sum(u)) if kind == "sum" else float(np.min(u))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +332,7 @@ def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 
     result is a certified feasible point, not a certified optimum.
     Returns None when no feasible profile was found.
     """
-    if kind not in WELFARE_KINDS:
+    if kind not in WELFARES:
         raise ValueError(f"unknown welfare {kind!r}")
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (game.n,))
     if seed is None:
@@ -350,12 +345,12 @@ def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 
     if not oks[best]:
         return None
     a = profiles[best]
-    u = game.payoff(game.null_intervention(), a, validate=False)
+    u = game.payoff_batch(game.null_intervention(), a)
     polished = _polish(game, a, gamma, kind)
     u_pol = game.payoff(game.null_intervention(), polished)
-    if np.min(u_pol - gamma) >= -1e-9 and _welfare_of(u_pol, kind) > _welfare_of(u, kind):
+    if np.min(u_pol - gamma) >= -1e-9 and _welfare_value(kind, u_pol) > _welfare_value(kind, u):
         a, u = polished, u_pol
-    return SearchResult(value=_welfare_of(u, kind), profile=a, payoffs=u)
+    return SearchResult(value=_welfare_value(kind, u), profile=a, payoffs=u)
 
 
 def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
@@ -372,7 +367,7 @@ def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
     null = game.null_intervention()
     n = game.n
     box = [(0.0, float(m)) for m in game.a_max]
-    u = lambda x: game.payoff(null, x[:n], validate=False)
+    u = lambda x: game.payoff_batch(null, x[:n])
     floors = {"type": "ineq", "fun": lambda x: u(x) - gamma}
     if kind == "sum":
         x0, bounds, cons = start, box, [floors]
@@ -396,7 +391,7 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma: np.ndarray, kind: str, p
     null = game.null_intervention()
     a = np.clip(starts, 0.0, game.a_max)
     cells = [(gamma, kind)]
-    [(cur_ok, cur_val)] = _score(np.array([game.payoff(null, x, validate=False) for x in a]), cells)
+    [(cur_ok, cur_val)] = _score(np.array([game.payoff_batch(null, x) for x in a]), cells)
     climbing = np.ones(len(a), dtype=bool)
     k = np.arange(points, dtype=float)
     for p in range(passes):
@@ -445,7 +440,7 @@ def _comparison_rows(game: StageGame, stats: DeviationStats, cells) -> list:
         seeds = [_fallback_starts(game, ne)] * len(cells)
     blocks = []
     for (gam, kind), seed in zip(cells, seeds):
-        rows = [["nash", _welfare_of(u_ne, kind) if np.all(u_ne >= gam - 1e-9) else None, None]]
+        rows = [["nash", _welfare_value(kind, u_ne) if np.all(u_ne >= gam - 1e-9) else None, None]]
         found = constrained_welfare_search(game, gam, kind, seed=seed)
         rows.append(["one_shot", found.value if found else None, None])
         for scheme, device in (("repeated_no_intervention", False),
@@ -459,7 +454,7 @@ def _comparison_rows(game: StageGame, stats: DeviationStats, cells) -> list:
     return blocks
 
 
-def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARE_KINDS) -> ResultTable:
+def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARES) -> ResultTable:
     """Welfare comparison across enforcement schemes.
 
     One row per (scheme, guarantee level, welfare kind).  ``min_delta``
@@ -510,7 +505,7 @@ def reference_path(game: StageGame, margin: float = 1.1) -> np.ndarray:
         if free <= 0 or f(peak) < 0:
             raise ConfigError("cannot build an individually rational reference path; set 'path' in the config")
         a[low] = brentq(f, 0.0, peak, xtol=1e-12)
-    u = game.payoff(game.null_intervention(), a, validate=False)
+    u = game.payoff_batch(game.null_intervention(), a)
     if np.any(u <= minmax_values(game, with_intervention=False)):
         raise ConfigError("reference path is not individually rational; set 'path' in the config")
     return a
@@ -548,7 +543,7 @@ def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None) -> 
 # population scaling (the "scaling" experiment)
 # ---------------------------------------------------------------------------
 
-def scaling_sweep(n_range, welfares=WELFARE_KINDS) -> ResultTable:
+def scaling_sweep(n_range, welfares=WELFARES) -> ResultTable:
     """Welfare vs population size under two capacity rules.
 
     ``linear`` provisions capacity with the population (mu = N),

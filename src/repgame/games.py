@@ -14,9 +14,10 @@ games are provided:
   user's packets independently with some probability.
 
 Each game is its payoff function plus one best-response map, both
-vectorised over leading batch dimensions.  The stage Nash point, the
+vectorised over leading batch dimensions; :meth:`StageGame.deviation_payoffs`
+derives the one deviation map from the payoff.  The stage Nash point, the
 minmax floors, the solo optima and the one-shot deviation checks are all
-built from those two maps.
+built from those maps.
 """
 from __future__ import annotations
 
@@ -162,14 +163,9 @@ class StageGame:
         """Vectorised payoffs; ``a0``/``a`` broadcast over leading dims."""
         raise NotImplementedError
 
-    def payoff(self, a0, a, validate: bool = True) -> np.ndarray:
+    def payoff(self, a0, a) -> np.ndarray:
         """Payoff vector for one joint action (with box validation)."""
-        if validate:
-            a0, a = self.validate_profile(a0, a)
-        else:
-            a0 = np.asarray(a0, dtype=float)
-            a = np.asarray(a, dtype=float)
-        return self.payoff_unchecked(a0, a)
+        return self.payoff_unchecked(*self.validate_profile(a0, a))
 
     def payoff_batch(self, a0: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Payoffs for a batch: ``a0`` shape ``(..., a0_dim)``, ``a`` shape ``(..., n)``."""
@@ -194,13 +190,20 @@ class StageGame:
         """Device action holding user ``i`` to their minmax value."""
         return self.full_intervention()
 
-    def deviation_payoffs_grid(self, i: int, a0_arr: np.ndarray, a_arr: np.ndarray,
-                               grid: np.ndarray) -> np.ndarray:
-        """Payoff to ``i`` for each ``grid`` action against each profile, shape
-        ``(R, G)``."""
-        block = np.repeat(a_arr[:, None, :], grid.shape[0], axis=1)
-        block[:, :, i] = grid
-        return self.payoff_batch(a0_arr[:, None, :], block)[:, :, i]
+    def deviation_payoffs(self, a0, a, x) -> np.ndarray:
+        """Payoff each user earns by switching alone to its entry of ``x``,
+        the others held at ``a``: entry ``[..., i]`` is user ``i``'s payoff
+        at ``a`` with ``a[..., i]`` replaced by ``x[..., i]``.  ``a0``
+        (``(..., a0_dim)``), ``a`` and ``x`` (``(..., n)``) broadcast over
+        leading dimensions; the n deviations of a row are scored as an
+        ``(n, n)`` block of profiles in one payoff call."""
+        a0, a, x = (np.asarray(v, dtype=float) for v in (a0, a, x))
+        shape = np.broadcast_shapes(a.shape, x.shape)
+        block = np.array(np.broadcast_to(a[..., None, :], shape + (self.n,)))
+        users = np.arange(self.n)
+        block[..., users, users] = np.broadcast_to(x, shape)
+        u = self.payoff_unchecked(a0[..., None, :], block)
+        return np.diagonal(u, axis1=-2, axis2=-1).copy()
 
     # -- config round-trip ----------------------------------------------
 
@@ -390,16 +393,8 @@ def payoff(game: StageGame, profile: ActionProfile) -> np.ndarray:
 
 def best_response_payoffs(game: StageGame, a0, a) -> np.ndarray:
     """Payoff each user earns by a one-shot best response, the others held
-    fixed: entry ``[..., i]`` for ``a`` of shape ``(n,)`` or ``(R, n)`` and
-    one device action ``a0``.  Each deviation is evaluated as a profile of
-    its own, so every entry rounds exactly as that single profile does."""
-    br = game.best_responses(a0, a)
-    out = np.empty(br.shape)
-    for k in np.ndindex(br.shape):
-        dev = a[k[:-1]].copy()
-        dev[k[-1]] = br[k]
-        out[k] = game.payoff(a0, dev, validate=False)[k[-1]]
-    return out
+    fixed: :meth:`StageGame.deviation_payoffs` at :meth:`StageGame.best_responses`."""
+    return game.deviation_payoffs(a0, a, game.best_responses(a0, a))
 
 
 def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
@@ -435,7 +430,7 @@ def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
             f"no fixed point after {spent} iterations over 4 attempts (final damping {d:g}, "
             f"last step {step:.3g}, last profile {a})")
     # certify: no user can improve by more than the gain tolerance
-    gain = best_response_payoffs(game, a0, a) - game.payoff(a0, a, validate=False)
+    gain = best_response_payoffs(game, a0, a) - game.payoff_batch(a0, a)
     i = int(np.argmax(gain))
     if gain[i] > GAIN_TOL:
         raise NashIterationError(f"iteration settled on a non-equilibrium: user {i} gains {gain[i]}")
@@ -453,7 +448,7 @@ def minmax(game: StageGame, i: int, with_intervention: bool = True) -> MinmaxRes
     a0 = game.minmax_minimizer(i) if with_intervention else game.null_intervention()
     prof = game.a_max.astype(float).copy()
     prof[i] = game.best_response(i, a0, prof)
-    value = float(game.payoff(a0, prof, validate=False)[i])
+    value = float(game.payoff_batch(a0, prof)[i])
     return MinmaxResult(user=i, value=value, profile=ActionProfile(a0=a0, a=prof),
                         with_intervention=with_intervention)
 
@@ -470,7 +465,7 @@ def mutual_minmax(game: StageGame) -> MutualMinmaxResult:
     """
     a0 = game.full_intervention()
     a = game.a_max.astype(float).copy()
-    u = game.payoff(a0, a, validate=False)
+    u = game.payoff_batch(a0, a)
     worst = float(np.max(best_response_payoffs(game, a0, a) - u))
     return MutualMinmaxResult(profile=ActionProfile(a0=a0, a=a), payoffs=u,
                               is_stage_nash=bool(worst <= GAIN_TOL), worst_gain=worst)
@@ -481,7 +476,7 @@ def solo_optimum(game: StageGame, i: int) -> SoloOptimum:
     a0 = game.null_intervention()
     prof = np.zeros(game.n)
     prof[i] = game.best_response(i, a0, prof)
-    value = float(game.payoff(a0, prof, validate=False)[i])
+    value = float(game.payoff_batch(a0, prof)[i])
     return SoloOptimum(user=i, value=value, profile=ActionProfile(a0=a0, a=prof))
 
 
@@ -525,27 +520,13 @@ def payoff_hull_sample(game: StageGame, grid_points: int = 11,
                       hull_vertices=hull)
 
 
-def max_stage_payoff(game: StageGame, a0=None, grid_budget: int = 60_000) -> float:
-    """Upper bound ``max_i max_a u_i(a0, a)`` used by the folk-theorem bounds.
+def max_stage_payoff(game: StageGame, a0=None) -> float:
+    """Upper bound ``max_i max_a u_i(a0, a)`` used by the folk-theorem bounds:
+    the best solo payoff at ``a0`` (the null action when ``None``).
 
-    Combines the analytic candidate (each user best-responding while the
-    others sit at zero) with a safety sweep over a coarse action grid.
-    When ``a0`` is ``None`` the device box is swept too.
+    Payoffs decrease in the device action and in everyone else's action
+    (the premise :func:`minmax` rests on too), so no profile pays any user
+    more than best-responding while the others sit at zero.
     """
-    sweep_a0 = a0 is None
-    base_a0 = game.null_intervention() if sweep_a0 else np.asarray(a0, dtype=float).reshape(-1)
-    best = float(np.max(best_response_payoffs(game, base_a0, np.zeros(game.n))))
-    ndim = game.n + (game.a0_dim if sweep_a0 else 0)
-    pts = max(2, int(round(grid_budget ** (1.0 / ndim))))
-    axes = [np.linspace(0.0, game.a_max[i], pts) for i in range(game.n)]
-    if sweep_a0:
-        axes = [np.linspace(0.0, game.a0_max[d], pts) for d in range(game.a0_dim)] + axes
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    if sweep_a0:
-        a0s, acts = flat[:, :game.a0_dim], flat[:, game.a0_dim:]
-    else:
-        a0s = np.broadcast_to(base_a0, (flat.shape[0], game.a0_dim))
-        acts = flat
-    best = max(best, float(np.max(game.payoff_batch(a0s, acts))))
-    return best
+    a0 = game.null_intervention() if a0 is None else np.asarray(a0, dtype=float).reshape(-1)
+    return float(np.max(best_response_payoffs(game, a0, np.zeros(game.n))))

@@ -4,10 +4,13 @@ Frozen expectations come from two independent oracle scripts: a
 value-iteration solver for state values and a bisection over explicit
 constraint formulas for the minimum discount factors.
 """
+import time
+
 import numpy as np
 import pytest
 
-from repgame.automata import (AutomatonError, build_minmax_automaton,
+from repgame.automata import (AutomatonError, _best_deviations, _minmax_families,
+                              build_minmax_automaton,
                               build_player_specific_automaton, describe,
                               find_min_delta_for_constraints, min_delta_for_L,
                               minmax_delta_constraints,
@@ -16,7 +19,8 @@ from repgame.automata import (AutomatonError, build_minmax_automaton,
                               prescribe_reward_delay, state_values, verify_spe)
 from repgame.design import (assemble_protocol, deviation_stats, generate_outcome_path,
                             optimize_welfare)
-from repgame.games import ActionProfile, FlowControlGame, PacketDropGame, minmax
+from repgame.games import (ActionProfile, FlowControlGame, PacketDropGame, max_stage_payoff,
+                           minmax)
 from repgame.simulate import deviation_gain, profitability_scan
 
 MARGIN_PATH = [0.8889715613961255, 0.8889715613961255, 2.5, 2.5]
@@ -36,7 +40,7 @@ def value_iteration_oracle(game, automaton, delta, sweeps=20000, tol=1e-13):
     """Plain fixed-point iteration over all states; slow but independent."""
     states = automaton.reachable_states()
     V = {s: np.zeros(game.n) for s in states}
-    u = {s: game.payoff(*automaton.output(s), validate=False) for s in states}
+    u = {s: game.payoff_batch(*automaton.output(s)) for s in states}
     for _ in range(sweeps):
         worst = 0.0
         for s in states:
@@ -254,7 +258,7 @@ def test_state_values_finite_punishment_formula():
     L, delta = 4, 0.9
     aut = build_minmax_automaton(g, [margin_profile()], L=L)
     sv = state_values(g, aut, delta)
-    u_pun = g.payoff(aut.punish_a0[1], aut.punish_a[1], validate=False)
+    u_pun = g.payoff_batch(aut.punish_a0[1], aut.punish_a[1])
     v0 = sv[("path", 0)]
     for el in range(L):
         w = delta ** (L - el)
@@ -269,7 +273,7 @@ def test_player_specific_values_and_ordering():
     for s in aut.reachable_states():
         assert np.allclose(sv[s], oracle[s], atol=1e-10)
     # punished user's value interpolates punishment (0) toward their reward
-    own_reward = g.payoff(aut.reward_a0[0], aut.reward_a[0], validate=False)[0]
+    own_reward = g.payoff_batch(aut.reward_a0[0], aut.reward_a[0])[0]
     assert np.isclose(sv[("punish", 0, 0)][0], delta ** 2 * own_reward)
 
 
@@ -295,7 +299,7 @@ def brute_force_gains(game, automaton, delta, points=300):
     gains = np.full((len(states), game.n), -np.inf)
     for k, s in enumerate(states):
         a0, a = automaton.output(s)
-        u = game.payoff(a0, a, validate=False)
+        u = game.payoff_batch(a0, a)
         v_next = sv[automaton.next_on_path(s)]
         for i in range(game.n):
             v_pun = sv[automaton.punish_entry(i)]
@@ -303,7 +307,7 @@ def brute_force_gains(game, automaton, delta, points=300):
                       game.best_response(i, a0, a)]:
                 dev = a.copy()
                 dev[i] = x
-                du = game.payoff(a0, dev, validate=False)[i]
+                du = game.payoff_batch(a0, dev)[i]
                 gain = (1 - delta) * (du - u[i]) + delta * (v_pun[i] - v_next[i])
                 gains[k, i] = max(gains[k, i], gain)
     return gains
@@ -432,6 +436,82 @@ def test_verify_spe_player_specific():
     assert worst <= 1e-9
 
 
+class _ZeroReplyFlowGame(FlowControlGame):
+    """A flow game whose best-response map always answers 0, so only the
+    deviation grid finds the profitable deviations."""
+
+    def best_responses(self, a0, a):
+        return np.zeros(np.broadcast(a0, a).shape)
+
+
+def test_deviation_grid_catches_a_best_response_that_misses():
+    """Both scanners' deviation table against one user, one profile and one
+    grid action at a time: the payoff and the action of the best of the
+    reply (0 here) and the ``grid_points`` grid, the reply winning ties."""
+    g = _ZeroReplyFlowGame(mu=10.0, beta=[2, 2, 3, 3], a_max=[2.5, 2.0, 1.5, 2.5],
+                           a0_max=[2.5])
+    rng = np.random.default_rng(23)
+    a0s = rng.uniform(0, 1, (6, 1)) * g.a0_max
+    acts = rng.uniform(0, 1, (6, 4)) * g.a_max
+    d, act = _best_deviations(g, a0s, acts, 50)
+    for k in range(acts.shape[0]):
+        for i in range(g.n):
+            vals = []
+            for x in [0.0, *np.linspace(0.0, g.a_max[i], 50)]:
+                dev = acts[k].copy()
+                dev[i] = x
+                vals.append(g.payoff_batch(a0s[k], dev)[i])
+            j = int(np.argmax(vals))
+            assert d[k, i] == vals[j]
+            assert act[k, i] == (0.0 if j == 0 else np.linspace(0.0, g.a_max[i], 50)[j - 1])
+    assert np.all(act > 0.0)   # the grid beats the zero reply everywhere here
+    # a saturated queue pays 0 for every deviation: the reply (a_max) wins the tie
+    d, act = _best_deviations(fig_game(2.5), np.array([[2.5]]), np.full((1, 4), 2.5), 50)
+    assert np.all(d == 0.0) and np.all(act == 2.5)
+
+
+def test_player_specific_constraints_match_the_scalar_formulas():
+    """The four families, built as arrays over (punished, punisher, phase),
+    equal the per-entry formulas bit for bit and in the same entry order."""
+    g = PacketDropGame(mu=10.0, beta=[2, 2, 3, 3], a_max=[2.5] * 4)
+    v = g.payoff(g.null_intervention(), [1.6, 1.8, 2.0, 2.2])
+    path = ActionProfile([0.0] * 4, [1.6, 1.8, 2.0, 2.2])
+    rewards = []
+    for i in range(4):
+        a = np.array([1.6, 1.8, 2.0, 2.2])
+        a[i] *= 0.5
+        rewards.append(ActionProfile([0.0] * 4, a))
+    rew_u = np.array([g.payoff(r.a0, r.a) for r in rewards])
+    own = np.diagonal(rew_u)
+    vlw = np.array([minmax(g, i).value for i in range(4)])
+    q = np.array([g.payoff(minmax(g, i).profile.a0, minmax(g, i).profile.a) for i in range(4)])
+    M = max_stage_payoff(g)
+    for L in (1, 3, 7):
+        for dl in (0.3, 0.9, 0.99):
+            want = {"path": [], "punishing": [], "reward_other": [], "reward_own": []}
+            for i in range(4):
+                want["path"].append(dl * (1 - dl ** L) * (v[i] - vlw[i])
+                                    + dl ** (L + 1) * (v[i] - own[i]) - (1 - dl) * (M - v[i]))
+                want["reward_own"].append(dl * (1 - dl ** L) / (1 - dl) * (own[i] - vlw[i])
+                                          - (M - own[i]))
+                for j in range(4):
+                    if j == i:
+                        continue
+                    for l in range(L):
+                        lhs = dl ** (L + 1) * (rew_u[i, j] - own[j])
+                        rhs = ((1 - dl) * (M - q[i, j])
+                               + dl * (1 - dl ** (L - l - 1)) * (vlw[j] - q[i, j])
+                               + dl ** (L - l) * (1 - dl ** (l + 1)) * (vlw[j] - rew_u[i, j]))
+                        want["punishing"].append(lhs - rhs)
+                    want["reward_other"].append(dl * (1 - dl ** L) * (rew_u[i, j] - vlw[j])
+                                                + dl ** (L + 1) * (rew_u[i, j] - own[j])
+                                                - (1 - dl) * (M - rew_u[i, j]))
+            got = player_specific_delta_constraints(g, path, L, rewards, dl)
+            assert sorted(got) == sorted(want)
+            for family, vals in want.items():
+                assert np.array_equal(got[family], vals), family
+
+
 # ---------------------------------------------------------------------------
 # minimum discount factors (frozen oracle values)
 # ---------------------------------------------------------------------------
@@ -485,3 +565,53 @@ def test_prescribed_length_makes_constraints_satisfiable():
     assert delta is not None and delta < 1.0
     m = minmax_delta_constraints(g, prof, L, min(delta + 1e-4, 0.999999))
     assert min(np.min(m["path"]), np.min(m["punishment"])) >= 0.0
+
+
+def test_minmax_families_match_the_two_former_formulas():
+    """One builder serves the exact best-response bound of ``min_delta_for_L``
+    and the blanket bound ``M`` of ``minmax_delta_constraints``; its
+    punishment family agrees with both forms those two used to write out."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        p = rng.uniform(0.0, 5.0, n)
+        v = p + rng.uniform(0.1, 50.0, n)
+        vlw = rng.uniform(0.0, 1.0, n) * v
+        dev = v + rng.uniform(0.0, 50.0, n)
+        L, delta = int(rng.integers(1, 30)), float(rng.uniform(0.01, 0.999))
+        geo = delta * (1.0 - delta ** L) / (1.0 - delta)
+        for d in (dev, float(np.max(dev))):
+            fams = _minmax_families(v, p, d, vlw, L, delta)
+            assert sorted(fams) == ["path", "punishment"]
+            assert np.allclose(fams["path"], geo * (v - p) - (d - v), rtol=0.0, atol=1e-12)
+        for old in (delta ** L * (v - p) - (vlw - p),
+                    (1.0 - delta ** L) * p + delta ** L * v - vlw):
+            assert np.allclose(fams["punishment"], old, rtol=0.0, atol=1e-12)
+        grim = _minmax_families(v, p, dev, vlw, None, delta)
+        assert list(grim) == ["path"]
+        assert np.allclose(grim["path"], delta / (1.0 - delta) * (v - p) - (dev - v),
+                           rtol=0.0, atol=1e-12)
+
+
+def test_prescribe_reward_delay_on_12_user_packet_drop_game_is_quick():
+    """The blanket bound ``M`` is the best solo payoff, so 12 users (a
+    24-dimensional action box with the device) need no sweep; checked
+    against the packet-drop closed forms: solo optimum
+    ``min(beta/(1+beta) mu, a_max)``, and minmax 0 under a full drop."""
+    n, mu = 12, 13.0
+    beta = np.linspace(1.5, 3.5, n)
+    a_max = np.full(n, 1.0)
+    g = PacketDropGame(mu=mu, beta=beta, a_max=a_max)
+    rewards = []
+    for i in range(n):
+        r = np.full(n, 0.8)
+        r[i] = 0.4
+        rewards.append(ActionProfile(np.zeros(n), r))
+    start = time.perf_counter()
+    L = prescribe_reward_delay(g, rewards)
+    elapsed = time.perf_counter() - start
+    solo = np.minimum(beta / (1.0 + beta) * mu, a_max)
+    M = np.max(solo ** beta * (mu - solo))
+    own = 0.4 ** beta * (mu - (0.8 * (n - 1) + 0.4))
+    assert L == max(int(np.max(np.ceil((M - own) / own))), 1)
+    assert elapsed < 1.0

@@ -273,7 +273,7 @@ def _ascend_one(game, start, gamma, kind, passes=50, points=33):
         return j, (bool(ok[j]), float(val[j]))
 
     a = np.clip(np.asarray(start, dtype=float), 0.0, game.a_max)
-    _, cur = best(game.payoff(null, a, validate=False)[None, :])
+    _, cur = best(game.payoff_batch(null, a)[None, :])
     for p in range(passes):
         frac = 0.5 * 0.7 ** p
         moved = False

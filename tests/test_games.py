@@ -140,7 +140,7 @@ def test_flow_best_response_matches_grid():
         br = g.best_response(i, a0, others)
         acts = others.copy()
         acts[i] = br
-        got = g.payoff(a0, acts, validate=False)[i]
+        got = g.payoff_batch(a0, acts)[i]
         assert got >= grid_best_payoff(g, i, a0, others) - 1e-9
 
 
@@ -148,7 +148,7 @@ def test_power_best_response_is_full_power():
     g = strong_interference_power_game()
     assert g.best_response(0, [0.3], [0.5, 0.2]) == 1.0
     assert grid_best_payoff(g, 0, [0.3], [1.0, 0.2]) <= \
-        g.payoff([0.3], [1.0, 0.2], validate=False)[0] + 1e-12
+        g.payoff_batch([0.3], [1.0, 0.2])[0] + 1e-12
 
 
 def test_packet_best_response_flat_when_fully_dropped():
@@ -169,10 +169,10 @@ def test_flow_best_response_beats_sampled_actions(a0, others, i):
     br = g.best_response(i, [a0], others)
     acts = np.asarray(others, dtype=float)
     acts[i] = br
-    best = g.payoff([a0], acts, validate=False)[i]
+    best = g.payoff_batch([a0], acts)[i]
     for x in np.linspace(0.0, 2.5, 41):
         acts[i] = x
-        assert best >= g.payoff([a0], acts, validate=False)[i] - 1e-9
+        assert best >= g.payoff_batch([a0], acts)[i] - 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,13 +226,78 @@ def test_best_responses_match_per_user_search(g):
             at_br = acts[k].copy()
             at_br[i] = br[k, i]
             assert g.best_response(i, a0s[k], acts[k]) == br[k, i]
-            assert g.payoff(a0s[k], at_br, validate=False)[i] >= vals.max() - 1e-9
+            assert g.payoff_batch(a0s[k], at_br)[i] >= vals.max() - 1e-9
             if np.all(vals == 0.0):
                 flat_rows += 1
                 assert br[k, i] == g.a_max[i]   # flat payoff: the full action
             else:
                 assert abs(br[k, i] - grid[np.argmax(vals)]) <= grid[1]
     assert flat_rows >= {"flow": 9, "packet_drop": 6, "power": 0}[g.kind]
+
+
+def _random_game(rng, kind, n):
+    """A seeded game of the given kind, parameters as in the bench's draws."""
+    if kind == "power":
+        return PowerControlGame(gain=rng.uniform(0.6, 1.4, (n, n)),
+                                intervention_gain=rng.uniform(0.5, 1.5, n),
+                                noise=rng.uniform(0.005, 0.05, n),
+                                a_max=rng.uniform(0.5, 1.5, n), a0_max=[rng.uniform(2.0, 6.0)])
+    a_max = rng.uniform(0.5, 3.0, n)
+    mu, beta = float(np.sum(a_max) * rng.uniform(1.0, 1.6)), rng.uniform(1.5, 4.0, n)
+    if kind == "flow":
+        return FlowControlGame(mu=mu, beta=beta, a_max=a_max, a0_max=[rng.uniform(0.0, 3.0)])
+    return PacketDropGame(mu=mu, beta=beta, a_max=a_max)
+
+
+@pytest.mark.parametrize("kind", ["flow", "packet_drop", "power"])
+def test_deviation_payoffs_match_per_profile_oracle(kind):
+    """Every entry of the batched ``(R, G, n)`` map against the payoff of the
+    one deviated profile, built and scored alone.  Exact for the queue games
+    below 8 users; otherwise batching reorders the n-term load sum (queue
+    games) or interference sum (power), so the entries may differ by the
+    rounding of that sum: ``n * eps`` times the capacity scale
+    ``mu * max(a_max**beta)``, or times ``1 + SINR`` through ``log2``."""
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for n in range(2, 13):
+        for _ in range(3):
+            g = _random_game(rng, kind, n)
+            a0 = rng.uniform(0, 1, (3, 4, g.a0_dim)) * g.a0_max
+            a = rng.uniform(0, 1, (3, 4, n)) * g.a_max
+            x = rng.uniform(0, 1, (3, 4, n)) * g.a_max
+            got = g.deviation_payoffs(a0, a, x)
+            want = np.empty(got.shape)
+            for k in np.ndindex(got.shape):
+                dev = a[k[:-1]].copy()
+                dev[k[-1]] = x[k]
+                want[k] = g.payoff_batch(a0[k[:-1]], dev)[k[-1]]
+            if kind != "power" and n < 8:
+                assert np.array_equal(got, want)
+            else:
+                scale = 2.0 ** want if kind == "power" else g.mu * np.max(g.a_max ** g.beta)
+                assert np.all(np.abs(got - want) <= n * eps * scale)
+            # one profile, and the profile broadcast against a stack of deviations
+            assert np.array_equal(g.deviation_payoffs(a0[0, 0], a[0, 0], x[0, 0]), got[0, 0])
+            assert np.array_equal(g.deviation_payoffs(a0[0, 0], a[0, 0], x[0]),
+                                  g.deviation_payoffs(a0[0, :1], a[0, :1], x[0]))
+
+
+@pytest.mark.parametrize("kind", ["flow", "packet_drop", "power"])
+def test_max_stage_payoff_is_best_solo_payoff(kind):
+    """The bound is the best solo payoff at the given device action (null
+    for None), and no sampled profile, device action included, beats it."""
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 5, 8, 12):
+        g = _random_game(rng, kind, n)
+        best = float(np.max(solo_values(g)))
+        assert games.max_stage_payoff(g) == best
+        assert games.max_stage_payoff(g, a0=g.null_intervention()) == best
+        a0 = g.full_intervention()
+        at_full = games.best_response_payoffs(g, a0, np.zeros(n))
+        assert games.max_stage_payoff(g, a0=a0) == float(np.max(at_full)) <= best
+        a0s = rng.uniform(0, 1, (2000, g.a0_dim)) * g.a0_max
+        acts = rng.uniform(0, 1, (2000, n)) * g.a_max
+        assert np.max(g.payoff_batch(a0s, acts)) <= best
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +398,7 @@ def test_minmax_matches_enumeration_small_game():
                 others[j] = aj
                 bi = g.best_response(i, [a0], others)
                 others[i] = bi
-                worst = min(worst, g.payoff([a0], others, validate=False)[i])
+                worst = min(worst, g.payoff_batch([a0], others)[i])
         assert np.isclose(worst, minmax(g, i).value, atol=1e-12)
 
 
