@@ -18,8 +18,8 @@ and the intervention-backed minmax point.  The main entry points are
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -350,19 +350,27 @@ class OutcomePath:
                                + (t - self.cycle_start) % self.period])
 
 
+# how far below one the thresholds' sum is kept: above the share-sum drift
+# between renormalisations (about 64 periods at most, over which it at most doubles)
+SUM_GUARD = 1e-13
+
+
 def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
                           with_intervention: bool = True,
                           value_tol: float = 1e-6,
                           floor_tol: float = 1e-9) -> OutcomePath:
     """Greedy decomposition of ``v_star`` into a solo-profile schedule.
 
-    Each period the lowest-indexed user whose activation keeps every
-    continuation promise above the floor ``nu`` gets the stage; promises
-    evolve by inverting the one-period Bellman step.  The tail is closed
-    into a cycle once discounting has shrunk the closure error below
-    ``value_tol``, and the resulting exact values are re-checked against
-    the target and the floors.  Solo payoffs must be diagonal (each solo
-    profile leaves the bystanders at zero).
+    The greedy runs on shares ``s = v / vbar``, which sum to one.  A period
+    of user ``i``'s solo profile maps them to ``(s - (1-delta) e_i) / delta``:
+    the sum stays one, bystanders' shares grow, and ``i``'s next share clears
+    its floor ``F_i`` iff ``s_i >= theta_i = delta F_i + (1-delta)``.  Each
+    period the lowest-indexed user passing that test plays; while
+    ``sum(theta) <= 1`` one always does (pigeonhole on ``sum(s) = 1``).  The
+    loop records only the active user's new share, and the history that
+    ranks the cycle's cut points is rebuilt from those (a bystander's share
+    is its last set value times ``delta^-(periods since)``).  The cycle's
+    exact values are re-checked against the target and the floors ``nu``.
     """
     v_star = np.asarray(v_star, dtype=float)
     if not (0.0 < delta < 1.0):
@@ -388,87 +396,78 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
         raise DesignError(f"delta {delta} below the enforceability threshold {db:.6f}")
     nu = guarantee_floors(stats, v_star, with_intervention)
 
-    # Splicing the greedy orbit into a cycle perturbs every value on the final
-    # stretch by delta^(K-t) * e, where e is the wrap mismatch.  The orbit of
-    # the plain greedy hugs the floors, so even a small mismatch can dent
-    # them.  Instead the greedy runs against floors raised by a margin m
-    # (ramped up geometrically from nu so that v_star itself stays
-    # admissible); any splice whose mismatch stays below m then clears the
-    # true floors.  The margin is sized from the slack in the self-generation
-    # condition: activations stay feasible as long as the elevated floors
-    # keep sum(f_i/vbar_i) <= (1 - n(1-delta))/delta, so half that room is
-    # split evenly (in share units) across the users.
-    lnd = float(np.log(delta))
-    slack = min(1e-4, 0.1 * (1.0 - delta)) * max(1.0, scale / 100.0)
-    room = (1.0 - n * (1.0 - delta)) / delta - float(np.sum(nu / stats.vbar))
-    m_full = (0.5 * room / n) * stats.vbar if room > 0 else np.zeros(n)
-    k_value = int(np.ceil(np.log(0.2 * value_tol / scale) / lnd)) + 1
-
-    # the per-period loop runs on plain floats: with diagonal solo payoffs a
-    # bystander's promise grows to v_j / delta and only the active user's
-    # entry sheds its stage payoff
+    # Splicing the greedy orbit into a cycle moves every share on the final
+    # stretch by delta^(K-t) e (e: the wrap mismatch), and the plain greedy
+    # hugs the floors f = nu / vbar.  So it runs against floors F raised by a
+    # share margin that such a splice clears: half the room f leave under
+    # sum(F) <= (1 - n(1-delta))/delta (that is, sum(theta) <= 1), split
+    # evenly.  The margin ramps up from f by slack * (delta^-(t+1) - 1) in
+    # value units, so a target on its floor stays admissible: the thresholds
+    # are one (n, t_ramp) array for the ramp, then one constant column.
+    vbar = stats.vbar
     d = float(delta)
-    own_pay = [(1.0 - d) * u for u in np.diagonal(u_solo).tolist()]
-    nu_l = nu.tolist()
-    v_star_l = v_star.tolist()
-    close_tol = 1e-12 * max(1.0, scale)
-    best_err, best_dip, locked_plans, k_max = np.inf, None, 0, 0
-    plans = [(m_full, 1), (m_full, 2), (m_full / 4.0, 2), (np.zeros(n), 4)]
-    for margin, k_mul in plans:
-        m_max = float(np.max(margin))
-        # long enough that the wrap mismatch, bounded by the margin (or by
-        # the payoff scale when running marginless), cannot dent the floor
-        # at t=0 where a boundary target may sit exactly on it
-        mismatch_bound = m_max if m_max > 0 else scale
-        K = max(k_value,
-                int(np.ceil(np.log(0.5 * floor_tol / mismatch_bound) / lnd)) + 1)
-        K *= k_mul
-        k_max = max(k_max, K)
-        margin_l = margin.tolist()
-        floor = floor_top = (nu + (margin if m_max > 0 else slack)).tolist()
-        active = []
-        hist = array("d", v_star_l)   # flat (K+1, n) promise history
-        v = v_star_l
-        cuts = None
-        locked = False
-        for t in range(K):
-            if m_max > 0:
-                ramp = slack * math.expm1(-(t + 1) * lnd)
-                floor = floor_top if ramp >= m_max else [
-                    f + min(m, ramp) for f, m in zip(nu_l, margin_l)]
-            grown = [x / d for x in v]
-            # the lowest-indexed user whose activation clears every floor; a
-            # user short of their floor as a bystander is the only candidate,
-            # and two such users leave none
-            short = [j for j in range(n) if not grown[j] >= floor[j]]
-            for i in short or range(n):
-                own = (v[i] - own_pay[i]) / d
-                if len(short) < 2 and own >= floor[i]:
+    lnd = math.log(d)
+    f = nu / vbar
+    slack = min(1e-4, 0.1 * (1.0 - d)) * max(1.0, scale / 100.0)
+    room = (1.0 - n * (1.0 - d)) / d - float(np.sum(f))
+    m_full = 0.5 * room / n if room > 0 else 0.0
+    k_value = int(np.ceil(np.log(0.2 * value_tol / scale) / lnd)) + 1
+    p_min = max(0.5, d ** 64)
+    s_star = (v_star / vbar).tolist()
+    users, c = tuple(range(n)), 1.0 - d
+
+    # each plan's path is long enough that the wrap mismatch, bounded by the
+    # margin (or by the payoff scale when marginless), cannot dent the floor
+    # at t=0 where a boundary target may sit exactly on it
+    plans = [(m, k_mul * max(k_value, int(np.ceil(
+                 np.log(0.5 * floor_tol / (m * scale or scale)) / lnd)) + 1))
+             for m, k_mul in ((m_full, 1), (m_full, 2), (m_full / 4.0, 2), (0.0, 4))]
+    best_err, best_dip, locks = np.inf, None, []
+    for plan, (margin, K) in enumerate(plans, 1):
+        t_ramp = min(K, int(math.log1p(margin * scale / slack) / -lnd) + 1)
+        ramp = np.append(slack * np.expm1(-lnd * np.arange(1, t_ramp + 1)), np.inf)
+        theta = d * (f[:, None] + np.minimum(margin, ramp / vbar[:, None])) + c
+        theta -= max(0.0, math.fsum(theta[:, -1]) - (1.0 - SUM_GUARD)) / n
+        rows = chain(zip(*map(memoryview, theta[:, :-1])), repeat(theta[:, -1].tolist()))
+        # z[j] / p is user j's share, renormalised once p < p_min (the sum's drift grows as 1/p)
+        active, shares, z, p = [], [], list(s_star), 0.0
+        act, rec = active.append, shares.append
+        for th in islice(rows, K):
+            if p < p_min:
+                total = math.fsum(z)
+                z, p = [x / total for x in z], 1.0
+            for i in users:
+                if z[i] >= th[i] * p:
                     break
             else:
-                locked = True
+                locks.append(f"plan {plan} at period {len(active)}: shares "
+                             f"{np.array(z) / p} below thresholds {np.array(th)}, "
+                             f"sum(theta) - 1 = {math.fsum(th) - 1:.3g}")
                 break
-            grown[i] = own
-            active.append(i)
-            v = grown
-            hist.extend(v)
-            if (abs(own - v_star_l[i]) <= close_tol
-                    and max([abs(x - y) for x, y in zip(v, v_star_l)]) <= close_tol):
-                cuts = [0]  # exact return: the whole prefix is the cycle
-                break
-        if locked:
-            locked_plans += 1
+            zi = z[i] - c * p
+            z[i] = zi
+            p *= d
+            act(i)
+            rec(zi / p)
+        if len(active) < K:
             continue
-        active = np.array(active, dtype=int)
-        if cuts is None:
-            # rank candidate cut points by the wrap mismatch they would inject,
-            # measured against the margin that protects each user's floor
-            hist = np.frombuffer(hist, dtype=float).reshape(K + 1, n)
-            cs_all = np.arange(1, K)
-            wrap = (hist[cs_all] - hist[K]) / (1.0 - delta ** (K - cs_all))[:, None]
-            norm = np.maximum(margin, max(slack, 1e-12))
-            cuts = cs_all[np.argsort(np.max(np.abs(wrap) / norm, axis=1))[:64]].tolist()
-        for cs in cuts:
+        active, shares = np.array(active, dtype=int), np.array(shares)
+        # the (n, K+1) share history: user j's share at t is scaled[idx[j, t]] / delta^t
+        powers = d ** np.arange(K + 1)
+        scaled = np.concatenate((s_star, shares * powers[1:]))
+        idx = np.repeat(np.arange(n, dtype=np.int32)[:, None], K + 1, axis=1)
+        idx[active, np.arange(1, K + 1)] = np.arange(n, n + K)
+        np.maximum.accumulate(idx, axis=1, out=idx)
+        hist = scaled[idx]
+        hist /= powers
+        # rank candidate cut points by the wrap mismatch they would inject,
+        # measured against the margin that protects each user's floor
+        wrap = hist[:, 1:K]
+        wrap -= hist[:, K:]
+        wrap /= np.maximum(margin, max(slack, 1e-12) / vbar)[:, None] * (1.0 - powers[K - 1:0:-1])
+        cuts = 1 + np.argsort(np.max(np.abs(wrap, out=wrap), axis=0))[:64]
+        del idx, hist, wrap   # free the history before valuing the cuts
+        for cs in cuts.tolist():
             values = path_values(u_solo[active], cs, delta)
             err = float(np.max(np.abs(values[0] - v_star)))
             dips = np.min(values - nu, axis=0)
@@ -484,8 +483,9 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
              f"smallest floor dip {-best_dip[0]:.3g} below user {best_dip[1]}'s floor")
     raise DecompositionError(
         "could not close the outcome path to the requested accuracy "
-        f"(best value error {best_err:.3g}; {floor}; {locked_plans} of {len(plans)} "
-        f"plans locked; largest K tried {k_max})")
+        f"(best value error {best_err:.3g}; {floor}; {len(locks)} of {len(plans)} plans "
+        f"locked{f', first {locks[0]}' if locks else ''}; "
+        f"largest K tried {max(K for _, K in plans)})")
 
 
 def assemble_protocol(game: StageGame, stats: DeviationStats,

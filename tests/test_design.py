@@ -326,6 +326,23 @@ def test_decomposition_error_names_the_floor_check(stats, monkeypatch):
     assert "of 4 plans locked" in msg and "largest K tried" in msg
 
 
+def test_decomposition_error_explains_a_lock(stats, monkeypatch):
+    """Floors raised onto the target itself, with the thresholds allowed to
+    sum past one, leave no user to activate: the error names the plan, the
+    period, the shares against the thresholds and sum(theta) - 1."""
+    t = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
+    monkeypatch.setattr(repgame.design, "guarantee_floors",
+                        lambda stats, v_star, *args: np.asarray(v_star, dtype=float))
+    monkeypatch.setattr(repgame.design, "SUM_GUARD", -1.0)
+    with pytest.raises(DecompositionError) as err:
+        generate_outcome_path(stats, t.v, 0.95)
+    msg = str(err.value)
+    assert "4 of 4 plans locked, first plan 1 at period 0: shares [0.35714286 0.35714286" in msg
+    assert "below thresholds [0.38928571 0.38928571" in msg
+    # sum(theta) = delta sum(F) + n (1 - delta), and the floors' shares F sum to one
+    assert "sum(theta) - 1 = 0.15" in msg
+
+
 def test_assemble_protocol_validates_each_solo_profile_once(stats, monkeypatch):
     g = fig_game()
     t = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
