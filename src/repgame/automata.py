@@ -20,6 +20,8 @@ absorbing state ``K`` (grim) or the spells ``K + i*L + l``, then the reward
 states ``K + n*L + i`` (player-specific).  The path is a table of distinct
 profiles plus the row each period plays, so it is validated, valued and
 scanned once per profile.
+
+scipy is imported at its one use site (``lfilter`` in :func:`path_values`).
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .games import (ActionProfile, StageGame, best_response_payoffs, max_stage_payoff,
                     minmax, minmax_values, mutual_minmax)
@@ -320,6 +321,7 @@ def path_values(u_path: np.ndarray, cs: int, delta: float) -> np.ndarray:
     the cycle ``cs..K-1``: the cycle-entry value is a finite geometric sum, then
     two backward AR(1) passes seeded with ``delta V[cs]`` fill the cycle tail
     (whose last period wraps to the entry) and the preamble ``0..cs-1``."""
+    from scipy.signal import lfilter
     K = u_path.shape[0]
     disc = delta ** np.arange(K - cs)
     V = np.empty_like(u_path)

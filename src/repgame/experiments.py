@@ -16,6 +16,8 @@ command line:
   deviation scanners against it.
 
 Everything is deterministic: the same config produces the same CSV bytes.
+scipy is imported at its use sites (``minimize`` in the one-shot polish,
+``brentq`` in :func:`reference_path`), so ``tradeoff`` loads none of it.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from . import __version__
 from .automata import min_delta_for_L, verify_spe
@@ -83,9 +84,33 @@ def _floats(raw, key, default) -> tuple:
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} must be a list of numbers, got {val!r}") from None
     if not out:
-        raise ConfigError(f"{key!r} grid is empty")
+        raise ConfigError(f"{key!r} is empty")
     if not all(np.isfinite(out)):
         raise ConfigError(f"{key!r} contains non-finite entries: {val!r}")
+    return out
+
+
+def _ints(raw, key, default) -> tuple:
+    """Integer entries; a bool, a string or a fractional number is rejected, not coerced."""
+    val = raw.get(key, default)
+    try:
+        out = tuple(int(x) for x in val)
+        exact = all(not isinstance(x, bool) and x == k for x, k in zip(val, out))
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ConfigError(f"{key!r} must be a list of integers, got {val!r}")
+    return out
+
+
+def _number(raw, key, default) -> float:
+    val = raw.get(key, default)
+    try:
+        out = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number, got {val!r}") from None
+    if not np.isfinite(out):
+        raise ConfigError(f"{key!r} must be finite, got {val!r}")
     return out
 
 
@@ -117,23 +142,16 @@ def load_config(path, experiment: str) -> ExperimentConfig:
         raise ConfigError(f"bad game block: {exc}") from None
 
     gamma = _floats(raw, "gamma", (1.0, 3.0, 7.0, 14.0))
-    L_raw = raw.get("L", tuple(range(1, 13)))
-    try:
-        L_values = tuple(int(x) for x in L_raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'L' must be a list of integers, got {L_raw!r}") from None
+    L_values = _ints(raw, "L", tuple(range(1, 13)))
     if not L_values or min(L_values) < 1:
         raise ConfigError("'L' must be a nonempty list of lengths >= 1")
     a0_values = _floats(raw, "a0", (0.0, 0.5, 1.0, 2.5))
     if min(a0_values) < 0:
         raise ConfigError("'a0' entries must be nonnegative")
-    n_range = raw.get("n_range", (2, 12))
-    try:
-        lo, hi = (int(x) for x in n_range)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'n_range' must be [lo, hi], got {n_range!r}") from None
-    if not 2 <= lo <= hi:
-        raise ConfigError(f"'n_range' must satisfy 2 <= lo <= hi, got {n_range!r}")
+    n_range = _ints(raw, "n_range", (2, 12))
+    if len(n_range) != 2 or not 2 <= n_range[0] <= n_range[1]:
+        raise ConfigError(f"'n_range' must be [lo, hi] with 2 <= lo <= hi, got {list(n_range)}")
+    lo, hi = n_range
     delta_grid = _floats(raw, "delta_grid", (0.85, 0.9, 0.95, 0.99))
     if min(delta_grid) <= 0.0 or max(delta_grid) >= 1.0:
         raise ConfigError("'delta_grid' entries must lie strictly inside (0, 1)")
@@ -142,15 +160,15 @@ def load_config(path, experiment: str) -> ExperimentConfig:
         raise ConfigError(f"unknown welfare {welfare!r}; expected one of {WELFARES}")
     delta = raw.get("delta")
     if delta is not None:
-        delta = float(delta)
+        delta = _number(raw, "delta", None)
         if not 0.0 < delta < 1.0:
             raise ConfigError(f"'delta' must lie in (0, 1), got {delta}")
     if experiment == "verify" and delta is None:
         raise ConfigError("the verify experiment needs a 'delta' to check the protocol at")
-    target_gamma = float(raw.get("target_gamma", gamma[0]))
+    target_gamma = _number(raw, "target_gamma", gamma[0])
     path = raw.get("path")
     if path is not None:
-        path = tuple(float(x) for x in path)
+        path = _floats(raw, "path", None)
         arr = np.asarray(path)
         if arr.shape != (game.n,):
             raise ConfigError(f"'path' must list one action per user ({game.n}), got {len(path)}")
@@ -364,6 +382,7 @@ def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
     clipped to the action box, unchecked: the caller accepts it only
     after ``game.payoff`` confirms it.
     """
+    from scipy.optimize import minimize
     null = game.null_intervention()
     n = game.n
     box = [(0.0, float(m)) for m in game.a_max]
@@ -485,6 +504,7 @@ def reference_path(game: StageGame, margin: float = 1.1) -> np.ndarray:
     times their no-device minmax value.  Closed form only for flow
     control; other games must supply an explicit path in the config.
     """
+    from scipy.optimize import brentq
     if not isinstance(game, FlowControlGame):
         raise ConfigError("no built-in reference path for this game kind; set 'path' in the config")
     beta = game.beta
@@ -650,7 +670,8 @@ def verification_report(game: StageGame, welfare: str, gamma: float, delta: floa
     threshold, the outcome path is still constructed -- at a discount
     just above the threshold, where the decomposition exists -- and both
     scanners run at the requested one; the reported worst gain then
-    shows by how much enforcement fails there.
+    shows by how much enforcement fails there.  A target no discount
+    factor below 1 enforces (``delta_bar = 1``) is a :class:`ConfigError`.
     """
     stats = deviation_stats(game)
     gam = np.full(game.n, float(gamma))
@@ -659,6 +680,9 @@ def verification_report(game: StageGame, welfare: str, gamma: float, delta: floa
     except DesignError as exc:
         raise ConfigError(str(exc)) from None
     db = delta_bar(stats, target.v, True)
+    if db >= 1.0:
+        raise ConfigError(f"guarantee {gamma:g} cannot be enforced at any discount factor "
+                          f"below 1: its target has delta_bar = 1")
     build_delta = float(delta) if delta >= db + 1e-9 else min(db + 1e-3, 0.5 * (db + 1.0))
     path = generate_outcome_path(stats, target.v, build_delta)
     automaton = assemble_protocol(game, stats, path)

@@ -7,6 +7,8 @@ scripted deviations), ``deviation_gain`` measures the exact discounted
 consequence of a single deviation, and ``profitability_scan`` re-derives the
 one-shot deviation check from truncated discounted sums only, so the two
 certifications share no valuation code.
+
+scipy is imported at its one use site (``lfilter`` in the suffix scan).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .automata import (SPE_GAIN_TOL, Automaton, Layout, State, StateValues,
                        _best_deviations, _worst_cell, state_values)
@@ -159,6 +160,7 @@ def _truncated_state_values(automaton: Automaton, delta: float, lay: Layout,
     the truncated geometric sum of their constant stage payoff.  ``u`` holds
     the stage payoffs of every layout position.
     """
+    from scipy.signal import lfilter
     W = np.empty_like(u)
     K, cs = automaton.path_len, automaton.cycle_start
     ext = cs + (np.arange(horizon) % (K - cs)) if K > cs else np.zeros(horizon, dtype=int)

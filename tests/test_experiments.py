@@ -556,6 +556,41 @@ def test_cli_non_finite_game_parameter_exits_2(tmp_path, capsys, experiment):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("experiment,key,value", [
+    ("verify", "delta", "abc"),
+    ("verify", "target_gamma", "abc"),
+    ("verify", "target_gamma", float("nan")),
+    ("verify", "target_gamma", float("inf")),
+    ("fig3", "path", ["a", "a", "a", "a"]),
+    ("fig3", "path", [float("nan")] * 4),
+    ("fig3", "L", [1.5, 2]),
+    ("fig3", "L", [True]),
+    ("scaling", "n_range", [2.9, 2.9]),
+])
+def test_cli_rejects_values_that_would_be_coerced(tmp_path, capsys, experiment, key, value):
+    # each used to end in a ValueError traceback or be truncated silently
+    raw = json.loads(CONFIG.read_text())
+    raw[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["--experiment", experiment, "--config", str(p), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert f"config error: {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_verify_unenforceable_target_exits_2(tmp_path, capsys):
+    # the target sits on the minmax point: delta_bar = 1, no protocol to build
+    raw = json.loads(CONFIG.read_text())
+    raw["target_gamma"] = -5.0
+    p = tmp_path / "minmax.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["--experiment", "verify", "--config", str(p), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "guarantee -5 cannot be enforced" in err and "delta_bar = 1" in err
+
+
 def test_cli_internal_failure_exits_3(tmp_path, monkeypatch, capsys):
     def boom(config):
         raise DecompositionError("path closure failed its accuracy contract")

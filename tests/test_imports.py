@@ -1,0 +1,43 @@
+"""Fresh-process import hygiene: scipy loads only where a command uses it."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "fig_flow.json"
+
+PROBE = """
+import json, sys
+import repgame, repgame.cli
+if len(sys.argv) > 1:
+    rc = repgame.cli.main(["--experiment", sys.argv[1], "--config", sys.argv[2],
+                           "--out", sys.argv[3]])
+    assert rc == 0, rc
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules(*args) -> set:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", PROBE, *args], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules() == set()
+
+
+@pytest.mark.parametrize("experiment,loaded,absent", [
+    ("tradeoff", set(), {"scipy"}),   # any scipy submodule loads "scipy" too
+    ("table2", {"scipy.optimize"}, {"scipy.signal"}),
+], ids=["tradeoff", "table2"])
+def test_command_loads_only_its_scipy(tmp_path, experiment, loaded, absent):
+    mods = scipy_modules(experiment, str(CONFIG), str(tmp_path))
+    assert loaded <= mods
+    assert not absent & mods
