@@ -313,7 +313,11 @@ def guarantee_floors(stats: DeviationStats, v_star, with_intervention: bool = Tr
     against the minmax fallback pins the floor; a larger ``delta`` keeps
     the same floor (it only makes enforcement easier).
     """
-    db = delta_bar(stats, v_star, with_intervention)
+    return _floors_at(stats, delta_bar(stats, v_star, with_intervention), with_intervention)
+
+
+def _floors_at(stats: DeviationStats, db: float, with_intervention: bool) -> np.ndarray:
+    """:func:`guarantee_floors` at the threshold ``db`` already computed."""
     vlow = stats.minmax(with_intervention)
     return stats.w - (stats.w - vlow) * db
 
@@ -394,7 +398,7 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     db = delta_bar(stats, v_star, with_intervention)
     if delta < db - 1e-12:
         raise DesignError(f"delta {delta} below the enforceability threshold {db:.6f}")
-    nu = guarantee_floors(stats, v_star, with_intervention)
+    nu = _floors_at(stats, db, with_intervention)
 
     # Splicing the greedy orbit into a cycle moves every share on the final
     # stretch by delta^(K-t) e (e: the wrap mismatch), and the plain greedy
@@ -422,6 +426,7 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     plans = [(m, k_mul * max(k_value, int(np.ceil(
                  np.log(0.5 * floor_tol / (m * scale or scale)) / lnd)) + 1))
              for m, k_mul in ((m_full, 1), (m_full, 2), (m_full / 4.0, 2), (0.0, 4))]
+    plans = list(dict.fromkeys(plans))   # without room the third plan is the second
     best_err, best_dip, locks = np.inf, None, []
     for plan, (margin, K) in enumerate(plans, 1):
         t_ramp = min(K, int(math.log1p(margin * scale / slack) / -lnd) + 1)

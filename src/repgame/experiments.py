@@ -77,11 +77,19 @@ def _canonical(raw: dict) -> str:
     return json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
 
+def _real(x) -> float:
+    """``x`` as a float; a bool, a string or any other non-number raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(x)
+    return float(x)
+
+
 def _floats(raw, key, default) -> tuple:
+    """Real entries; a bool or a string is rejected, not coerced."""
     val = raw.get(key, default)
     try:
-        out = tuple(float(x) for x in val)
-    except (TypeError, ValueError):
+        out = tuple(_real(x) for x in val)
+    except (TypeError, OverflowError):
         raise ConfigError(f"{key!r} must be a list of numbers, got {val!r}") from None
     if not out:
         raise ConfigError(f"{key!r} is empty")
@@ -104,10 +112,11 @@ def _ints(raw, key, default) -> tuple:
 
 
 def _number(raw, key, default) -> float:
+    """A real number; a bool or a string is rejected, not coerced."""
     val = raw.get(key, default)
     try:
-        out = float(val)
-    except (TypeError, ValueError):
+        out = _real(val)
+    except (TypeError, OverflowError):
         raise ConfigError(f"{key!r} must be a number, got {val!r}") from None
     if not np.isfinite(out):
         raise ConfigError(f"{key!r} must be finite, got {val!r}")
@@ -250,31 +259,50 @@ class SearchResult:
     payoffs: np.ndarray
 
 
-def _score(U: np.ndarray, cells):
-    """Rank the payoff rows of ``U`` (shape ``(R, n)``) for each
-    ``(gamma, kind)`` cell, ``gamma`` of shape ``(n,)``: feasibility first, then welfare (infeasible
-    rows rank by their worst floor shortfall, so ascent can climb into the
-    feasible set).  Yields one ``(ok, val)`` pair of length-R arrays per
-    cell, in order.
+def _score(UT: np.ndarray, cells):
+    """Rank the profiles of the user-major payoff block ``UT`` (shape
+    ``(n, R)``, one column per profile) for each ``(gamma, kind)`` cell,
+    ``gamma`` of shape ``(n,)``: feasibility first, then welfare
+    (infeasible profiles rank by their worst floor shortfall, so ascent can
+    climb into the feasible set).  Yields one ``(ok, val)`` pair of
+    length-R arrays per cell, in order.
 
-    The block is reduced once for all cells, user-major.  A numpy
-    reduction over the short last axis runs one inner loop per row, so the
-    floor margins and the row minimum are taken over axis 0 of one
-    contiguous ``(n, R)`` copy: n length-R passes, one margin per distinct
-    floor vector.  The row sum alone stays ``U.sum(axis=-1)``, because
-    summing the copy adds in a different order once n >= 8, which could
-    move a welfare tie and so the pick.
+    The block is reduced once for all cells, in length-R passes over the
+    rows of a contiguous copy (none is made of a contiguous block), each
+    taken when a cell first needs it: the row minimum, the welfare sum,
+    and one margin and feasibility mask per distinct floor vector.  A
+    margin against equal floors ``g`` is ``rowmin - g``, exact because
+    rounding ``x - g`` is monotone in ``x``.  The sum is bit-equal to
+    ``U.sum(axis=-1)`` of the row-major block ``U = UT.T``, and is that
+    very sum when ``U`` is contiguous (the ascent's lines) or n >= 8, where
+    numpy adds pairwise; otherwise it adds the rows in sequence from +0.0,
+    as numpy does below 8 users.
     """
-    UT = np.ascontiguousarray(U.T)
-    welfare = {kind: U.sum(axis=-1) if kind == "sum" else UT.min(axis=0)
-               for kind in {kind for _, kind in cells}}
+    n, U = UT.shape[0], UT.T
+    UT = np.ascontiguousarray(UT)
+    rowmin = total = None
     margins = {}
     for gamma, kind in cells:
         key = gamma.tobytes()
         if key not in margins:
-            margins[key] = (UT - gamma[:, None]).min(axis=0)
-        ok = margins[key] >= -1e-9
-        yield ok, np.where(ok, welfare[kind], margins[key])
+            floors = gamma.tolist()
+            if floors.count(floors[0]) == n:
+                rowmin = UT.min(axis=0) if rowmin is None else rowmin
+                margin = rowmin - floors[0]
+            else:
+                margin = (UT - gamma[:, None]).min(axis=0)
+            margins[key] = margin, margin >= -1e-9
+        margin, ok = margins[key]
+        if kind == "maxmin":
+            rowmin = UT.min(axis=0) if rowmin is None else rowmin
+        elif total is None:
+            if U.flags.c_contiguous or n >= 8:
+                total = np.ascontiguousarray(U).sum(axis=-1)
+            else:
+                total = 0.0 + UT[0]
+                for row in UT[1:]:
+                    total += row
+        yield ok, np.where(ok, rowmin if kind == "maxmin" else total, margin)
 
 
 def _pick(ok: np.ndarray, val: np.ndarray):
@@ -295,28 +323,26 @@ def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
     ``(gamma, kind)`` cell at once.  Returns one seed profile per cell,
     or None when the grid would exceed ``grid_cap`` points.
 
-    The grid is streamed in slabs of fixed first action; each slab's
-    payoff block is reduced once for all cells by :func:`_score`, and a
+    The grid is streamed as the user-major payoff blocks of
+    :meth:`StageGame.grid_payoffs`, one per value of the first action;
+    each block is reduced once for all cells by :func:`_score`, and a
     slab's pick replaces the running best only when it is strictly
-    better, so the first profile in grid order wins ties."""
+    better, so the first profile in grid order wins ties.  The seed is
+    rebuilt from the winning (slab, row) index."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, step), [am]]))
             for am in game.a_max]
     if int(np.prod([len(ax) for ax in axes])) > grid_cap:
         return None
-    null = game.null_intervention()
-    rest = (np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, game.n - 1)
-            if game.n > 1 else np.zeros((1, 0)))
-    prof = np.empty((rest.shape[0], game.n))
-    prof[:, 1:] = rest
     best = [None] * len(cells)
-    for x in axes[0]:
-        prof[:, 0] = x
-        for k, (ok, val) in enumerate(_score(game.payoff_batch(null, prof), cells)):
+    for s, block in enumerate(game.grid_payoffs(axes)):
+        for k, (ok, val) in enumerate(_score(block, cells)):
             j = _pick(ok, val)
-            cand = (bool(ok[j]), float(val[j]), prof[j].copy())
-            if best[k] is None or (cand[0], cand[1]) > (best[k][0], best[k][1]):
+            cand = (bool(ok[j]), float(val[j]), s, j)
+            if best[k] is None or cand[:2] > best[k][:2]:
                 best[k] = cand
-    return [b[2] for b in best]
+    rest = [len(ax) for ax in axes[1:]]
+    return [np.array([axes[0][s]] + [ax[i] for ax, i in zip(axes[1:], np.unravel_index(j, rest))])
+            for _, _, s, j in best]
 
 
 def _fallback_starts(game: StageGame, ne=None) -> np.ndarray:
@@ -410,7 +436,7 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma: np.ndarray, kind: str, p
     null = game.null_intervention()
     a = np.clip(starts, 0.0, game.a_max)
     cells = [(gamma, kind)]
-    [(cur_ok, cur_val)] = _score(np.array([game.payoff_batch(null, x) for x in a]), cells)
+    [(cur_ok, cur_val)] = _score(np.array([game.payoff_batch(null, x) for x in a]).T, cells)
     climbing = np.ones(len(a), dtype=bool)
     k = np.arange(points, dtype=float)
     for p in range(passes):
@@ -428,7 +454,7 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma: np.ndarray, kind: str, p
             cand[:, -1] = hi
             prof = np.repeat(a[rows, None, :], points, axis=1)
             prof[:, :, i] = cand
-            [(ok, val)] = _score(game.payoff_batch(null, prof).reshape(-1, game.n), cells)
+            [(ok, val)] = _score(game.payoff_batch(null, prof).reshape(-1, game.n).T, cells)
             ok, val = ok.reshape(-1, points), val.reshape(-1, points)
             j = _pick(ok, val)
             ok_j, val_j = ok[at, j], val[at, j]

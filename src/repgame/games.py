@@ -171,6 +171,21 @@ class StageGame:
         """Payoffs for a batch: ``a0`` shape ``(..., a0_dim)``, ``a`` shape ``(..., n)``."""
         return self.payoff_unchecked(np.asarray(a0, dtype=float), np.asarray(a, dtype=float))
 
+    def grid_payoffs(self, axes):
+        """Payoffs over the product grid of ``axes`` (one 1-D array of
+        actions per user) with the device at null: yields, for each value
+        of the first axis in order, the user-major ``(n, R)`` block over
+        the R profiles of the other axes, in ``np.meshgrid(..., indexing="ij")``
+        order.  Each block equals ``payoff_batch`` on that slab, transposed."""
+        null = self.null_intervention()
+        prof = np.empty((int(np.prod([len(ax) for ax in axes[1:]])), self.n))
+        if self.n > 1:
+            prof[:, 1:] = np.stack(np.meshgrid(*axes[1:], indexing="ij"),
+                                   axis=-1).reshape(-1, self.n - 1)
+        for x in axes[0]:
+            prof[:, 0] = x
+            yield np.ascontiguousarray(self.payoff_batch(null, prof).T)
+
     # -- best responses ------------------------------------------------
 
     def best_responses(self, a0: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -254,6 +269,10 @@ class FlowControlGame(StageGame):
         cap = self.mu - a0[..., 0] - np.sum(a, axis=-1)
         cap = np.maximum(cap, 0.0)
         return np.power(a, self.beta) * cap[..., None]
+
+    def grid_payoffs(self, axes):
+        # with a0 = 0, mu - a0 - load rounds as mu - load
+        return _queue_grid_payoffs(self, axes, lambda load: np.maximum(self.mu - load, 0.0))
 
     def best_responses(self, a0, a):
         free = self.mu - a0 - (np.sum(a, axis=-1, keepdims=True) - a)
@@ -342,6 +361,10 @@ class PacketDropGame(StageGame):
         eff = np.maximum((1.0 - a0) * a, 0.0)
         return np.power(eff, self.beta) * cap[..., None]
 
+    def grid_payoffs(self, axes):
+        # with a0 = 0 and a >= 0 the paid rate is the sent rate
+        return _queue_grid_payoffs(self, axes, lambda load: self.mu - load)
+
     def best_responses(self, a0, a):
         free = self.mu - (np.sum(a, axis=-1, keepdims=True) - a)
         interior = np.minimum(self.beta / (1.0 + self.beta) * free, self.a_max)
@@ -358,6 +381,37 @@ class PacketDropGame(StageGame):
     def to_config(self):
         return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
                 "a_max": self.a_max.tolist()}
+
+
+def _queue_grid_payoffs(game, axes, capacity):
+    """:meth:`StageGame.grid_payoffs` of a queue game paying
+    ``a_i**beta_i * capacity(load)`` at null intervention, from per-axis
+    factors: ``a**beta`` is one power table for all axes, a slab's load is
+    built by broadcasting one axis at a time, and each user's block is one
+    multiply.  The load adds the users in sequence, as ``np.sum`` over the
+    user axis does below 8 users; from 8 on numpy adds pairwise, so those
+    games take the row-major route."""
+    n = game.n
+    if n >= 8:
+        yield from StageGame.grid_payoffs(game, axes)
+        return
+    table = np.zeros((max(len(ax) for ax in axes), n))
+    for i, ax in enumerate(axes):
+        table[:len(ax), i] = ax
+    # (m, n) by beta along the last axis: the call shape of payoff_unchecked
+    table = np.power(table, game.beta)
+    powers = [table[:len(ax), i] for i, ax in enumerate(axes)]
+    cols, factors = np.ix_(*axes[1:]), np.ix_(*powers[1:])
+    shape = tuple(len(ax) for ax in axes[1:])
+    for x, p in zip(axes[0], powers[0]):
+        load = x
+        for col in cols:
+            load = load + col
+        cap = capacity(np.broadcast_to(load, shape))
+        block = np.empty((n,) + shape)
+        for i, f in enumerate((p,) + factors):
+            np.multiply(f, cap, out=block[i, ...])
+        yield block.reshape(n, -1)
 
 
 _GAME_KINDS = {

@@ -331,13 +331,12 @@ def test_decomposition_error_explains_a_lock(stats, monkeypatch):
     sum past one, leave no user to activate: the error names the plan, the
     period, the shares against the thresholds and sum(theta) - 1."""
     t = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
-    monkeypatch.setattr(repgame.design, "guarantee_floors",
-                        lambda stats, v_star, *args: np.asarray(v_star, dtype=float))
+    monkeypatch.setattr(repgame.design, "_floors_at", lambda *args: np.asarray(t.v, dtype=float))
     monkeypatch.setattr(repgame.design, "SUM_GUARD", -1.0)
     with pytest.raises(DecompositionError) as err:
         generate_outcome_path(stats, t.v, 0.95)
     msg = str(err.value)
-    assert "4 of 4 plans locked, first plan 1 at period 0: shares [0.35714286 0.35714286" in msg
+    assert "3 of 3 plans locked, first plan 1 at period 0: shares [0.35714286 0.35714286" in msg
     assert "below thresholds [0.38928571 0.38928571" in msg
     # sum(theta) = delta sum(F) + n (1 - delta), and the floors' shares F sum to one
     assert "sum(theta) - 1 = 0.15" in msg

@@ -80,6 +80,27 @@ def test_config_rejects(tmp_path, mangle, msg):
         load_config(p, "table2")
 
 
+@pytest.mark.parametrize("key,value,msg", [
+    ("a0", [True, False], "'a0' must be a list of numbers"),
+    ("gamma", ["7", "14"], "'gamma' must be a list of numbers"),
+    ("gamma", "714", "'gamma' must be a list of numbers"),
+    ("delta", "0.95", "'delta' must be a number"),
+    ("target_gamma", True, "'target_gamma' must be a number"),
+    ("gamma", [10 ** 400], "'gamma' must be a list of numbers"),
+])
+def test_config_rejects_bools_and_strings_as_numbers(tmp_path, capsys, key, value, msg):
+    """Bools, numeric strings and integers too large for a float are
+    refused, not coerced, by the loader and by the command line (exit 2)."""
+    raw = json.loads(CONFIG.read_text())
+    raw[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=msg):
+        load_config(p, "verify")
+    assert main(["--experiment", "verify", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert msg in capsys.readouterr().err
+
+
 def test_config_rejects_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json", "table2")
@@ -254,6 +275,57 @@ def test_grid_pass_matches_row_major_rule(name):
     want = _row_major_seeds(game, cells, 0.05)
     for (gamma, kind), g, w in zip(cells, got, want):
         assert np.array_equal(g, w), (gamma, kind, g, w)
+
+
+def test_score_of_user_major_blocks_is_the_row_major_rule():
+    """Scoring a user-major block gives the row-major rule's ``ok`` and
+    ``val`` bit for bit: the sum ``U.sum(axis=-1)`` (in sequence below 8
+    users, pairwise from 8), the row minimum and every margin."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 12):
+        U = rng.uniform(0.0, 10.0, (400, n)) * 10.0 ** rng.integers(-6, 7, (400, n))
+        floors = [np.full(n, -1.0), np.full(n, 1e3), rng.uniform(0.0, 50.0, n)]
+        cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
+        for UT in (np.ascontiguousarray(U.T), U.T):
+            for (gamma, kind), (ok, val) in zip(cells, xp._score(UT, cells)):
+                margin = np.min(U - gamma, axis=-1)
+                want = np.where(margin >= -1e-9,
+                                U.sum(axis=-1) if kind == "sum" else U.min(axis=-1), margin)
+                assert np.array_equal(ok, margin >= -1e-9) and np.array_equal(val, want), (n, kind)
+
+
+def _grid_axes(game, step=0.05):
+    return [np.unique(np.concatenate([np.arange(0.0, am, step), [am]])) for am in game.a_max]
+
+
+def _slab_payoffs(game, axes, x):
+    """``payoff_batch`` on the row-major slab of first action ``x``: the
+    other actions in ``np.meshgrid(..., indexing="ij")`` order."""
+    rest = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, game.n - 1)
+    return game.payoff_batch(game.null_intervention(),
+                             np.column_stack([np.full(len(rest), x), rest]))
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GAMES))
+def test_grid_payoffs_match_payoff_batch(name):
+    """Each user-major grid block, factorised or not, is bit for bit the
+    row-major payoff block of its slab, transposed."""
+    game = GRID_GAMES[name]
+    axes = _grid_axes(game)
+    blocks = list(game.grid_payoffs(axes))
+    assert len(blocks) == len(axes[0])
+    for x, block in zip(axes[0], blocks):
+        assert np.array_equal(block, _slab_payoffs(game, axes, x).T), x
+
+
+def test_grid_payoffs_match_payoff_batch_on_fig_flow():
+    game = game_from_config(json.loads(CONFIG.read_text())["game"])
+    axes = _grid_axes(game)
+    checked = {0: None, len(axes[0]) // 2: None, len(axes[0]) - 1: None}
+    for s, block in enumerate(game.grid_payoffs(axes)):
+        if s in checked:
+            checked[s] = np.array_equal(block, _slab_payoffs(game, axes, axes[0][s]).T)
+    assert checked == dict.fromkeys(checked, True)
 
 
 def _ascend_one(game, start, gamma, kind, passes=50, points=33):
