@@ -18,10 +18,10 @@ __version__ = "0.1.0"
 
 from .games import (ActionProfile, FlowControlGame, GameConfigError, HullSample,
                     MinmaxResult, MutualMinmaxResult, NashIterationError,
-                    PacketDropGame, PowerControlGame, SoloOptimum, StageGame,
+                    PacketDropGame, PowerControlGame, StageGame,
                     game_from_config, max_stage_payoff, minmax,
                     minmax_values, mutual_minmax, payoff, payoff_hull_sample,
-                    solo_optimum, solo_values, solve_stage_nash)
+                    solo_values, solve_stage_nash)
 from .automata import (Automaton, AutomatonError, MinDeltaResult, SpeReport,
                        StateValues, build_minmax_automaton,
                        build_player_specific_automaton, describe,

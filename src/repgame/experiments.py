@@ -261,61 +261,58 @@ class SearchResult:
 
 def _score(UT: np.ndarray, cells):
     """Rank the profiles of the user-major payoff block ``UT`` (shape
-    ``(n, R)``, one column per profile) for each ``(gamma, kind)`` cell,
-    ``gamma`` of shape ``(n,)``: feasibility first, then welfare
-    (infeasible profiles rank by their worst floor shortfall, so ascent can
-    climb into the feasible set).  Yields one ``(ok, val)`` pair of
-    length-R arrays per cell, in order.
+    ``(n, R)``, one column per profile) for each ``(gamma, kind)`` cell:
+    feasibility first, then welfare (infeasible profiles rank by their worst
+    floor shortfall, so ascent can climb into the feasible set).  ``gamma``
+    is one floor vector ``(n,)`` or one per profile ``(n, R)``, ``kind`` one
+    welfare name or an array of one per profile.  Yields one ``(ok, welfare,
+    margin)`` triple of length-R arrays per cell, in order.
 
     The block is reduced once for all cells, in length-R passes over the
-    rows of a contiguous copy (none is made of a contiguous block), each
-    taken when a cell first needs it: the row minimum, the welfare sum,
-    and one margin and feasibility mask per distinct floor vector.  A
-    margin against equal floors ``g`` is ``rowmin - g``, exact because
-    rounding ``x - g`` is monotone in ``x``.  The sum is bit-equal to
-    ``U.sum(axis=-1)`` of the row-major block ``U = UT.T``, and is that
-    very sum when ``U`` is contiguous (the ascent's lines) or n >= 8, where
-    numpy adds pairwise; otherwise it adds the rows in sequence from +0.0,
-    as numpy does below 8 users.
+    rows of a contiguous copy (none is made of a contiguous block): the row
+    minimum, the welfare sum, and one margin and feasibility mask per
+    distinct floor vector.  Rounding ``x - g`` is monotone in ``x``, so a
+    margin against equal floors ``g`` is ``rowmin - g`` exactly, and one
+    against per-profile floors is each profile's margin against its own.
+    The sum is bit-equal to ``U.sum(axis=-1)`` of the row-major block
+    ``U = UT.T``, and is that very sum when ``U`` is contiguous (the
+    ascent's lines) or n >= 8, where numpy adds pairwise; otherwise it adds
+    the rows in sequence from +0.0, as numpy does below 8 users.
     """
     n, U = UT.shape[0], UT.T
     UT = np.ascontiguousarray(UT)
-    rowmin = total = None
+    rowmin = UT.min(axis=0)
+    if U.flags.c_contiguous or n >= 8:
+        total = np.ascontiguousarray(U).sum(axis=-1)
+    else:
+        total = 0.0 + UT[0]
+        for row in UT[1:]:
+            total += row
     margins = {}
     for gamma, kind in cells:
         key = gamma.tobytes()
         if key not in margins:
-            floors = gamma.tolist()
-            if floors.count(floors[0]) == n:
-                rowmin = UT.min(axis=0) if rowmin is None else rowmin
-                margin = rowmin - floors[0]
-            else:
-                margin = (UT - gamma[:, None]).min(axis=0)
+            equal = gamma.ndim == 1 and gamma.tolist().count(gamma[0]) == n
+            margin = rowmin - gamma[0] if equal else (UT - gamma.reshape(n, -1)).min(axis=0)
             margins[key] = margin, margin >= -1e-9
         margin, ok = margins[key]
-        if kind == "maxmin":
-            rowmin = UT.min(axis=0) if rowmin is None else rowmin
-        elif total is None:
-            if U.flags.c_contiguous or n >= 8:
-                total = np.ascontiguousarray(U).sum(axis=-1)
-            else:
-                total = 0.0 + UT[0]
-                for row in UT[1:]:
-                    total += row
-        yield ok, np.where(ok, rowmin if kind == "maxmin" else total, margin)
+        maxmin = np.asarray(kind) == "maxmin"
+        welfare = np.where(maxmin, rowmin, total) if maxmin.ndim else rowmin if maxmin else total
+        yield ok, welfare, margin
 
 
-def _pick(ok: np.ndarray, val: np.ndarray):
-    """Index of the best entry along the last axis, the first index winning
-    ties: the feasible entry of highest welfare, or the largest margin when
-    no entry is feasible."""
-    if ok.ndim == 1:
-        # a grid slab: gathering the feasible entries is about four times
-        # faster than masking the others with np.where
-        idx = np.flatnonzero(ok)
-        return int(idx[np.argmax(val[idx])]) if idx.size else int(np.argmax(val))
-    return np.argmax(np.where(ok.any(axis=-1, keepdims=True), np.where(ok, val, -np.inf), val),
-                     axis=-1)
+def _pick(block: np.ndarray, cells):
+    """``(ok, val, j)`` of the best profile of a user-major grid slab for
+    each cell, the first index winning ties: the feasible profile of highest
+    welfare, or the largest margin when none is feasible.  The feasible
+    profiles are gathered once per distinct floor vector."""
+    feasible = {}
+    for (gamma, _), (ok, welfare, margin) in zip(cells, _score(block, cells)):
+        idx = feasible.get(gamma.tobytes())
+        if idx is None:
+            idx = feasible[gamma.tobytes()] = np.flatnonzero(ok)
+        j = int(idx[np.argmax(welfare[idx])]) if idx.size else int(np.argmax(margin))
+        yield bool(idx.size), float((welfare if idx.size else margin)[j]), j
 
 
 def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
@@ -325,24 +322,22 @@ def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
 
     The grid is streamed as the user-major payoff blocks of
     :meth:`StageGame.grid_payoffs`, one per value of the first action;
-    each block is reduced once for all cells by :func:`_score`, and a
-    slab's pick replaces the running best only when it is strictly
-    better, so the first profile in grid order wins ties.  The seed is
-    rebuilt from the winning (slab, row) index."""
+    each block is reduced once for all cells by :func:`_score` and
+    :func:`_pick`, and a slab's pick replaces the running best only when
+    it is strictly better, so the first profile in grid order wins ties.
+    The seed is rebuilt from the winning (slab, row) index."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, step), [am]]))
             for am in game.a_max]
     if int(np.prod([len(ax) for ax in axes])) > grid_cap:
         return None
     best = [None] * len(cells)
     for s, block in enumerate(game.grid_payoffs(axes)):
-        for k, (ok, val) in enumerate(_score(block, cells)):
-            j = _pick(ok, val)
-            cand = (bool(ok[j]), float(val[j]), s, j)
+        for k, cand in enumerate(_pick(block, cells)):
             if best[k] is None or cand[:2] > best[k][:2]:
-                best[k] = cand
+                best[k] = cand + (s,)
     rest = [len(ax) for ax in axes[1:]]
     return [np.array([axes[0][s]] + [ax[i] for ax, i in zip(axes[1:], np.unravel_index(j, rest))])
-            for _, _, s, j in best]
+            for _, _, j, s in best]
 
 
 def _fallback_starts(game: StageGame, ne=None) -> np.ndarray:
@@ -365,15 +360,11 @@ def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 
 
     Exhaustive product grid with the given step when it fits under
     ``grid_cap`` points, otherwise the starts of :func:`_fallback_starts`;
-    either way finished with ``passes`` rounds of shrinking-window
-    coordinate ascent from each start (the first best start wins), then
-    polished with SLSQP (see :func:`_polish`); the polished point is kept
-    only when ``game.payoff`` confirms it meets the floors and strictly
-    improves the welfare.  ``seed`` -- one start ``(n,)`` or a stack
-    ``(S, n)`` -- skips the grid and the fallback and starts the ascent
-    there (:func:`_comparison_rows` uses this to share one grid sweep, or
-    one Nash solve, across cells).  The problem is nonconvex, so the
-    result is a certified feasible point, not a certified optimum.
+    either way finished by :func:`_search`: ``passes`` rounds of
+    shrinking-window coordinate ascent and an SLSQP polish.  ``seed`` --
+    one start ``(n,)`` or a stack ``(S, n)`` -- skips the grid and the
+    fallback and starts the ascent there.  The problem is nonconvex, so
+    the result is a certified feasible point, not a certified optimum.
     Returns None when no feasible profile was found.
     """
     if kind not in WELFARES:
@@ -382,19 +373,36 @@ def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 
     if seed is None:
         seeds = _grid_pass(game, [(gamma, kind)], step, grid_cap)
         seed = _fallback_starts(game) if seeds is None else seeds[0]
+    return _search(game, [(gamma, kind)], [seed], passes)[0]
 
-    oks, vals, profiles = _ascend(game, np.atleast_2d(np.asarray(seed, dtype=float)),
-                                  gamma, kind, passes)
-    best = max(range(len(oks)), key=lambda s: (oks[s], vals[s]))
-    if not oks[best]:
-        return None
-    a = profiles[best]
-    u = game.payoff_batch(game.null_intervention(), a)
-    polished = _polish(game, a, gamma, kind)
-    u_pol = game.payoff(game.null_intervention(), polished)
-    if np.min(u_pol - gamma) >= -1e-9 and _welfare_value(kind, u_pol) > _welfare_value(kind, u):
-        a, u = polished, u_pol
-    return SearchResult(value=_welfare_value(kind, u), profile=a, payoffs=u)
+
+def _search(game: StageGame, cells, seeds, passes: int = 50) -> list:
+    """One-shot search of every ``(gamma, kind)`` cell from its seed (a start
+    ``(n,)`` or a stack ``(S, n)``): all starts climb in one lockstep
+    :func:`_ascend`, each cell's first best start is polished with SLSQP
+    (see :func:`_polish`), and the polished point is kept only when
+    ``game.payoff`` confirms it meets the floors and strictly improves the
+    welfare.  One :class:`SearchResult` per cell, None where none was feasible."""
+    stacks = [np.atleast_2d(np.asarray(seed, dtype=float)) for seed in seeds]
+    owner = np.repeat(np.arange(len(cells)), [len(stack) for stack in stacks])
+    oks, vals, profiles = _ascend(game, np.concatenate(stacks),
+                                  np.array([cells[c][0] for c in owner]),
+                                  [cells[c][1] for c in owner], passes)
+    null = game.null_intervention()
+    found = []
+    for c, (gamma, kind) in enumerate(cells):
+        best = max(np.flatnonzero(owner == c), key=lambda s: (oks[s], vals[s]))
+        if not oks[best]:
+            found.append(None)
+            continue
+        a = profiles[best]
+        u = game.payoff_batch(null, a)
+        polished = _polish(game, a, gamma, kind)
+        u_pol = game.payoff(null, polished)
+        if np.min(u_pol - gamma) >= -1e-9 and _welfare_value(kind, u_pol) > _welfare_value(kind, u):
+            a, u = polished, u_pol
+        found.append(SearchResult(value=_welfare_value(kind, u), profile=a, payoffs=u))
+    return found
 
 
 def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
@@ -426,17 +434,20 @@ def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
     return np.clip(res.x[:n], 0.0, game.a_max)
 
 
-def _ascend(game: StageGame, starts: np.ndarray, gamma: np.ndarray, kind: str, passes: int,
-            points: int = 33):
+def _ascend(game: StageGame, starts: np.ndarray, gamma, kind, passes: int, points: int = 33):
     """Coordinate ascent with a geometrically shrinking search window, for
-    an ``(S, n)`` stack of starts climbing in lockstep: each step scores
-    the lines of all starts still climbing in one payoff call, and each
-    start moves and stops exactly as it would alone.  Returns ``(ok, val,
-    profiles)`` of shapes ``(S,)``, ``(S,)`` and ``(S, n)``."""
+    an ``(S, n)`` stack of starts climbing in lockstep, each against its
+    own floors and welfare (``gamma`` broadcasts to ``(S, n)``, ``kind`` to
+    ``(S,)``): each step scores the lines of all starts still climbing in
+    one payoff call, and each start moves and stops exactly as it would
+    alone.  Returns ``(ok, val, profiles)`` of shapes ``(S,)``, ``(S,)``
+    and ``(S, n)``."""
     null = game.null_intervention()
     a = np.clip(starts, 0.0, game.a_max)
-    cells = [(gamma, kind)]
-    [(cur_ok, cur_val)] = _score(np.array([game.payoff_batch(null, x) for x in a]).T, cells)
+    floors, kinds = np.broadcast_to(gamma, a.shape).T, np.broadcast_to(np.asarray(kind), len(a))
+    U = np.array([game.payoff_batch(null, x) for x in a])
+    [(cur_ok, welfare, margin)] = _score(U.T, [(floors, kinds)])
+    cur_val = np.where(cur_ok, welfare, margin)
     climbing = np.ones(len(a), dtype=bool)
     k = np.arange(points, dtype=float)
     for p in range(passes):
@@ -444,6 +455,7 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma: np.ndarray, kind: str, p
         moved = np.zeros(len(a), dtype=bool)
         rows = np.flatnonzero(climbing)
         at = np.arange(len(rows))
+        line = np.repeat(floors[:, rows], points, axis=1), np.repeat(kinds[rows], points)
         for i in range(game.n):
             half = frac * float(game.a_max[i])
             lo = np.maximum(0.0, a[rows, i] - half)
@@ -454,9 +466,12 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma: np.ndarray, kind: str, p
             cand[:, -1] = hi
             prof = np.repeat(a[rows, None, :], points, axis=1)
             prof[:, :, i] = cand
-            [(ok, val)] = _score(game.payoff_batch(null, prof).reshape(-1, game.n).T, cells)
-            ok, val = ok.reshape(-1, points), val.reshape(-1, points)
-            j = _pick(ok, val)
+            U = game.payoff_batch(null, prof).reshape(-1, game.n)
+            [(ok, welfare, margin)] = _score(U.T, [line])
+            ok, val = ok.reshape(-1, points), np.where(ok, welfare, margin).reshape(-1, points)
+            # each line's best feasible point, else its largest margin
+            j = np.argmax(np.where(ok.any(axis=-1, keepdims=True), np.where(ok, val, -np.inf), val),
+                          axis=-1)
             ok_j, val_j = ok[at, j], val[at, j]
             up = (ok_j > cur_ok[rows]) | ((ok_j == cur_ok[rows]) & (val_j > cur_val[rows] + 1e-13))
             r = rows[up]
@@ -475,19 +490,18 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma: np.ndarray, kind: str, p
 def _comparison_rows(game: StageGame, stats: DeviationStats, cells) -> list:
     """``[scheme, value, min_delta]`` rows for each of ``SCHEMES``, one block
     per ``(gamma, kind)`` cell of one game, with the game's stage work done
-    once: one stage Nash solve, and one grid pass seeding every cell's
-    one-shot search (past the grid cap, the fallback starts with that Nash
-    point)."""
+    once: one stage Nash solve, one grid pass seeding every cell's one-shot
+    search (past the grid cap, the fallback starts with that Nash point),
+    and one lockstep ascent of all cells (:func:`_search`)."""
     ne = solve_stage_nash(game)
     u_ne = game.payoff(ne.a0, ne.a)
     seeds = _grid_pass(game, cells, 0.05, 8_000_000)
     if seeds is None:
         seeds = [_fallback_starts(game, ne)] * len(cells)
     blocks = []
-    for (gam, kind), seed in zip(cells, seeds):
-        rows = [["nash", _welfare_value(kind, u_ne) if np.all(u_ne >= gam - 1e-9) else None, None]]
-        found = constrained_welfare_search(game, gam, kind, seed=seed)
-        rows.append(["one_shot", found.value if found else None, None])
+    for (gam, kind), found in zip(cells, _search(game, cells, seeds)):
+        rows = [["nash", _welfare_value(kind, u_ne) if np.all(u_ne >= gam - 1e-9) else None, None],
+                ["one_shot", found.value if found else None, None]]
         for scheme, device in (("repeated_no_intervention", False),
                                ("repeated_with_intervention", True)):
             if guarantee_feasible(stats, gam, device):

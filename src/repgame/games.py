@@ -38,7 +38,7 @@ class GameConfigError(ValueError):
 
 
 class NashIterationError(RuntimeError):
-    """Raised when the damped best-response iteration fails to converge."""
+    """Raised when no certified stage Nash point is found."""
 
 
 def _finite(x, name) -> np.ndarray:
@@ -91,15 +91,6 @@ class MutualMinmaxResult:
     payoffs: np.ndarray
     is_stage_nash: bool
     worst_gain: float
-
-
-@dataclass(frozen=True)
-class SoloOptimum:
-    """Best payoff user ``i`` can get when everyone else (device included) sits at zero."""
-
-    user: int
-    value: float
-    profile: ActionProfile
 
 
 @dataclass(frozen=True)
@@ -201,6 +192,10 @@ class StageGame:
         return float(self.best_responses(np.asarray(a0, dtype=float).reshape(-1),
                                           np.asarray(others, dtype=float))[i])
 
+    def stage_nash(self, a0: np.ndarray) -> np.ndarray | None:
+        """Closed-form stage Nash point at device action ``a0``, or None."""
+        return None
+
     def minmax_minimizer(self, i: int) -> np.ndarray:
         """Device action holding user ``i`` to their minmax value."""
         return self.full_intervention()
@@ -280,6 +275,9 @@ class FlowControlGame(StageGame):
         # a saturated queue pays zero whatever i sends; the full rate keeps
         # the all-max profile a best-response fixed point
         return np.where(free <= 0.0, self.a_max, interior)
+
+    def stage_nash(self, a0):
+        return _queue_nash(self, self.mu - a0[0], np.zeros(self.n, dtype=bool))
 
     def to_config(self):
         return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
@@ -371,6 +369,9 @@ class PacketDropGame(StageGame):
         # a user whose packets are all dropped is paid zero whatever it sends
         return np.where((a0 >= 1.0 - 1e-12) | (free <= 0.0), self.a_max, interior)
 
+    def stage_nash(self, a0):
+        return _queue_nash(self, self.mu, a0 >= 1.0 - 1e-12)
+
     def minmax_minimizer(self, i):
         # dropping user i's packets w.p. 1 already floors them at zero;
         # other users need not be involved beyond playing their maxima
@@ -381,6 +382,29 @@ class PacketDropGame(StageGame):
     def to_config(self):
         return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
                 "a_max": self.a_max.tolist()}
+
+
+def _queue_nash(game, room, fixed):
+    """Stage Nash point of a queue game of capacity ``room`` whose ``fixed``
+    users send at their caps: all-max when no other user has capacity left
+    there, else ``min(beta_i C, a_max_i)`` at the residual capacity ``C``
+    (Bharath-Kumar & Jaffe, 1981), solving ``C + sum(min(beta_i C, a_max_i))
+    = room - fixed load`` one segment at a time over the sorted breakpoints
+    ``a_max_i / beta_i``."""
+    beta, a = game.beta, game.a_max.astype(float).copy()
+    if np.all(fixed | (room - (np.sum(a) - a) <= 0.0)):
+        return a
+    free = np.flatnonzero(~fixed)
+    num, den = room - np.sum(a[fixed]), 1.0 + np.sum(beta[free])
+    order = free[np.argsort(a[free] / beta[free], kind="stable")]
+    for m, i in enumerate(order):
+        if beta[i] * num / den < a[i]:
+            # C = num / den lies below every breakpoint left
+            rest = order[m:]
+            a[rest] = np.minimum(beta[rest] * num / den, a[rest])
+            break
+        num, den = num - a[i], den - beta[i]
+    return a
 
 
 def _queue_grid_payoffs(game, axes, capacity):
@@ -455,18 +479,19 @@ def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
                      tol: float = 1e-10, max_iter: int = 100_000) -> ActionProfile:
     """Pure Nash equilibrium of the stage game at a fixed device action.
 
-    Damped simultaneous best-response iteration from the all-max profile.
-    With many strongly coupled users the damped map can be expansive and
-    oscillate instead of settling; in that case the damping is halved
-    and the sweep restarted (up to three times) before giving up.  The
-    fixed point is certified by checking every user's best-response
-    improvement; failure to converge raises :class:`NashIterationError`.
+    The game's closed form (:meth:`StageGame.stage_nash`) when it has one,
+    else a damped simultaneous best-response iteration from the all-max
+    profile, restarted with the damping halved (up to three times) when the
+    damped map oscillates among many strongly coupled users.  The point is
+    certified by every user's best-response improvement; a failed
+    certificate or iteration raises :class:`NashIterationError`.
     """
     if a0 is None:
         a0 = game.null_intervention()
     a0 = np.asarray(a0, dtype=float).reshape(-1)
-    spent, step = 0, np.inf
-    for attempt in range(4):
+    a = game.stage_nash(a0)
+    spent, step = 0, np.inf if a is None else 0.0
+    for attempt in range(4 if a is None else 0):
         d = damping / 2 ** attempt
         a = game.a_max.astype(float).copy()
         budget = max_iter if attempt == 3 else min(max_iter, 2000)
@@ -479,7 +504,7 @@ def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
         if step <= tol:
             break
         spent += budget
-    else:
+    if step > tol:
         raise NashIterationError(
             f"no fixed point after {spent} iterations over 4 attempts (final damping {d:g}, "
             f"last step {step:.3g}, last profile {a})")
@@ -487,7 +512,7 @@ def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
     gain = best_response_payoffs(game, a0, a) - game.payoff_batch(a0, a)
     i = int(np.argmax(gain))
     if gain[i] > GAIN_TOL:
-        raise NashIterationError(f"iteration settled on a non-equilibrium: user {i} gains {gain[i]}")
+        raise NashIterationError(f"stage Nash point fails its certificate: user {i} gains {gain[i]}")
     return ActionProfile(a0=a0, a=a)
 
 
@@ -523,15 +548,6 @@ def mutual_minmax(game: StageGame) -> MutualMinmaxResult:
     worst = float(np.max(best_response_payoffs(game, a0, a) - u))
     return MutualMinmaxResult(profile=ActionProfile(a0=a0, a=a), payoffs=u,
                               is_stage_nash=bool(worst <= GAIN_TOL), worst_gain=worst)
-
-
-def solo_optimum(game: StageGame, i: int) -> SoloOptimum:
-    """Best payoff for ``i`` when the device and all other users play zero."""
-    a0 = game.null_intervention()
-    prof = np.zeros(game.n)
-    prof[i] = game.best_response(i, a0, prof)
-    value = float(game.payoff_batch(a0, prof)[i])
-    return SoloOptimum(user=i, value=value, profile=ActionProfile(a0=a0, a=prof))
 
 
 def solo_values(game: StageGame) -> np.ndarray:

@@ -287,7 +287,8 @@ def test_score_of_user_major_blocks_is_the_row_major_rule():
         floors = [np.full(n, -1.0), np.full(n, 1e3), rng.uniform(0.0, 50.0, n)]
         cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
         for UT in (np.ascontiguousarray(U.T), U.T):
-            for (gamma, kind), (ok, val) in zip(cells, xp._score(UT, cells)):
+            for (gamma, kind), (ok, welfare, margin) in zip(cells, xp._score(UT, cells)):
+                val = np.where(ok, welfare, margin)
                 margin = np.min(U - gamma, axis=-1)
                 want = np.where(margin >= -1e-9,
                                 U.sum(axis=-1) if kind == "sum" else U.min(axis=-1), margin)
@@ -393,6 +394,59 @@ def test_stacked_ascent_matches_single_start_ascents(name):
                 ran.add(passes)
     # only the tiny boxes stop early, and their starts stop at different passes
     assert ran == {50} if name != "power-tiny" else len(ran) > 1 and min(ran) < 50
+
+
+def _mixed_cells(game):
+    """Sum and maxmin cells against equal, unequal and out-of-reach floors."""
+    u_mid = game.payoff(game.null_intervention(), game.a_max / 2)
+    out_of_reach = np.zeros(game.n)
+    out_of_reach[-1] = 1e6
+    floors = (np.full(game.n, 0.5 * np.min(u_mid)), u_mid * np.linspace(0.2, 1.0, game.n),
+              out_of_reach)
+    return [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_GAMES))
+def test_lockstep_ascent_of_cells_matches_each_cells_own_ascent(name):
+    """Starts of several cells climbing in lockstep, each against its own
+    floors and welfare kind, end bit for bit where each cell's own ascent
+    ends; the one-shot search of all cells at once returns what each cell's
+    own search returns."""
+    game = ASCENT_GAMES[name]
+    rng = np.random.default_rng(11)
+    cells = _mixed_cells(game)
+    seeds = [rng.uniform(-0.1, 1.1, size=(2, game.n)) * game.a_max for _ in cells]
+    ok, val, profiles = xp._ascend(game, np.concatenate(seeds),
+                                   np.repeat([gamma for gamma, _ in cells], 2, axis=0),
+                                   np.repeat([kind for _, kind in cells], 2), 50)
+    for c, (gamma, kind) in enumerate(cells):
+        want_ok, want_val, want_a = xp._ascend(game, seeds[c], gamma, kind, 50)
+        rows = slice(2 * c, 2 * c + 2)
+        assert np.array_equal(ok[rows], want_ok) and np.array_equal(val[rows], want_val), (c, kind)
+        assert np.array_equal(profiles[rows], want_a), (c, kind)
+    for (gamma, kind), seed, got in zip(cells, seeds, xp._search(game, cells, seeds)):
+        want = constrained_welfare_search(game, gamma, kind, seed=seed)
+        assert (got is None) == (want is None), (gamma, kind)
+        if got is not None:
+            assert got.value == want.value and np.array_equal(got.profile, want.profile)
+
+
+def test_score_of_per_profile_floors_is_each_cells_rule():
+    """Scoring profiles against per-profile floors and welfare kinds gives,
+    profile by profile, the ``(ok, welfare, margin)`` of scoring them
+    against their own cell alone."""
+    rng = np.random.default_rng(13)
+    for n in (1, 3, 7, 8, 11):
+        U = rng.uniform(0.0, 10.0, (60, n)) * 10.0 ** rng.integers(-6, 7, (60, n))
+        cells = [(gamma, kind) for gamma in (np.full(n, 0.5), np.full(n, 1e3),
+                                             rng.uniform(0.0, 5.0, n)) for kind in ("sum", "maxmin")]
+        owner = rng.integers(0, len(cells), len(U))
+        per_row = (np.array([cells[c][0] for c in owner]).T, np.array([cells[c][1] for c in owner]))
+        [got] = xp._score(U.T, [per_row])
+        for c, want in enumerate(xp._score(U.T, cells)):
+            rows = owner == c
+            for g, w in zip(got, want):
+                assert np.array_equal(g[rows], w[rows]), (n, c)
 
 
 # ---------------------------------------------------------------------------
