@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -265,13 +266,15 @@ def _score(UT: np.ndarray, cells):
     feasibility first, then welfare (infeasible profiles rank by their worst
     floor shortfall, so ascent can climb into the feasible set).  ``gamma``
     is one floor vector ``(n,)`` or one per profile ``(n, R)``, ``kind`` one
-    welfare name or an array of one per profile.  Yields one ``(ok, welfare,
+    welfare name, an array of one per profile, or a precomputed boolean
+    "is maxmin" mask of one per profile.  Yields one ``(ok, welfare,
     margin)`` triple of length-R arrays per cell, in order.
 
     The block is reduced once for all cells, in length-R passes over the
     rows of a contiguous copy (none is made of a contiguous block): the row
     minimum, the welfare sum, and one margin and feasibility mask per
-    distinct floor vector.  Rounding ``x - g`` is monotone in ``x``, so a
+    distinct floor vector (per-profile floors are matched by identity, not
+    by value).  Rounding ``x - g`` is monotone in ``x``, so a
     margin against equal floors ``g`` is ``rowmin - g`` exactly, and one
     against per-profile floors is each profile's margin against its own.
     The sum is bit-equal to ``U.sum(axis=-1)`` of the row-major block
@@ -290,13 +293,15 @@ def _score(UT: np.ndarray, cells):
             total += row
     margins = {}
     for gamma, kind in cells:
-        key = gamma.tobytes()
+        key = gamma.tobytes() if gamma.ndim == 1 else id(gamma)
         if key not in margins:
             equal = gamma.ndim == 1 and gamma.tolist().count(gamma[0]) == n
             margin = rowmin - gamma[0] if equal else (UT - gamma.reshape(n, -1)).min(axis=0)
             margins[key] = margin, margin >= -1e-9
         margin, ok = margins[key]
-        maxmin = np.asarray(kind) == "maxmin"
+        maxmin = np.asarray(kind)
+        if maxmin.dtype != bool:
+            maxmin = maxmin == "maxmin"
         welfare = np.where(maxmin, rowmin, total) if maxmin.ndim else rowmin if maxmin else total
         yield ok, welfare, margin
 
@@ -328,7 +333,8 @@ def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
     The seed is rebuilt from the winning (slab, row) index."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, step), [am]]))
             for am in game.a_max]
-    if int(np.prod([len(ax) for ax in axes])) > grid_cap:
+    # an exact integer: the int64 product wraps past 15 users of 21 points
+    if math.prod(len(ax) for ax in axes) > grid_cap:
         return None
     best = [None] * len(cells)
     for s, block in enumerate(game.grid_payoffs(axes)):
@@ -412,24 +418,30 @@ def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
     equal, raising any one rate lowers everyone else's payoff.  SLSQP
     moves all rates at once.  Maxmin uses the epigraph form (maximize
     ``t`` subject to ``u_i(a) >= t`` and ``u_i(a) >= gamma_i``), sum
-    keeps the floors as constraints.  Returns the solver's profile
-    clipped to the action box, unchecked: the caller accepts it only
-    after ``game.payoff`` confirms it.
+    keeps the floors as constraints.  The objective gradient and the
+    constraint Jacobians come in closed form from
+    :meth:`StageGame.payoff_jacobian`, so SLSQP differences nothing.
+    Returns the solver's profile clipped to the action box, unchecked: the
+    caller accepts it only after ``game.payoff`` confirms it.
     """
     from scipy.optimize import minimize
     null = game.null_intervention()
     n = game.n
     box = [(0.0, float(m)) for m in game.a_max]
     u = lambda x: game.payoff_batch(null, x[:n])
-    floors = {"type": "ineq", "fun": lambda x: u(x) - gamma}
+    jac = lambda x: game.payoff_jacobian(null, x[:n])
     if kind == "sum":
-        x0, bounds, cons = start, box, [floors]
-        obj = lambda x: -float(np.sum(u(x)))
+        x0, bounds, floors_jac, cons = start, box, jac, []
+        obj, grad = lambda x: -float(np.sum(u(x))), lambda x: -jac(x).sum(axis=0)
     else:
         x0, bounds = np.append(start, np.min(u(start))), box + [(None, None)]
-        cons = [floors, {"type": "ineq", "fun": lambda x: u(x) - x[n]}]
-        obj = lambda x: -float(x[n])
-    res = minimize(obj, x0, method="SLSQP", bounds=bounds, constraints=cons,
+        # the last column is the epigraph variable t: 0 in the floors, -1 in u_i >= t
+        floors_jac = lambda x: np.column_stack([jac(x), np.zeros(n)])
+        cons = [{"type": "ineq", "fun": lambda x: u(x) - x[n],
+                 "jac": lambda x: np.column_stack([jac(x), -np.ones(n)])}]
+        obj, grad = lambda x: -float(x[n]), lambda x: -np.eye(n + 1)[n]
+    cons = [{"type": "ineq", "fun": lambda x: u(x) - gamma, "jac": floors_jac}] + cons
+    res = minimize(obj, x0, jac=grad, method="SLSQP", bounds=bounds, constraints=cons,
                    options={"ftol": 1e-14, "maxiter": 200})
     return np.clip(res.x[:n], 0.0, game.a_max)
 
@@ -441,31 +453,41 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind, passes: int, point
     ``(S,)``): each step scores the lines of all starts still climbing in
     one payoff call, and each start moves and stops exactly as it would
     alone.  Returns ``(ok, val, profiles)`` of shapes ``(S,)``, ``(S,)``
-    and ``(S, n)``."""
+    and ``(S, n)``.
+
+    Coordinate i changes only at step i of a pass, so every coordinate's
+    window and ``points``-point line is built once at the start of the
+    pass, in the arithmetic of ``np.linspace`` per start.  One ``(S, points,
+    n)`` profile buffer serves the whole pass: step i writes its line into
+    column i and, after the move, the chosen value back.  The floors and
+    the maxmin mask of every line point are built once per pass, and the
+    steps update copies of the climbing rows, written back after the pass."""
     null = game.null_intervention()
     a = np.clip(starts, 0.0, game.a_max)
-    floors, kinds = np.broadcast_to(gamma, a.shape).T, np.broadcast_to(np.asarray(kind), len(a))
+    floors = np.broadcast_to(gamma, a.shape).T
+    maxmin = np.broadcast_to(np.asarray(kind) == "maxmin", len(a))
     U = np.array([game.payoff_batch(null, x) for x in a])
-    [(cur_ok, welfare, margin)] = _score(U.T, [(floors, kinds)])
+    [(cur_ok, welfare, margin)] = _score(U.T, [(floors, maxmin)])
     cur_val = np.where(cur_ok, welfare, margin)
     climbing = np.ones(len(a), dtype=bool)
     k = np.arange(points, dtype=float)
     for p in range(passes):
         frac = 0.5 * 0.7 ** p
-        moved = np.zeros(len(a), dtype=bool)
         rows = np.flatnonzero(climbing)
-        at = np.arange(len(rows))
-        line = np.repeat(floors[:, rows], points, axis=1), np.repeat(kinds[rows], points)
+        line = np.repeat(floors[:, rows], points, axis=1), np.repeat(maxmin[rows], points)
+        x, x_ok, x_val = a[rows], cur_ok[rows], cur_val[rows]
+        moved = np.zeros(len(x), dtype=bool)
+        at = np.arange(len(x))
+        half = frac * game.a_max
+        lo = np.maximum(0.0, x - half)
+        hi = np.minimum(game.a_max, x + half)
+        # np.linspace(lo, hi, points) for every start and coordinate, in its
+        # arithmetic but without its call overhead
+        cand = k * ((hi - lo) / (points - 1))[..., None] + lo[..., None]
+        cand[..., -1] = hi
+        prof = np.repeat(x[:, None, :], points, axis=1)
         for i in range(game.n):
-            half = frac * float(game.a_max[i])
-            lo = np.maximum(0.0, a[rows, i] - half)
-            hi = np.minimum(game.a_max[i], a[rows, i] + half)
-            # np.linspace(lo, hi, points) for every start, in its arithmetic
-            # but at a fifth of its call overhead
-            cand = k * ((hi - lo) / (points - 1))[:, None] + lo[:, None]
-            cand[:, -1] = hi
-            prof = np.repeat(a[rows, None, :], points, axis=1)
-            prof[:, :, i] = cand
+            prof[:, :, i] = cand[:, i]
             U = game.payoff_batch(null, prof).reshape(-1, game.n)
             [(ok, welfare, margin)] = _score(U.T, [line])
             ok, val = ok.reshape(-1, points), np.where(ok, welfare, margin).reshape(-1, points)
@@ -473,11 +495,13 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind, passes: int, point
             j = np.argmax(np.where(ok.any(axis=-1, keepdims=True), np.where(ok, val, -np.inf), val),
                           axis=-1)
             ok_j, val_j = ok[at, j], val[at, j]
-            up = (ok_j > cur_ok[rows]) | ((ok_j == cur_ok[rows]) & (val_j > cur_val[rows] + 1e-13))
-            r = rows[up]
-            a[r, i], cur_ok[r], cur_val[r], moved[r] = cand[up, j[up]], ok_j[up], val_j[up], True
+            up = (ok_j > x_ok) | ((ok_j == x_ok) & (val_j > x_val + 1e-13))
+            x[:, i] = np.where(up, cand[at, i, j], x[:, i])
+            prof[:, :, i] = x[:, i, None]
+            x_ok, x_val, moved = np.where(up, ok_j, x_ok), np.where(up, val_j, x_val), moved | up
+        a[rows], cur_ok[rows], cur_val[rows] = x, x_ok, x_val
         if frac * float(np.max(game.a_max)) < 1e-10:
-            climbing &= moved   # a start stops after a pass without a move
+            climbing[rows] = moved   # a start stops after a pass without a move
             if not climbing.any():
                 break
     return cur_ok, cur_val, a

@@ -21,6 +21,7 @@ built from those maps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -113,8 +114,8 @@ class StageGame:
     """Common interface for the concrete games.
 
     Subclasses set ``n``, ``a_max`` (shape ``(n,)``) and ``a0_max`` (shape
-    ``(a0_dim,)``), and implement ``payoff_unchecked`` and
-    ``best_responses``; everything else is derived from those two maps.
+    ``(a0_dim,)``), and implement ``payoff_unchecked``, ``best_responses``
+    and ``payoff_jacobian``; everything else is derived from those maps.
     """
 
     n: int
@@ -162,6 +163,15 @@ class StageGame:
         """Payoffs for a batch: ``a0`` shape ``(..., a0_dim)``, ``a`` shape ``(..., n)``."""
         return self.payoff_unchecked(np.asarray(a0, dtype=float), np.asarray(a, dtype=float))
 
+    def payoff_jacobian(self, a0, a) -> np.ndarray:
+        """Closed-form derivatives of the payoffs in the user actions, shape
+        ``(..., n, n)``: entry ``[..., i, j]`` is ``d u_i / d a_j`` at
+        ``(a0, a)``, which broadcast as in :meth:`payoff_batch`.  Finite
+        everywhere on the action box: at a kink the game takes one side's
+        derivative, and where a slope is infinite it says which finite value
+        stands in."""
+        raise NotImplementedError
+
     def grid_payoffs(self, axes):
         """Payoffs over the product grid of ``axes`` (one 1-D array of
         actions per user) with the device at null: yields, for each value
@@ -169,7 +179,7 @@ class StageGame:
         the R profiles of the other axes, in ``np.meshgrid(..., indexing="ij")``
         order.  Each block equals ``payoff_batch`` on that slab, transposed."""
         null = self.null_intervention()
-        prof = np.empty((int(np.prod([len(ax) for ax in axes[1:]])), self.n))
+        prof = np.empty((math.prod(len(ax) for ax in axes[1:]), self.n))
         if self.n > 1:
             prof[:, 1:] = np.stack(np.meshgrid(*axes[1:], indexing="ij"),
                                    axis=-1).reshape(-1, self.n - 1)
@@ -265,6 +275,14 @@ class FlowControlGame(StageGame):
         cap = np.maximum(cap, 0.0)
         return np.power(a, self.beta) * cap[..., None]
 
+    def payoff_jacobian(self, a0, a):
+        a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
+        cap = self.mu - a0[..., 0] - np.sum(a, axis=-1)
+        # a saturated queue pays zero and no rate moves that; at the kink
+        # (cap exactly 0) the saturated side's slope is taken
+        return _queue_jacobian(self, a, 1.0, np.maximum(cap, 0.0),
+                               np.where(cap > 0.0, -1.0, 0.0))
+
     def grid_payoffs(self, axes):
         # with a0 = 0, mu - a0 - load rounds as mu - load
         return _queue_grid_payoffs(self, axes, lambda load: np.maximum(self.mu - load, 0.0))
@@ -320,6 +338,16 @@ class PowerControlGame(StageGame):
         denom = self.noise + self.intervention_gain * a0[..., 0:1] + cross
         return np.log2(1.0 + own / denom)
 
+    def payoff_jacobian(self, a0, a):
+        a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
+        own = np.diagonal(self.gain) * a
+        denom = self.noise + self.intervention_gain * a0[..., 0:1] + (a @ self.gain.T - own)
+        # d u_i / d a_j = (g_ii [i = j] - own_i g_ij / denom_i [i != j]) / ((denom_i + own_i) ln 2)
+        jac = -(own / denom)[..., :, None] * self.gain
+        users = np.arange(self.n)
+        jac[..., users, users] = np.diagonal(self.gain)
+        return jac / ((denom + own) * np.log(2.0))[..., :, None]
+
     def best_responses(self, a0, a):
         # rates increase in own power regardless of what anyone else does
         return np.broadcast_to(self.a_max, np.broadcast(a0, a).shape).copy()
@@ -358,6 +386,11 @@ class PacketDropGame(StageGame):
         cap = self.mu - np.sum(a, axis=-1)
         eff = np.maximum((1.0 - a0) * a, 0.0)
         return np.power(eff, self.beta) * cap[..., None]
+
+    def payoff_jacobian(self, a0, a):
+        a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
+        cap = self.mu - np.sum(a, axis=-1)
+        return _queue_jacobian(self, np.maximum((1.0 - a0) * a, 0.0), 1.0 - a0, cap, -1.0)
 
     def grid_payoffs(self, axes):
         # with a0 = 0 and a >= 0 the paid rate is the sent rate
@@ -405,6 +438,25 @@ def _queue_nash(game, room, fixed):
             break
         num, den = num - a[i], den - beta[i]
     return a
+
+
+def _queue_jacobian(game, paid, scale, cap, slope):
+    """:meth:`StageGame.payoff_jacobian` of a queue game paying
+    ``u_i = paid_i**beta_i * cap``, where the paid rate ``paid_i`` moves
+    with the own rate at ``scale_i`` and ``cap`` with every rate at
+    ``slope``: ``d u_i / d a_j = beta_i paid_i**(beta_i - 1) scale_i cap [i = j]
+    + paid_i**beta_i slope``.  At ``paid_i = 0`` with ``beta_i < 1`` the
+    own slope is infinite; there it is taken at ``paid_i = 2**-26`` (the
+    square root of the float epsilon, the forward step of 2-point
+    differencing at zero), a large finite slope pointing into the box."""
+    beta = game.beta
+    base = np.where((paid == 0.0) & (beta < 1.0), 2.0 ** -26, paid)
+    # the capacity term is the same in every column j
+    shared = np.power(paid, beta) * np.expand_dims(slope, -1)
+    jac = np.repeat(shared[..., :, None], game.n, axis=-1)
+    users = np.arange(game.n)
+    jac[..., users, users] += beta * np.power(base, beta - 1.0) * scale * cap[..., None]
+    return jac
 
 
 def _queue_grid_payoffs(game, axes, capacity):

@@ -21,6 +21,7 @@ CONFIG = ROOT / "configs" / "fig_flow.json"
 GOLDEN = Path(__file__).parent / "data" / "table2_golden.csv"
 SCALING_GOLDEN = Path(__file__).parent / "data" / "scaling_2_5_golden.csv"
 SCALING_FALLBACK_GOLDEN = Path(__file__).parent / "data" / "scaling_6_12_golden.csv"
+ONE_SHOT_VALUES = Path(__file__).parent / "data" / "one_shot_values.json"
 
 GAME_CFG = {"kind": "flow", "mu": 10.0, "beta": [2.0, 2.0, 3.0, 3.0],
             "a_max": [2.5, 2.5, 2.5, 2.5], "a0_max": [2.5]}
@@ -277,6 +278,15 @@ def test_grid_pass_matches_row_major_rule(name):
         assert np.array_equal(g, w), (gamma, kind, g, w)
 
 
+@pytest.mark.parametrize("n", range(13, 41))
+def test_grid_pass_past_the_cap_builds_no_grid(n):
+    """The grid size is an exact integer: 21**15 and up wrap in int64, and
+    a wrapped (negative) size must not slip under the cap."""
+    game = FlowControlGame(mu=float(n), beta=[3.0] * n, a_max=[1.0] * n, a0_max=[1.0])
+    game.grid_payoffs = lambda axes: pytest.fail("grid built past the cap")
+    assert xp._grid_pass(game, [(np.zeros(n), "sum")], 0.05, 8_000_000) is None
+
+
 def test_score_of_user_major_blocks_is_the_row_major_rule():
     """Scoring a user-major block gives the row-major rule's ``ok`` and
     ``val`` bit for bit: the sum ``U.sum(axis=-1)`` (in sequence below 8
@@ -447,6 +457,41 @@ def test_score_of_per_profile_floors_is_each_cells_rule():
             rows = owner == c
             for g, w in zip(got, want):
                 assert np.array_equal(g[rows], w[rows]), (n, c)
+
+
+def test_polished_one_shot_cells_keep_their_values(monkeypatch):
+    """Every one-shot cell of ``table2``, of ``scaling`` n = 2..12 and of a
+    packet-drop and a power game polished with closed-form Jacobians keeps
+    the value it had when SLSQP differenced the payoffs (recorded in
+    ``one_shot_values.json``) within 1e-9 relative, and ``game.payoff``
+    confirms its payoffs, its value and its floors."""
+    found, search = [], xp._search
+
+    def recorded(game, cells, seeds, *args):
+        results = search(game, cells, seeds, *args)
+        found.extend((game, gamma, kind, f) for (gamma, kind), f in zip(cells, results))
+        return results
+    monkeypatch.setattr(xp, "_search", recorded)
+    run_experiment(load_config(CONFIG, "table2"))
+    keys = [f"table2 {kind} {float(gamma[0])!r}" for _, gamma, kind, _ in found]
+    scaling_sweep((2, 12))
+    keys += [f"scaling {game.n} {kind}" for game, _, kind, _ in found[len(keys):]]
+    monkeypatch.undo()
+    for name in ("packet-3", "power-3"):
+        game = ASCENT_GAMES[name]
+        for c, (gamma, kind) in enumerate(_mixed_cells(game)):
+            found.append((game, gamma, kind, constrained_welfare_search(game, gamma, kind)))
+            keys.append(f"{name} {c}")
+    want = json.loads(ONE_SHOT_VALUES.read_text())
+    assert sorted(keys) == sorted(want)
+    for key, (game, gamma, kind, f) in zip(keys, found):
+        assert (f is None) == (want[key] is None), key
+        if f is not None:
+            assert f.value == pytest.approx(want[key], rel=1e-9, abs=0.0), key
+            u = game.payoff(game.null_intervention(), f.profile)
+            assert np.array_equal(u, f.payoffs), key
+            assert f.value == (np.sum(u) if kind == "sum" else np.min(u)), key
+            assert np.min(u - gamma) >= -1e-9, key
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +691,19 @@ def test_cli_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[1] == "a0_max,L,min_delta"
     assert str(out) in capsys.readouterr().out
+
+
+def test_cli_scaling_past_int64_grid_sizes_takes_the_fallback(tmp_path):
+    """At 15 users the 21-point grid has 21**15 points, past int64: the run
+    takes the fallback starts instead of trying to allocate the grid."""
+    raw = json.loads(CONFIG.read_text())
+    raw["n_range"] = [15, 15]
+    cfg = tmp_path / "n15.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["--experiment", "scaling", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "scaling.csv").read_text().splitlines()
+            if line.startswith("linear,15,one_shot,")]
+    assert len(rows) == 2 and all(float(row[4]) > 0.0 for row in rows)
 
 
 def test_cli_repeat_runs_are_byte_identical(tmp_path):

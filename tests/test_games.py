@@ -307,6 +307,77 @@ def test_max_stage_payoff_is_best_solo_payoff(kind):
         assert np.max(g.payoff_batch(a0s, acts)) <= best
 
 
+def _difference_jacobian(g, a0, a, h, cols=None, forward=False):
+    """``d u_i / d a_j`` by central differences of step ``h`` in each
+    ``a_j`` of ``cols`` (all by default), as an ``(..., n, len(cols))``
+    array; by forward differences instead with ``forward``, for a rate on
+    the edge of the box."""
+    out = []
+    for j in range(g.n) if cols is None else cols:
+        step = np.zeros(g.n)
+        step[j] = h
+        back, width = (a, h) if forward else (a - step, 2.0 * h)
+        out.append((g.payoff_batch(a0, a + step) - g.payoff_batch(a0, back)) / width)
+    return np.stack(out, axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["flow", "packet_drop", "power"])
+def test_payoff_jacobian_matches_central_differences(kind):
+    """The closed-form Jacobian against central differences on seeded
+    profiles inside the box, the device at null and on (the packet-drop
+    device at 0 < a0 < 1, the jammer on), for a batch and row by row."""
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3, 5, 8, 12):
+        g = _random_game(rng, kind, n)
+        a0 = np.concatenate([[g.null_intervention()],
+                             rng.uniform(0.05, 0.95, (5, g.a0_dim)) * g.a0_max])
+        a = rng.uniform(0.1, 0.9, (6, n)) * g.a_max
+        jac = g.payoff_jacobian(a0, a)
+        assert jac.shape == (6, n, n) and np.all(np.isfinite(jac))
+        want = _difference_jacobian(g, a0, a, 1e-5)
+        np.testing.assert_allclose(jac, want, rtol=1e-6, atol=1e-9 * np.max(np.abs(want)))
+        for k in range(len(a)):
+            np.testing.assert_allclose(g.payoff_jacobian(a0[k], a[k]), jac[k], rtol=1e-12)
+
+
+def test_payoff_jacobian_at_kinks_and_zero_rates_is_finite():
+    """Where a payoff is not differentiable the Jacobian stays finite, so
+    SLSQP never sees an inf or a nan: a saturated flow queue and a user
+    whose packets are all dropped have zero slopes (as central differences
+    give), and a zero rate has the slope of ``a**beta`` for ``beta = 1`` and
+    ``beta > 1``, and for ``beta < 1`` the slope at ``2**-26``."""
+    sat = FlowControlGame(mu=4.0, beta=[2.0, 3.0], a_max=[1.5, 1.2], a0_max=[3.0])
+    a0, a = np.array([3.0]), np.array([0.7, 0.9])   # capacity 4 - 3 - 1.6 < 0
+    assert np.array_equal(sat.payoff_jacobian(a0, a), np.zeros((2, 2)))
+    assert np.array_equal(_difference_jacobian(sat, a0, a, 1e-5), np.zeros((2, 2)))
+
+    beta = np.array([0.5, 1.0, 2.0, 3.0])
+    a = np.array([0.0, 0.0, 0.0, 0.8])
+    for g, a0 in ((FlowControlGame(mu=6.0, beta=beta, a_max=[1.5] * 4, a0_max=[1.0]),
+                   np.array([0.4])),
+                  (PacketDropGame(mu=6.0, beta=beta, a_max=[1.5] * 4),
+                   np.array([0.3, 0.6, 0.2, 0.5]))):
+        jac = g.payoff_jacobian(a0, a)
+        assert np.all(np.isfinite(jac))
+        # the zero rates sit on the edge of the box: slopes into it, except
+        # for beta < 1, where the slope is infinite
+        np.testing.assert_allclose(jac[:, 1:3], _difference_jacobian(g, a0, a, 1e-8, [1, 2], True),
+                                   rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(jac[:, 3], _difference_jacobian(g, a0, a, 1e-5, [3])[:, 0],
+                                   rtol=1e-6)
+        # user 0 (beta = 0.5): its own slope at the paid rate 2**-26, and the
+        # others' slopes in its rate, -(paid rate)**beta
+        scale = np.ones(4) if g.kind == "flow" else 1.0 - a0
+        cap = 6.0 - np.sum(a) - (a0[0] if g.kind == "flow" else 0.0)
+        assert jac[0, 0] == pytest.approx(0.5 * (2.0 ** -26) ** -0.5 * scale[0] * cap, rel=1e-12)
+        np.testing.assert_allclose(jac[1:, 0], -(scale[1:] * a[1:]) ** beta[1:], rtol=1e-12)
+
+    drop = PacketDropGame(mu=6.0, beta=beta, a_max=[1.5] * 4)
+    a0, a = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.5, 0.5])
+    jac = drop.payoff_jacobian(a0, a)
+    assert np.all(np.isfinite(jac)) and np.array_equal(jac[0], np.zeros(4))
+
+
 # ---------------------------------------------------------------------------
 # stage equilibrium
 # ---------------------------------------------------------------------------
