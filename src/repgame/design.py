@@ -363,7 +363,8 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
                           with_intervention: bool = True,
                           value_tol: float = 1e-6,
                           floor_tol: float = 1e-9) -> OutcomePath:
-    """Greedy decomposition of ``v_star`` into a solo-profile schedule.
+    """Greedy decomposition of ``v_star`` into a solo-profile schedule,
+    closed into a cycle by one certified cut.
 
     The greedy runs on shares ``s = v / vbar``, which sum to one.  A period
     of user ``i``'s solo profile maps them to ``(s - (1-delta) e_i) / delta``:
@@ -371,10 +372,20 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     its floor ``F_i`` iff ``s_i >= theta_i = delta F_i + (1-delta)``.  Each
     period the lowest-indexed user passing that test plays; while
     ``sum(theta) <= 1`` one always does (pigeonhole on ``sum(s) = 1``).  The
-    loop records only the active user's new share, and the history that
-    ranks the cycle's cut points is rebuilt from those (a bystander's share
-    is its last set value times ``delta^-(periods since)``).  The cycle's
-    exact values are re-checked against the target and the floors ``nu``.
+    loop records only the active user's new share, and the share history
+    ``s_0..s_K`` is rebuilt from those (a bystander's share is its last set
+    value times ``delta^-(periods since)``).
+
+    The orbit and the path closed into the cycle ``cs..K-1`` both satisfy
+    ``x_t = (1-delta) e_(i_t) + delta x_(t+1)``, so the cut moves every
+    promise by exactly ``delta^(K-t) d``, ``d = (s_cs - s_K) / (1 -
+    delta^(K-cs))``: its value error is ``delta^K max_j |d_j| vbar_j``, and
+    it keeps user ``j`` within ``floor_tol`` of the floor ``f_j = nu_j /
+    vbar_j`` iff ``d_j >= -R_j = -min_(t<K) (s_tj - f_j + floor_tol / vbar_j)
+    delta^-(K-t)``.  Of the cuts that keep every floor, the one with the
+    smallest value error is valued by :func:`path_values`, the certificate;
+    when none is within ``value_tol``, the same orbit runs on to ``2K``, then
+    to ``4K``.
     """
     v_star = np.asarray(v_star, dtype=float)
     if not (0.0 < delta < 1.0):
@@ -400,12 +411,10 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
         raise DesignError(f"delta {delta} below the enforceability threshold {db:.6f}")
     nu = _floors_at(stats, db, with_intervention)
 
-    # Splicing the greedy orbit into a cycle moves every share on the final
-    # stretch by delta^(K-t) e (e: the wrap mismatch), and the plain greedy
-    # hugs the floors f = nu / vbar.  So it runs against floors F raised by a
-    # share margin that such a splice clears: half the room f leave under
-    # sum(F) <= (1 - n(1-delta))/delta (that is, sum(theta) <= 1), split
-    # evenly.  The margin ramps up from f by slack * (delta^-(t+1) - 1) in
+    # The plain greedy hugs the floors f = nu / vbar, so it runs against floors
+    # F raised by a share margin that leaves the splice room: half the room f
+    # leave under sum(F) <= (1 - n(1-delta))/delta (that is, sum(theta) <= 1),
+    # split evenly.  The margin ramps up from f by slack * (delta^-(t+1) - 1) in
     # value units, so a target on its floor stays admissible: the thresholds
     # are one (n, t_ramp) array for the ramp, then one constant column.
     vbar = stats.vbar
@@ -414,30 +423,26 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     f = nu / vbar
     slack = min(1e-4, 0.1 * (1.0 - d)) * max(1.0, scale / 100.0)
     room = (1.0 - n * (1.0 - d)) / d - float(np.sum(f))
-    m_full = 0.5 * room / n if room > 0 else 0.0
+    margin = 0.5 * room / n if room > 0 else 0.0
+    # long enough that a splice bounded by the margin (or by the payoff scale
+    # when marginless) neither misses the target nor dents a floor at t=0
     k_value = int(np.ceil(np.log(0.2 * value_tol / scale) / lnd)) + 1
+    k_first = max(k_value, int(np.ceil(np.log(0.5 * floor_tol / (margin * scale or scale))
+                                       / lnd)) + 1)
+    t_ramp = min(k_first, int(math.log1p(margin * scale / slack) / -lnd) + 1)
+    ramp = np.append(slack * np.expm1(-lnd * np.arange(1, t_ramp + 1)), np.inf)
+    users, c = tuple(range(n)), 1.0 - d
+    theta = d * (f[:, None] + np.minimum(margin, ramp / vbar[:, None])) + c
+    theta -= max(0.0, math.fsum(theta[:, -1]) - (1.0 - SUM_GUARD)) / n
+    rows = chain(zip(*map(memoryview, theta[:, :-1])), repeat(theta[:, -1].tolist()))
     p_min = max(0.5, d ** 64)
     s_star = (v_star / vbar).tolist()
-    users, c = tuple(range(n)), 1.0 - d
 
-    # each plan's path is long enough that the wrap mismatch, bounded by the
-    # margin (or by the payoff scale when marginless), cannot dent the floor
-    # at t=0 where a boundary target may sit exactly on it
-    plans = [(m, k_mul * max(k_value, int(np.ceil(
-                 np.log(0.5 * floor_tol / (m * scale or scale)) / lnd)) + 1))
-             for m, k_mul in ((m_full, 1), (m_full, 2), (m_full / 4.0, 2), (0.0, 4))]
-    plans = list(dict.fromkeys(plans))   # without room the third plan is the second
-    best_err, best_dip, locks = np.inf, None, []
-    for plan, (margin, K) in enumerate(plans, 1):
-        t_ramp = min(K, int(math.log1p(margin * scale / slack) / -lnd) + 1)
-        ramp = np.append(slack * np.expm1(-lnd * np.arange(1, t_ramp + 1)), np.inf)
-        theta = d * (f[:, None] + np.minimum(margin, ramp / vbar[:, None])) + c
-        theta -= max(0.0, math.fsum(theta[:, -1]) - (1.0 - SUM_GUARD)) / n
-        rows = chain(zip(*map(memoryview, theta[:, :-1])), repeat(theta[:, -1].tolist()))
-        # z[j] / p is user j's share, renormalised once p < p_min (the sum's drift grows as 1/p)
-        active, shares, z, p = [], [], list(s_star), 0.0
-        act, rec = active.append, shares.append
-        for th in islice(rows, K):
+    # z[j] / p is user j's share, renormalised once p < p_min (the sum's drift grows as 1/p)
+    active, shares, z, p = [], [], list(s_star), 0.0
+    act, rec = active.append, shares.append
+    for K in (k_first, 2 * k_first, 4 * k_first):
+        for th in islice(rows, K - len(active)):
             if p < p_min:
                 total = math.fsum(z)
                 z, p = [x / total for x in z], 1.0
@@ -445,52 +450,52 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
                 if z[i] >= th[i] * p:
                     break
             else:
-                locks.append(f"plan {plan} at period {len(active)}: shares "
-                             f"{np.array(z) / p} below thresholds {np.array(th)}, "
-                             f"sum(theta) - 1 = {math.fsum(th) - 1:.3g}")
-                break
+                raise DecompositionError(
+                    f"the outcome-path greedy locked at period {len(active)}: shares "
+                    f"{np.array(z) / p} below thresholds {np.array(th)}, "
+                    f"sum(theta) - 1 = {math.fsum(th) - 1:.3g}")
             zi = z[i] - c * p
             z[i] = zi
             p *= d
             act(i)
             rec(zi / p)
-        if len(active) < K:
-            continue
-        active, shares = np.array(active, dtype=int), np.array(shares)
         # the (n, K+1) share history: user j's share at t is scaled[idx[j, t]] / delta^t
-        powers = d ** np.arange(K + 1)
-        scaled = np.concatenate((s_star, shares * powers[1:]))
+        powers, path = d ** np.arange(K + 1), np.array(active)
+        scaled = np.concatenate((s_star, np.array(shares) * powers[1:]))
         idx = np.repeat(np.arange(n, dtype=np.int32)[:, None], K + 1, axis=1)
-        idx[active, np.arange(1, K + 1)] = np.arange(n, n + K)
+        idx[path, np.arange(1, K + 1)] = np.arange(n, n + K)
         np.maximum.accumulate(idx, axis=1, out=idx)
         hist = scaled[idx]
+        # in place: the slack above the floors less floor_tol, then R, then
+        # every cut's splice d (column cs - 1), its value error and floor headroom
         hist /= powers
-        # rank candidate cut points by the wrap mismatch they would inject,
-        # measured against the margin that protects each user's floor
-        wrap = hist[:, 1:K]
-        wrap -= hist[:, K:]
-        wrap /= np.maximum(margin, max(slack, 1e-12) / vbar)[:, None] * (1.0 - powers[K - 1:0:-1])
-        cuts = 1 + np.argsort(np.max(np.abs(wrap, out=wrap), axis=0))[:64]
-        del idx, hist, wrap   # free the history before valuing the cuts
-        for cs in cuts.tolist():
-            values = path_values(u_solo[active], cs, delta)
-            err = float(np.max(np.abs(values[0] - v_star)))
-            dips = np.min(values - nu, axis=0)
-            if err <= value_tol and np.min(dips) >= -floor_tol:
-                return OutcomePath(active=active, cycle_start=cs,
-                                   values=values, nu=nu, delta=delta,
-                                   v_star=v_star)
-            best_err = min(best_err, err)
-            j = int(np.argmin(dips))
-            if dips[j] < -floor_tol and (best_dip is None or dips[j] > best_dip[0]):
-                best_dip = (float(dips[j]), j)
-    floor = ("no cut dipped below a floor" if best_dip is None else
-             f"smallest floor dip {-best_dip[0]:.3g} below user {best_dip[1]}'s floor")
+        hist -= (f - floor_tol / vbar)[:, None]
+        hist[:, :K] /= powers[K:0:-1]
+        reach = np.min(hist[:, :K], axis=1) * vbar
+        splice = hist[:, 1:K]
+        splice *= powers[K - 1:0:-1]
+        splice -= hist[:, K:]
+        splice /= 1.0 - powers[K - 1:0:-1]
+        splice *= vbar[:, None]
+        err = np.maximum(np.max(splice, axis=0), -np.min(splice, axis=0)) * powers[K]
+        splice += reach[:, None]
+        err[np.min(splice, axis=0) < 0.0] = np.inf
+        del idx, hist, splice   # free the history before the certificate
+        cs = 1 + int(np.argmin(err))
+        if err[cs - 1] <= value_tol:
+            break
+    values = path_values(u_solo[path], cs, delta)
+    err = float(np.max(np.abs(values[0] - v_star)))
+    dips = np.min(values - nu, axis=0)
+    j = int(np.argmin(dips))
+    if err <= value_tol and dips[j] >= -floor_tol:
+        return OutcomePath(active=path, cycle_start=cs, values=values, nu=nu, delta=delta,
+                           v_star=v_star)
+    floor = (f"floor dip {-dips[j]:.3g} below user {j}'s floor" if dips[j] < -floor_tol
+             else "no floor dip")
     raise DecompositionError(
         "could not close the outcome path to the requested accuracy "
-        f"(best value error {best_err:.3g}; {floor}; {len(locks)} of {len(plans)} plans "
-        f"locked{f', first {locks[0]}' if locks else ''}; "
-        f"largest K tried {max(K for _, K in plans)})")
+        f"(value error {err:.3g}; {floor}; cycle {cs}..{K - 1} of K = {K})")
 
 
 def assemble_protocol(game: StageGame, stats: DeviationStats,

@@ -34,8 +34,8 @@ from .automata import min_delta_for_L, verify_spe
 from .design import (WELFARES, DesignError, DeviationStats, _welfare_value, assemble_protocol,
                      delta_bar, deviation_stats, generate_outcome_path, guarantee_feasible,
                      optimize_welfare)
-from .games import (FlowControlGame, GameConfigError, NashIterationError, StageGame,
-                    game_from_config, minmax_values, mutual_minmax, solve_stage_nash)
+from .games import (FlowControlGame, GameConfigError, StageGame, game_from_config,
+                    minmax_values, mutual_minmax, solve_stage_nash)
 from .simulate import profitability_scan
 
 EXPERIMENTS = ("table2", "fig3", "scaling", "tradeoff", "verify")
@@ -349,14 +349,9 @@ def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
 def _fallback_starts(game: StageGame, ne=None) -> np.ndarray:
     """Ascent starts for a game past the grid cap: half, three quarters and
     all of the action box, then the stage Nash point ``ne`` (solved here
-    when not given, and left out when the iteration does not converge)."""
-    starts = [game.a_max * 0.5, game.a_max * 0.75, game.a_max.astype(float)]
-    if ne is None:
-        try:
-            ne = solve_stage_nash(game)
-        except NashIterationError:
-            return np.array(starts)
-    return np.array(starts + [ne.a])
+    when not given)."""
+    ne = solve_stage_nash(game) if ne is None else ne
+    return np.array([game.a_max * 0.5, game.a_max * 0.75, game.a_max.astype(float), ne.a])
 
 
 def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 0.05,
@@ -386,7 +381,8 @@ def _search(game: StageGame, cells, seeds, passes: int = 50) -> list:
     """One-shot search of every ``(gamma, kind)`` cell from its seed (a start
     ``(n,)`` or a stack ``(S, n)``): all starts climb in one lockstep
     :func:`_ascend`, each cell's first best start is polished with SLSQP
-    (see :func:`_polish`), and the polished point is kept only when
+    (see :func:`_polish`) and pulled back towards the ascent point while it
+    breaks a floor more than that point does; it is kept only when
     ``game.payoff`` confirms it meets the floors and strictly improves the
     welfare.  One :class:`SearchResult` per cell, None where none was feasible."""
     stacks = [np.atleast_2d(np.asarray(seed, dtype=float)) for seed in seeds]
@@ -405,6 +401,17 @@ def _search(game: StageGame, cells, seeds, passes: int = 50) -> list:
         u = game.payoff_batch(null, a)
         polished = _polish(game, a, gamma, kind)
         u_pol = game.payoff(null, polished)
+        # SLSQP may buy welfare inside the 1e-9 floor allowance: bisect back to
+        # the largest step from the ascent point that holds the floors as well
+        hold = min(0.0, float(np.min(u - gamma)))
+        if np.min(u_pol - gamma) < hold:
+            lo, hi, step = 0.0, 1.0, polished - a
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                holds = np.min(game.payoff_batch(null, a + mid * step) - gamma) >= hold
+                lo, hi = (mid, hi) if holds else (lo, mid)
+            polished = a + lo * step
+            u_pol = game.payoff(null, polished)
         if np.min(u_pol - gamma) >= -1e-9 and _welfare_value(kind, u_pol) > _welfare_value(kind, u):
             a, u = polished, u_pol
         found.append(SearchResult(value=_welfare_value(kind, u), profile=a, payoffs=u))

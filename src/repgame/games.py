@@ -39,7 +39,7 @@ class GameConfigError(ValueError):
 
 
 class NashIterationError(RuntimeError):
-    """Raised when no certified stage Nash point is found."""
+    """Raised when a stage Nash point fails its certificate."""
 
 
 def _finite(x, name) -> np.ndarray:
@@ -202,9 +202,9 @@ class StageGame:
         return float(self.best_responses(np.asarray(a0, dtype=float).reshape(-1),
                                           np.asarray(others, dtype=float))[i])
 
-    def stage_nash(self, a0: np.ndarray) -> np.ndarray | None:
-        """Closed-form stage Nash point at device action ``a0``, or None."""
-        return None
+    def stage_nash(self, a0: np.ndarray) -> np.ndarray:
+        """Closed-form stage Nash point at device action ``a0``."""
+        raise NotImplementedError
 
     def minmax_minimizer(self, i: int) -> np.ndarray:
         """Device action holding user ``i`` to their minmax value."""
@@ -351,6 +351,10 @@ class PowerControlGame(StageGame):
     def best_responses(self, a0, a):
         # rates increase in own power regardless of what anyone else does
         return np.broadcast_to(self.a_max, np.broadcast(a0, a).shape).copy()
+
+    def stage_nash(self, a0):
+        # full power is the best response to anything, so also to itself
+        return self.a_max.astype(float)
 
     def to_config(self):
         return {"kind": self.kind, "gain": self.gain.tolist(),
@@ -527,39 +531,16 @@ def best_response_payoffs(game: StageGame, a0, a) -> np.ndarray:
     return game.deviation_payoffs(a0, a, game.best_responses(a0, a))
 
 
-def solve_stage_nash(game: StageGame, a0=None, damping: float = 0.5,
-                     tol: float = 1e-10, max_iter: int = 100_000) -> ActionProfile:
-    """Pure Nash equilibrium of the stage game at a fixed device action.
-
-    The game's closed form (:meth:`StageGame.stage_nash`) when it has one,
-    else a damped simultaneous best-response iteration from the all-max
-    profile, restarted with the damping halved (up to three times) when the
-    damped map oscillates among many strongly coupled users.  The point is
-    certified by every user's best-response improvement; a failed
-    certificate or iteration raises :class:`NashIterationError`.
+def solve_stage_nash(game: StageGame, a0=None) -> ActionProfile:
+    """Pure Nash equilibrium of the stage game at a fixed device action: the
+    game's closed form (:meth:`StageGame.stage_nash`), certified by every
+    user's best-response improvement; a failed certificate raises
+    :class:`NashIterationError`.
     """
     if a0 is None:
         a0 = game.null_intervention()
     a0 = np.asarray(a0, dtype=float).reshape(-1)
     a = game.stage_nash(a0)
-    spent, step = 0, np.inf if a is None else 0.0
-    for attempt in range(4 if a is None else 0):
-        d = damping / 2 ** attempt
-        a = game.a_max.astype(float).copy()
-        budget = max_iter if attempt == 3 else min(max_iter, 2000)
-        for _ in range(budget):
-            nxt = (1.0 - d) * a + d * game.best_responses(a0, a)
-            step = np.max(np.abs(nxt - a))
-            a = nxt
-            if step <= tol:
-                break
-        if step <= tol:
-            break
-        spent += budget
-    if step > tol:
-        raise NashIterationError(
-            f"no fixed point after {spent} iterations over 4 attempts (final damping {d:g}, "
-            f"last step {step:.3g}, last profile {a})")
     # certify: no user can improve by more than the gain tolerance
     gain = best_response_payoffs(game, a0, a) - game.payoff_batch(a0, a)
     i = int(np.argmax(gain))

@@ -307,8 +307,8 @@ def test_outcome_path_rejects_leaking_solo_payoffs(stats):
 
 
 def test_decomposition_error_names_the_floor_check(stats, monkeypatch):
-    """When every cut fails only the floor check, the error names that check,
-    the user and the work tried, not just the (tiny) value error."""
+    """When the certified cut fails only the floor check, the error names that
+    check, the user and the cut valued, not just the (tiny) value error."""
     t = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
     nu = guarantee_floors(stats, t.v)
     exact = repgame.design.path_values
@@ -323,20 +323,20 @@ def test_decomposition_error_names_the_floor_check(stats, monkeypatch):
         generate_outcome_path(stats, t.v, 0.95)
     msg = str(err.value)
     assert "floor dip 1e-08 below user 1's floor" in msg
-    assert "of 4 plans locked" in msg and "largest K tried" in msg
+    assert "cycle " in msg and " of K = " in msg
 
 
 def test_decomposition_error_explains_a_lock(stats, monkeypatch):
     """Floors raised onto the target itself, with the thresholds allowed to
-    sum past one, leave no user to activate: the error names the plan, the
-    period, the shares against the thresholds and sum(theta) - 1."""
+    sum past one, leave no user to activate: the error names the period, the
+    shares against the thresholds and sum(theta) - 1."""
     t = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
     monkeypatch.setattr(repgame.design, "_floors_at", lambda *args: np.asarray(t.v, dtype=float))
     monkeypatch.setattr(repgame.design, "SUM_GUARD", -1.0)
     with pytest.raises(DecompositionError) as err:
         generate_outcome_path(stats, t.v, 0.95)
     msg = str(err.value)
-    assert "3 of 3 plans locked, first plan 1 at period 0: shares [0.35714286 0.35714286" in msg
+    assert "greedy locked at period 0: shares [0.35714286 0.35714286" in msg
     assert "below thresholds [0.38928571 0.38928571" in msg
     # sum(theta) = delta sum(F) + n (1 - delta), and the floors' shares F sum to one
     assert "sum(theta) - 1 = 0.15" in msg

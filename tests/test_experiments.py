@@ -13,8 +13,8 @@ from repgame.experiments import (ConfigError, ResultTable, baseline_comparison,
                                  emit_curves, load_config, punishment_length_curves,
                                  reference_path, run_experiment, scaling_sweep,
                                  tradeoff_sweep, verification_report)
-from repgame.games import (FlowControlGame, NashIterationError, PacketDropGame,
-                           PowerControlGame, game_from_config)
+from repgame.games import (FlowControlGame, PacketDropGame, PowerControlGame, game_from_config,
+                           solve_stage_nash)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "fig_flow.json"
@@ -194,8 +194,8 @@ def test_one_shot_seeded_matches_grid_route():
 
 
 def test_one_shot_fallback_seed_lets_other_errors_through(monkeypatch):
-    """Past the grid cap the search seeds from the stage Nash point when it
-    converges; only a non-converging iteration may be skipped."""
+    """Past the grid cap the search seeds from the stage Nash point too, and
+    an error of the Nash solve propagates."""
     def broken(game):
         raise TypeError("broken best-response map")
     monkeypatch.setattr(xp, "solve_stage_nash", broken)
@@ -203,23 +203,21 @@ def test_one_shot_fallback_seed_lets_other_errors_through(monkeypatch):
         constrained_welfare_search(fig_game(), np.ones(4), "sum", grid_cap=0)
 
 
-def test_one_shot_fallback_without_nash_uses_the_box_seeds(monkeypatch):
-    def diverges(game):
-        raise NashIterationError("no fixed point")
+def test_one_shot_fallback_starts_from_the_box_and_the_stage_nash(monkeypatch):
     starts = []
     ascend = xp._ascend
 
     def recorded(game, stack, *args):
         starts.extend(stack)
         return ascend(game, stack, *args)
-    monkeypatch.setattr(xp, "solve_stage_nash", diverges)
     monkeypatch.setattr(xp, "_ascend", recorded)
     game = fig_game()
     found = constrained_welfare_search(game, np.ones(4), "sum", grid_cap=0)
     assert found is not None and np.all(found.payoffs >= 1.0 - 1e-9)
-    assert len(starts) == 3
+    assert len(starts) == 4
     for got, scale in zip(starts, (0.5, 0.75, 1.0)):
         assert np.array_equal(got, game.a_max * scale)
+    assert np.array_equal(starts[3], solve_stage_nash(game).a)
 
 
 def _row_major_seeds(game, cells, step):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repgame.automata import path_values
 from repgame.design import (DecompositionError, delta_bar, deviation_stats, generate_outcome_path,
                             guarantee_floors, optimize_welfare)
 from repgame.games import FlowControlGame, game_from_config
@@ -92,6 +93,50 @@ def test_reproducer_b_closes_at_and_above_the_threshold(delta):
     assert db == pytest.approx(0.998592, abs=1e-6)
     path = generate_outcome_path(stats, v_star, db if delta is None else delta)
     assert_path_contract(path, stats, v_star)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_splice_moves_every_promise_by_the_closed_form(kind):
+    """Cutting an orbit ``x_t = (1-delta) u[i_t] + delta x_(t+1)`` of ``K``
+    periods into the cycle ``cs..K-1`` moves every promise, preamble
+    included, by ``delta^(K-t) d`` with ``d = (x_cs - x_K) / (1 -
+    delta^(K-cs))`` (in shares, ``d / vbar``): ``path_values`` of the closed
+    path against the orbit, at several cuts of a seeded path of each kind."""
+    rng = np.random.default_rng(7)
+    stats = draw_stats(rng, kind, 3)
+    v_star = dirichlet_target(rng, stats)
+    delta = delta_bar(stats, v_star) + 0.01
+    u = stats.solo_payoffs[generate_outcome_path(stats, v_star, delta).active]
+    K = len(u)
+    # the orbit run backwards from an end point x_K, where it contracts
+    x = np.empty((K + 1, len(v_star)))
+    x[K] = dirichlet_target(rng, stats)
+    for t in range(K - 1, -1, -1):
+        x[t] = (1.0 - delta) * u[t] + delta * x[t + 1]
+    wrap = delta ** (K - np.arange(K))[:, None]
+    for cs in {1, 2, K // 2, K - 2, K - 1} | set(rng.integers(1, K, 4).tolist()):
+        d = (x[cs] - x[K]) / (1.0 - delta ** (K - cs))
+        moved = path_values(u, cs, delta) - x[:K]
+        assert np.max(np.abs(moved - wrap * d)) <= 1e-12, cs
+
+
+def test_a_path_that_needs_the_2k_extension():
+    """A flow game and a target on a floor, from the edge sweep, where no
+    cut of the first K = 36 periods passes the splice bound: the same orbit
+    runs on to 2K and closes there.  Valuing every cut of the first 36
+    periods exactly confirms that none of them keeps the contract."""
+    game = FlowControlGame(mu=5.54, beta=[3.4, 1.98], a_max=[2.78, 2.34], a0_max=[0.69])
+    stats = deviation_stats(game)
+    v_star = np.array([9.930184757478138, 15.310081420048189])
+    delta = 0.5655224263598062
+    path = generate_outcome_path(stats, v_star, delta)
+    assert_path_contract(path, stats, v_star)
+    assert len(path.active) == 72
+    head = stats.solo_payoffs[path.active[:36]]
+    for cs in range(1, 36):
+        values = path_values(head, cs, delta)
+        assert (np.max(np.abs(values[0] - v_star)) > 1e-6
+                or np.max(path.nu - values) > 1e-9), cs
 
 
 def test_edge_sweep_closes_every_pair():
