@@ -20,7 +20,7 @@ from .games import (ActionProfile, FlowControlGame, GameConfigError, HullSample,
                     MinmaxResult, MutualMinmaxResult, NashIterationError,
                     PacketDropGame, PowerControlGame, StageGame,
                     game_from_config, max_stage_payoff, minmax,
-                    minmax_values, mutual_minmax, payoff, payoff_hull_sample,
+                    minmax_values, mutual_minmax, payoff_hull_sample,
                     solo_values, solve_stage_nash)
 from .automata import (Automaton, AutomatonError, MinDeltaResult, SpeReport,
                        StateValues, build_minmax_automaton,

@@ -39,6 +39,9 @@ State = tuple
 #: an automaton is subgame perfect when no one-shot deviation gains more
 SPE_GAIN_TOL = 1e-9
 
+#: width of the bracket the minimum-discount bisections stop at
+DELTA_TOL = 1e-6
+
 
 class AutomatonError(ValueError):
     """Raised when an automaton cannot be built from the given pieces."""
@@ -371,7 +374,6 @@ class SpeReport:
     action: float | None
     n_states: int
     grid_points: int
-    tol: float
 
     def __str__(self):
         verdict = "SPE" if self.ok else "NOT subgame perfect"
@@ -406,8 +408,9 @@ def _worst_cell(gains: np.ndarray) -> tuple[int, int]:
 
 
 def verify_spe(game: StageGame, automaton: Automaton, delta: float,
-               grid_points: int = 200, tol: float = SPE_GAIN_TOL) -> SpeReport:
-    """One-shot deviation check at every reachable state.
+               grid_points: int = 200) -> SpeReport:
+    """One-shot deviation check at every reachable state, passed when no
+    deviation gains more than ``SPE_GAIN_TOL``.
 
     For each state and user the most profitable deviation is taken as the
     better of the analytic best response and a dense action grid; the
@@ -424,9 +427,9 @@ def verify_spe(game: StageGame, automaton: Automaton, delta: float,
     gain = (1.0 - delta) * (d - U)[lay.row] + delta * (V[lay.pun, users] - V[lay.nxt])
     k, i = _worst_cell(gain)
     worst = float(gain[k, i])
-    return SpeReport(ok=worst <= tol, worst_gain=worst, state=automaton.state_at(k),
+    return SpeReport(ok=worst <= SPE_GAIN_TOL, worst_gain=worst, state=automaton.state_at(k),
                      user=i, action=float(act[lay.row[k], i]), n_states=automaton.n_states,
-                     grid_points=grid_points, tol=tol)
+                     grid_points=grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +467,7 @@ def _minmax_families(v, p, dev, vlw, L: int | None, delta: float) -> dict:
     return {"path": geo * (v - p) - (dev - v), "punishment": delta ** L * (v - p) - (vlw - p)}
 
 
-def min_delta_for_L(game: StageGame, path_profile, L: int | None,
-                    tol: float = 1e-6) -> MinDeltaResult:
+def min_delta_for_L(game: StageGame, path_profile, L: int | None) -> MinDeltaResult:
     """Minimum discount factor sustaining a one-profile path with length-L
     mutual-minmax punishment (``L=None`` for the grim/absorbing variant).
 
@@ -490,7 +492,7 @@ def min_delta_for_L(game: StageGame, path_profile, L: int | None,
     def fams(delta):
         return _minmax_families(v, mm.payoffs, d, vlw, L, delta)
 
-    delta = find_min_delta_for_constraints(fams, tol=tol)
+    delta = find_min_delta_for_constraints(fams)
     if delta is None:
         return MinDeltaResult(delta=None, feasible=False, L=L, binding=None)
     m = {k: f.tolist() for k, f in fams(delta).items()}
@@ -586,10 +588,10 @@ def player_specific_delta_constraints(game: StageGame, path_profile, L: int,
             "reward_own": dl * (1 - dl ** L) / (1 - dl) * (own - vlw) - (M - own)}
 
 
-def find_min_delta_for_constraints(constraint_fn: Callable[[float], dict],
-                                   tol: float = 1e-6) -> float | None:
+def find_min_delta_for_constraints(constraint_fn: Callable[[float], dict]) -> float | None:
     """Smallest delta in (0,1) with every family margin of
-    ``constraint_fn(delta)`` >= 0, by bisection (None if none).
+    ``constraint_fn(delta)`` >= 0, by bisection to a bracket of
+    ``DELTA_TOL`` (None if none).
 
     Assumes the margins are nondecreasing in delta, which holds for all
     the incentive families here whenever the path dominates the
@@ -606,7 +608,7 @@ def find_min_delta_for_constraints(constraint_fn: Callable[[float], dict],
     lo = 0.0
     if margin(lo) >= 0.0:
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > DELTA_TOL:
         mid = 0.5 * (lo + hi)
         if margin(mid) >= 0.0:
             hi = mid

@@ -38,6 +38,11 @@ class DecompositionError(RuntimeError):
 
 WELFARES = ("sum", "maxmin")
 
+# an outcome path must meet its target to within PATH_VALUE_TOL and may dip
+# at most FLOOR_TOL below a floor; the one-shot search allows that same dip
+PATH_VALUE_TOL = 1e-6
+FLOOR_TOL = 1e-9
+
 
 def _welfare_value(kind: str, v: np.ndarray) -> float:
     if kind == "sum":
@@ -251,6 +256,16 @@ def optimize_welfare(stats: DeviationStats, gamma, welfare: str,
 # discount thresholds
 # ---------------------------------------------------------------------------
 
+def _temptation_ratio(y, v, vlow) -> np.ndarray:
+    """``(y - v) / (y - vlow)``: the smallest discount factor at which a
+    stage temptation ``y``, forgone for the promise ``v`` against the
+    fallback ``vlow``, stops paying.  Where ``y - vlow <= 1e-15`` it is 0
+    when ``v`` reaches ``y`` (within 1e-12) and 1 otherwise."""
+    denom = y - vlow
+    return np.where(denom > 1e-15, (y - v) / np.where(denom > 1e-15, denom, 1.0),
+                    np.where(v >= y - 1e-12, 0.0, 1.0))
+
+
 def delta_bar(stats: DeviationStats, v_star, with_intervention: bool = True) -> float:
     """Discount threshold for enforcing ``v_star`` with guaranteed floors.
 
@@ -263,10 +278,7 @@ def delta_bar(stats: DeviationStats, v_star, with_intervention: bool = True) -> 
     v_star = np.asarray(v_star, dtype=float)
     vlow = stats.minmax(with_intervention)
     n = len(stats.vbar)
-    denom = stats.w - vlow
-    first = np.where(denom > 1e-15,
-                     (stats.w - v_star) / np.where(denom > 1e-15, denom, 1.0),
-                     np.where(v_star >= stats.w - 1e-12, 0.0, 1.0))
+    first = _temptation_ratio(stats.w, v_star, vlow)
     t_ratio = float(np.sum(stats.w / stats.vbar))
     s_ratio = float(np.sum(vlow / stats.vbar))
     a = n - t_ratio
@@ -276,50 +288,40 @@ def delta_bar(stats: DeviationStats, v_star, with_intervention: bool = True) -> 
     return float(min(max(float(np.max(first)), second, 0.0), 1.0))
 
 
-def delta_mu(stats: DeviationStats, mu, with_intervention: bool = True) -> float:
+def delta_mu(stats: DeviationStats, mu) -> float:
     """Threshold above which *every* payoff with floors ``mu`` is enforceable.
 
-    ``mu`` must dominate the minmax point and leave the region nonempty.
+    ``mu`` must dominate the device-backed minmax point and leave the
+    region nonempty.
     The first term handles the diagonal temptations (each user deviating
     against their own most generous allocation), the second the cross
     temptations ``y[i, j]``.
     """
     mu = np.asarray(mu, dtype=float)
-    vlow = stats.minmax(with_intervention)
+    vlow = stats.minmax_with
     if np.any(mu < vlow - 1e-12):
         raise DesignError("floors must dominate the minmax point")
     if np.sum(mu / stats.vbar) >= 1.0 - 1e-15:
         raise DesignError("floors leave an empty payoff region")
     n = len(stats.vbar)
     diag = (n - 1) / (n - float(np.sum(mu / stats.vbar)))
-    cross = 0.0
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            denom = stats.y[i, j] - vlow[j]
-            if denom <= 1e-15:
-                ratio = 0.0 if mu[j] >= stats.y[i, j] - 1e-12 else 1.0
-            else:
-                ratio = (stats.y[i, j] - mu[j]) / denom
-            cross = max(cross, ratio)
+    cross = np.max(_temptation_ratio(stats.y, mu, vlow)[~np.eye(n, dtype=bool)], initial=0.0)
     return float(min(max(diag, cross, 0.0), 1.0))
 
 
-def guarantee_floors(stats: DeviationStats, v_star, with_intervention: bool = True) -> np.ndarray:
+def guarantee_floors(stats: DeviationStats, v_star) -> np.ndarray:
     """Continuation floors ``nu`` enforced along the outcome path.
 
     At the threshold discount the worst temptation ``w_i`` discounted
     against the minmax fallback pins the floor; a larger ``delta`` keeps
     the same floor (it only makes enforcement easier).
     """
-    return _floors_at(stats, delta_bar(stats, v_star, with_intervention), with_intervention)
+    return _floors_at(stats, delta_bar(stats, v_star))
 
 
-def _floors_at(stats: DeviationStats, db: float, with_intervention: bool) -> np.ndarray:
+def _floors_at(stats: DeviationStats, db: float) -> np.ndarray:
     """:func:`guarantee_floors` at the threshold ``db`` already computed."""
-    vlow = stats.minmax(with_intervention)
-    return stats.w - (stats.w - vlow) * db
+    return stats.w - (stats.w - stats.minmax_with) * db
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +361,7 @@ class OutcomePath:
 SUM_GUARD = 1e-13
 
 
-def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
-                          with_intervention: bool = True,
-                          value_tol: float = 1e-6,
-                          floor_tol: float = 1e-9) -> OutcomePath:
+def generate_outcome_path(stats: DeviationStats, v_star, delta: float) -> OutcomePath:
     """Greedy decomposition of ``v_star`` into a solo-profile schedule,
     closed into a cycle by one certified cut.
 
@@ -380,12 +379,12 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     ``x_t = (1-delta) e_(i_t) + delta x_(t+1)``, so the cut moves every
     promise by exactly ``delta^(K-t) d``, ``d = (s_cs - s_K) / (1 -
     delta^(K-cs))``: its value error is ``delta^K max_j |d_j| vbar_j``, and
-    it keeps user ``j`` within ``floor_tol`` of the floor ``f_j = nu_j /
-    vbar_j`` iff ``d_j >= -R_j = -min_(t<K) (s_tj - f_j + floor_tol / vbar_j)
+    it keeps user ``j`` within ``FLOOR_TOL`` of the floor ``f_j = nu_j /
+    vbar_j`` iff ``d_j >= -R_j = -min_(t<K) (s_tj - f_j + FLOOR_TOL / vbar_j)
     delta^-(K-t)``.  Of the cuts that keep every floor, the one with the
     smallest value error is valued by :func:`path_values`, the certificate;
-    when none is within ``value_tol``, the same orbit runs on to ``2K``, then
-    to ``4K``.
+    when none is within ``PATH_VALUE_TOL``, the same orbit runs on to
+    ``2K``, then to ``4K``.
     """
     v_star = np.asarray(v_star, dtype=float)
     if not (0.0 < delta < 1.0):
@@ -403,13 +402,13 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
         if np.max(np.abs(v_star - u_solo[k])) <= 1e-9 * max(1.0, scale):
             return OutcomePath(active=np.array([k]), cycle_start=0,
                                values=u_solo[[k]].astype(float),
-                               nu=stats.minmax(with_intervention), delta=delta,
+                               nu=stats.minmax_with, delta=delta,
                                v_star=v_star)
 
-    db = delta_bar(stats, v_star, with_intervention)
+    db = delta_bar(stats, v_star)
     if delta < db - 1e-12:
         raise DesignError(f"delta {delta} below the enforceability threshold {db:.6f}")
-    nu = _floors_at(stats, db, with_intervention)
+    nu = _floors_at(stats, db)
 
     # The plain greedy hugs the floors f = nu / vbar, so it runs against floors
     # F raised by a share margin that leaves the splice room: half the room f
@@ -426,8 +425,8 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
     margin = 0.5 * room / n if room > 0 else 0.0
     # long enough that a splice bounded by the margin (or by the payoff scale
     # when marginless) neither misses the target nor dents a floor at t=0
-    k_value = int(np.ceil(np.log(0.2 * value_tol / scale) / lnd)) + 1
-    k_first = max(k_value, int(np.ceil(np.log(0.5 * floor_tol / (margin * scale or scale))
+    k_value = int(np.ceil(np.log(0.2 * PATH_VALUE_TOL / scale) / lnd)) + 1
+    k_first = max(k_value, int(np.ceil(np.log(0.5 * FLOOR_TOL / (margin * scale or scale))
                                        / lnd)) + 1)
     t_ramp = min(k_first, int(math.log1p(margin * scale / slack) / -lnd) + 1)
     ramp = np.append(slack * np.expm1(-lnd * np.arange(1, t_ramp + 1)), np.inf)
@@ -466,10 +465,10 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
         idx[path, np.arange(1, K + 1)] = np.arange(n, n + K)
         np.maximum.accumulate(idx, axis=1, out=idx)
         hist = scaled[idx]
-        # in place: the slack above the floors less floor_tol, then R, then
+        # in place: the slack above the floors less FLOOR_TOL, then R, then
         # every cut's splice d (column cs - 1), its value error and floor headroom
         hist /= powers
-        hist -= (f - floor_tol / vbar)[:, None]
+        hist -= (f - FLOOR_TOL / vbar)[:, None]
         hist[:, :K] /= powers[K:0:-1]
         reach = np.min(hist[:, :K], axis=1) * vbar
         splice = hist[:, 1:K]
@@ -482,16 +481,16 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float,
         err[np.min(splice, axis=0) < 0.0] = np.inf
         del idx, hist, splice   # free the history before the certificate
         cs = 1 + int(np.argmin(err))
-        if err[cs - 1] <= value_tol:
+        if err[cs - 1] <= PATH_VALUE_TOL:
             break
     values = path_values(u_solo[path], cs, delta)
     err = float(np.max(np.abs(values[0] - v_star)))
     dips = np.min(values - nu, axis=0)
     j = int(np.argmin(dips))
-    if err <= value_tol and dips[j] >= -floor_tol:
+    if err <= PATH_VALUE_TOL and dips[j] >= -FLOOR_TOL:
         return OutcomePath(active=path, cycle_start=cs, values=values, nu=nu, delta=delta,
                            v_star=v_star)
-    floor = (f"floor dip {-dips[j]:.3g} below user {j}'s floor" if dips[j] < -floor_tol
+    floor = (f"floor dip {-dips[j]:.3g} below user {j}'s floor" if dips[j] < -FLOOR_TOL
              else "no floor dip")
     raise DecompositionError(
         "could not close the outcome path to the requested accuracy "

@@ -31,9 +31,9 @@ import numpy as np
 
 from . import __version__
 from .automata import min_delta_for_L, verify_spe
-from .design import (WELFARES, DesignError, DeviationStats, _welfare_value, assemble_protocol,
-                     delta_bar, deviation_stats, generate_outcome_path, guarantee_feasible,
-                     optimize_welfare)
+from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, _welfare_value,
+                     assemble_protocol, delta_bar, deviation_stats, generate_outcome_path,
+                     guarantee_feasible, optimize_welfare)
 from .games import (FlowControlGame, GameConfigError, StageGame, game_from_config,
                     minmax_values, mutual_minmax, solve_stage_nash)
 from .simulate import profitability_scan
@@ -47,6 +47,15 @@ TRADEOFF_COLUMNS = ("axis", "gamma", "delta", "a0_max", "min_delta", "required_a
 
 _CONFIG_KEYS = {"game", "gamma", "L", "a0", "n_range", "delta_grid", "welfare",
                 "delta", "target_gamma", "path"}
+
+# the one-shot search: grid step, most grid points swept (past that it starts
+# from the box and the stage Nash point), ascent passes, points per ascent line
+GRID_STEP = 0.05
+GRID_CAP = 8_000_000
+PASSES = 50
+LINE_POINTS = 33
+REFERENCE_MARGIN = 1.1   # the reference path clears this multiple of the no-device minmax
+CAP_TOL = 1e-4           # the trade-off sweep's bisection bracket on the device cap
 
 
 class ConfigError(ValueError):
@@ -297,7 +306,7 @@ def _score(UT: np.ndarray, cells):
         if key not in margins:
             equal = gamma.ndim == 1 and gamma.tolist().count(gamma[0]) == n
             margin = rowmin - gamma[0] if equal else (UT - gamma.reshape(n, -1)).min(axis=0)
-            margins[key] = margin, margin >= -1e-9
+            margins[key] = margin, margin >= -FLOOR_TOL
         margin, ok = margins[key]
         maxmin = np.asarray(kind)
         if maxmin.dtype != bool:
@@ -320,10 +329,10 @@ def _pick(block: np.ndarray, cells):
         yield bool(idx.size), float((welfare if idx.size else margin)[j]), j
 
 
-def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
-    """One streamed sweep of the product action grid, scored for every
-    ``(gamma, kind)`` cell at once.  Returns one seed profile per cell,
-    or None when the grid would exceed ``grid_cap`` points.
+def _grid_pass(game: StageGame, cells):
+    """One streamed sweep of the product action grid of step ``GRID_STEP``,
+    scored for every ``(gamma, kind)`` cell at once.  Returns one seed
+    profile per cell, or None when the grid would exceed ``GRID_CAP`` points.
 
     The grid is streamed as the user-major payoff blocks of
     :meth:`StageGame.grid_payoffs`, one per value of the first action;
@@ -331,10 +340,10 @@ def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
     :func:`_pick`, and a slab's pick replaces the running best only when
     it is strictly better, so the first profile in grid order wins ties.
     The seed is rebuilt from the winning (slab, row) index."""
-    axes = [np.unique(np.concatenate([np.arange(0.0, am, step), [am]]))
+    axes = [np.unique(np.concatenate([np.arange(0.0, am, GRID_STEP), [am]]))
             for am in game.a_max]
     # an exact integer: the int64 product wraps past 15 users of 21 points
-    if math.prod(len(ax) for ax in axes) > grid_cap:
+    if math.prod(len(ax) for ax in axes) > GRID_CAP:
         return None
     best = [None] * len(cells)
     for s, block in enumerate(game.grid_payoffs(axes)):
@@ -346,38 +355,36 @@ def _grid_pass(game: StageGame, cells, step: float, grid_cap: int):
             for _, _, j, s in best]
 
 
-def _fallback_starts(game: StageGame, ne=None) -> np.ndarray:
-    """Ascent starts for a game past the grid cap: half, three quarters and
-    all of the action box, then the stage Nash point ``ne`` (solved here
-    when not given)."""
+def _seeds(game: StageGame, cells, ne=None) -> list:
+    """One ascent seed per ``(gamma, kind)`` cell: its pick of the grid pass,
+    or past ``GRID_CAP`` the same four starts for every cell -- half, three
+    quarters and all of the action box, then the stage Nash point ``ne``
+    (solved here when not given)."""
+    seeds = _grid_pass(game, cells)
+    if seeds is not None:
+        return seeds
     ne = solve_stage_nash(game) if ne is None else ne
-    return np.array([game.a_max * 0.5, game.a_max * 0.75, game.a_max.astype(float), ne.a])
+    starts = np.array([game.a_max * 0.5, game.a_max * 0.75, game.a_max.astype(float), ne.a])
+    return [starts] * len(cells)
 
 
-def constrained_welfare_search(game: StageGame, gamma, kind: str, step: float = 0.05,
-                               passes: int = 50, grid_cap: int = 8_000_000,
-                               seed=None) -> SearchResult | None:
+def constrained_welfare_search(game: StageGame, gamma, kind: str) -> SearchResult | None:
     """Best stage payoff (device quiet) meeting per-user floors.
 
-    Exhaustive product grid with the given step when it fits under
-    ``grid_cap`` points, otherwise the starts of :func:`_fallback_starts`;
-    either way finished by :func:`_search`: ``passes`` rounds of
-    shrinking-window coordinate ascent and an SLSQP polish.  ``seed`` --
-    one start ``(n,)`` or a stack ``(S, n)`` -- skips the grid and the
-    fallback and starts the ascent there.  The problem is nonconvex, so
+    Seeded by :func:`_seeds` (the product grid when it fits under
+    ``GRID_CAP`` points, otherwise the box and stage Nash starts) and
+    finished by :func:`_search`: ``PASSES`` rounds of shrinking-window
+    coordinate ascent and an SLSQP polish.  The problem is nonconvex, so
     the result is a certified feasible point, not a certified optimum.
     Returns None when no feasible profile was found.
     """
     if kind not in WELFARES:
         raise ValueError(f"unknown welfare {kind!r}")
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (game.n,))
-    if seed is None:
-        seeds = _grid_pass(game, [(gamma, kind)], step, grid_cap)
-        seed = _fallback_starts(game) if seeds is None else seeds[0]
-    return _search(game, [(gamma, kind)], [seed], passes)[0]
+    cells = [(np.broadcast_to(np.asarray(gamma, dtype=float), (game.n,)), kind)]
+    return _search(game, cells, _seeds(game, cells))[0]
 
 
-def _search(game: StageGame, cells, seeds, passes: int = 50) -> list:
+def _search(game: StageGame, cells, seeds) -> list:
     """One-shot search of every ``(gamma, kind)`` cell from its seed (a start
     ``(n,)`` or a stack ``(S, n)``): all starts climb in one lockstep
     :func:`_ascend`, each cell's first best start is polished with SLSQP
@@ -389,7 +396,7 @@ def _search(game: StageGame, cells, seeds, passes: int = 50) -> list:
     owner = np.repeat(np.arange(len(cells)), [len(stack) for stack in stacks])
     oks, vals, profiles = _ascend(game, np.concatenate(stacks),
                                   np.array([cells[c][0] for c in owner]),
-                                  [cells[c][1] for c in owner], passes)
+                                  [cells[c][1] for c in owner])
     null = game.null_intervention()
     found = []
     for c, (gamma, kind) in enumerate(cells):
@@ -401,7 +408,7 @@ def _search(game: StageGame, cells, seeds, passes: int = 50) -> list:
         u = game.payoff_batch(null, a)
         polished = _polish(game, a, gamma, kind)
         u_pol = game.payoff(null, polished)
-        # SLSQP may buy welfare inside the 1e-9 floor allowance: bisect back to
+        # SLSQP may buy welfare inside the FLOOR_TOL allowance: bisect back to
         # the largest step from the ascent point that holds the floors as well
         hold = min(0.0, float(np.min(u - gamma)))
         if np.min(u_pol - gamma) < hold:
@@ -412,7 +419,8 @@ def _search(game: StageGame, cells, seeds, passes: int = 50) -> list:
                 lo, hi = (mid, hi) if holds else (lo, mid)
             polished = a + lo * step
             u_pol = game.payoff(null, polished)
-        if np.min(u_pol - gamma) >= -1e-9 and _welfare_value(kind, u_pol) > _welfare_value(kind, u):
+        if (np.min(u_pol - gamma) >= -FLOOR_TOL
+                and _welfare_value(kind, u_pol) > _welfare_value(kind, u)):
             a, u = polished, u_pol
         found.append(SearchResult(value=_welfare_value(kind, u), profile=a, payoffs=u))
     return found
@@ -453,7 +461,7 @@ def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
     return np.clip(res.x[:n], 0.0, game.a_max)
 
 
-def _ascend(game: StageGame, starts: np.ndarray, gamma, kind, passes: int, points: int = 33):
+def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
     """Coordinate ascent with a geometrically shrinking search window, for
     an ``(S, n)`` stack of starts climbing in lockstep, each against its
     own floors and welfare (``gamma`` broadcasts to ``(S, n)``, ``kind`` to
@@ -463,12 +471,13 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind, passes: int, point
     and ``(S, n)``.
 
     Coordinate i changes only at step i of a pass, so every coordinate's
-    window and ``points``-point line is built once at the start of the
-    pass, in the arithmetic of ``np.linspace`` per start.  One ``(S, points,
-    n)`` profile buffer serves the whole pass: step i writes its line into
-    column i and, after the move, the chosen value back.  The floors and
-    the maxmin mask of every line point are built once per pass, and the
-    steps update copies of the climbing rows, written back after the pass."""
+    window and ``LINE_POINTS``-point line is built once at the start of the
+    pass, in the arithmetic of ``np.linspace`` per start.  One ``(S,
+    LINE_POINTS, n)`` profile buffer serves the whole pass: step i writes
+    its line into column i and, after the move, the chosen value back.  The
+    floors and the maxmin mask of every line point are built once per pass,
+    and the steps update copies of the climbing rows, written back after
+    the pass."""
     null = game.null_intervention()
     a = np.clip(starts, 0.0, game.a_max)
     floors = np.broadcast_to(gamma, a.shape).T
@@ -477,27 +486,29 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind, passes: int, point
     [(cur_ok, welfare, margin)] = _score(U.T, [(floors, maxmin)])
     cur_val = np.where(cur_ok, welfare, margin)
     climbing = np.ones(len(a), dtype=bool)
-    k = np.arange(points, dtype=float)
-    for p in range(passes):
+    k = np.arange(LINE_POINTS, dtype=float)
+    for p in range(PASSES):
         frac = 0.5 * 0.7 ** p
         rows = np.flatnonzero(climbing)
-        line = np.repeat(floors[:, rows], points, axis=1), np.repeat(maxmin[rows], points)
+        line = (np.repeat(floors[:, rows], LINE_POINTS, axis=1),
+                np.repeat(maxmin[rows], LINE_POINTS))
         x, x_ok, x_val = a[rows], cur_ok[rows], cur_val[rows]
         moved = np.zeros(len(x), dtype=bool)
         at = np.arange(len(x))
         half = frac * game.a_max
         lo = np.maximum(0.0, x - half)
         hi = np.minimum(game.a_max, x + half)
-        # np.linspace(lo, hi, points) for every start and coordinate, in its
-        # arithmetic but without its call overhead
-        cand = k * ((hi - lo) / (points - 1))[..., None] + lo[..., None]
+        # np.linspace(lo, hi, LINE_POINTS) for every start and coordinate, in
+        # its arithmetic but without its call overhead
+        cand = k * ((hi - lo) / (LINE_POINTS - 1))[..., None] + lo[..., None]
         cand[..., -1] = hi
-        prof = np.repeat(x[:, None, :], points, axis=1)
+        prof = np.repeat(x[:, None, :], LINE_POINTS, axis=1)
         for i in range(game.n):
             prof[:, :, i] = cand[:, i]
             U = game.payoff_batch(null, prof).reshape(-1, game.n)
             [(ok, welfare, margin)] = _score(U.T, [line])
-            ok, val = ok.reshape(-1, points), np.where(ok, welfare, margin).reshape(-1, points)
+            val = np.where(ok, welfare, margin).reshape(-1, LINE_POINTS)
+            ok = ok.reshape(-1, LINE_POINTS)
             # each line's best feasible point, else its largest margin
             j = np.argmax(np.where(ok.any(axis=-1, keepdims=True), np.where(ok, val, -np.inf), val),
                           axis=-1)
@@ -521,18 +532,15 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind, passes: int, point
 def _comparison_rows(game: StageGame, stats: DeviationStats, cells) -> list:
     """``[scheme, value, min_delta]`` rows for each of ``SCHEMES``, one block
     per ``(gamma, kind)`` cell of one game, with the game's stage work done
-    once: one stage Nash solve, one grid pass seeding every cell's one-shot
-    search (past the grid cap, the fallback starts with that Nash point),
-    and one lockstep ascent of all cells (:func:`_search`)."""
+    once: one stage Nash solve, one seeding of every cell's one-shot search
+    (:func:`_seeds`, given that Nash point), and one lockstep ascent of all
+    cells (:func:`_search`)."""
     ne = solve_stage_nash(game)
     u_ne = game.payoff(ne.a0, ne.a)
-    seeds = _grid_pass(game, cells, 0.05, 8_000_000)
-    if seeds is None:
-        seeds = [_fallback_starts(game, ne)] * len(cells)
     blocks = []
-    for (gam, kind), found in zip(cells, _search(game, cells, seeds)):
-        rows = [["nash", _welfare_value(kind, u_ne) if np.all(u_ne >= gam - 1e-9) else None, None],
-                ["one_shot", found.value if found else None, None]]
+    for (gam, kind), found in zip(cells, _search(game, cells, _seeds(game, cells, ne))):
+        nash = _welfare_value(kind, u_ne) if np.all(u_ne >= gam - FLOOR_TOL) else None
+        rows = [["nash", nash, None], ["one_shot", found.value if found else None, None]]
         for scheme, device in (("repeated_no_intervention", False),
                                ("repeated_with_intervention", True)):
             if guarantee_feasible(stats, gam, device):
@@ -544,7 +552,7 @@ def _comparison_rows(game: StageGame, stats: DeviationStats, cells) -> list:
     return blocks
 
 
-def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARES) -> ResultTable:
+def baseline_comparison(game: StageGame, gamma_levels) -> ResultTable:
     """Welfare comparison across enforcement schemes.
 
     One row per (scheme, guarantee level, welfare kind).  ``min_delta``
@@ -555,7 +563,7 @@ def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARES) -> Res
     can be held below what they can secure alone, so the printed
     threshold hits 1 exactly when that effective floor binds the target.
     """
-    levels = [(kind, float(g)) for kind in welfares for g in gamma_levels]
+    levels = [(kind, float(g)) for kind in WELFARES for g in gamma_levels]
     blocks = _comparison_rows(game, deviation_stats(game),
                               [(np.full(game.n, g), kind) for kind, g in levels])
     rows = [[scheme, g, kind, value, d]
@@ -567,13 +575,14 @@ def baseline_comparison(game: StageGame, gamma_levels, welfares=WELFARES) -> Res
 # punishment-length curves (the "fig3" experiment)
 # ---------------------------------------------------------------------------
 
-def reference_path(game: StageGame, margin: float = 1.1) -> np.ndarray:
+def reference_path(game: StageGame) -> np.ndarray:
     """A strictly individually rational stage profile for the length curves.
 
     Users with the highest elasticity transmit at their caps; the rest
-    scale back symmetrically until their stage payoff clears ``margin``
-    times their no-device minmax value.  Closed form only for flow
-    control; other games must supply an explicit path in the config.
+    scale back symmetrically until their stage payoff clears
+    ``REFERENCE_MARGIN`` times their no-device minmax value.  Closed form
+    only for flow control; other games must supply an explicit path in the
+    config.
     """
     from scipy.optimize import brentq
     if not isinstance(game, FlowControlGame):
@@ -588,7 +597,7 @@ def reference_path(game: StageGame, margin: float = 1.1) -> np.ndarray:
         if not (np.allclose(beta[low], b) and np.allclose(game.a_max[low], cap)):
             raise ConfigError("users below the top elasticity are not symmetric; set 'path' in the config")
         v_solo = minmax_values(game, with_intervention=False)
-        want = margin * float(v_solo[low][0])
+        want = REFERENCE_MARGIN * float(v_solo[low][0])
         m = int(low.sum())
         free = float(game.mu - np.sum(game.a_max[top]))
         peak = min(b * free / (m * (b + 1.0)), cap)
@@ -613,11 +622,10 @@ def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None) -> 
     """
     if game_cfg.get("kind") not in ("flow", "power"):
         raise ConfigError("punishment-length curves sweep a scalar device cap; flow or power game required")
+    base = game_from_config(game_cfg)
 
     def curve(a0):
-        cfg = dict(game_cfg)
-        cfg["a0_max"] = [float(a0)]
-        g = game_from_config(cfg)
+        g = base.with_a0_max([a0])
         pa = np.asarray(path, dtype=float) if path is not None else reference_path(g)
         profile = (g.null_intervention(), pa)
         if mutual_minmax(g).is_stage_nash:
@@ -634,7 +642,7 @@ def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None) -> 
 # population scaling (the "scaling" experiment)
 # ---------------------------------------------------------------------------
 
-def scaling_sweep(n_range, welfares=WELFARES) -> ResultTable:
+def scaling_sweep(n_range) -> ResultTable:
     """Welfare vs population size under two capacity rules.
 
     ``linear`` provisions capacity with the population (mu = N),
@@ -655,15 +663,15 @@ def scaling_sweep(n_range, welfares=WELFARES) -> ResultTable:
         mu = float(n if rule == "linear" else min(n, 10))
         if mu < n - 1e-12:
             return [[rule, n, scheme, kind, None, None]
-                    for kind in welfares for scheme in SCHEMES]
+                    for kind in WELFARES for scheme in SCHEMES]
         if (n, mu) not in solved:
             game = FlowControlGame(mu=mu, beta=[3.0] * n, a_max=[1.0] * n,
                                    a0_max=[max(mu - (n - 1), 0.0)])
             stats = deviation_stats(game)
             gam = np.maximum(np.minimum(0.1 * stats.vbar, mu / n), stats.minmax(True) + 1e-9)
-            solved[n, mu] = _comparison_rows(game, stats, [(gam, kind) for kind in welfares])
+            solved[n, mu] = _comparison_rows(game, stats, [(gam, kind) for kind in WELFARES])
         return [[rule, n, scheme, kind, value, d]
-                for kind, block in zip(welfares, solved[n, mu]) for scheme, value, d in block]
+                for kind, block in zip(WELFARES, solved[n, mu]) for scheme, value, d in block]
 
     rows = [row for rule in ("linear", "capped") for n in range(lo, hi + 1)
             for row in cell(rule, n)]
@@ -675,26 +683,25 @@ def scaling_sweep(n_range, welfares=WELFARES) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def tradeoff_sweep(game_cfg: dict, axis: str, gamma_levels, a0_values, delta_grid,
-                   welfare: str = "sum", tol: float = 1e-4) -> ResultTable:
+                   welfare: str = "sum") -> ResultTable:
     """One trade-off family for the welfare-optimal target.
 
     ``delta_vs_gamma``: enforcement threshold vs guarantee level, one
     curve per device cap.  ``a0_vs_delta`` / ``a0_vs_gamma``: smallest
     device cap whose threshold meets the available discount factor, by
-    bisection on the cap (monotone: more intervention never raises the
-    threshold).  Infeasible grid points are kept as NA rows rather than
-    dropped.
+    bisection on the cap to a bracket of ``CAP_TOL`` (monotone: more
+    intervention never raises the threshold).  Infeasible grid points are
+    kept as NA rows rather than dropped.
     """
     if axis not in TRADEOFF_AXES:
         raise ConfigError(f"unknown tradeoff axis {axis!r}; expected one of {TRADEOFF_AXES}")
     if game_cfg.get("kind") not in ("flow", "power"):
         raise ConfigError("trade-off sweeps vary a scalar device cap; flow or power game required")
-    cap = float(np.asarray(game_cfg["a0_max"], dtype=float).reshape(-1)[0])
+    base = game_from_config(game_cfg)
+    cap = float(base.a0_max[0])
 
     def threshold(a0: float, g: float) -> float | None:
-        cfg = dict(game_cfg)
-        cfg["a0_max"] = [float(a0)]
-        stats = deviation_stats(game_from_config(cfg))
+        stats = deviation_stats(base.with_a0_max([a0]))
         gam = np.full(stats.vbar.size, g)
         if not guarantee_feasible(stats, gam, True):
             return None
@@ -709,7 +716,7 @@ def tradeoff_sweep(game_cfg: dict, axis: str, gamma_levels, a0_values, delta_gri
         if low is not None and low <= d + 1e-12:
             return 0.0
         lo_a, hi_a = 0.0, cap
-        while hi_a - lo_a > tol:
+        while hi_a - lo_a > CAP_TOL:
             mid = 0.5 * (lo_a + hi_a)
             t = threshold(mid, g)
             if t is not None and t <= d + 1e-12:

@@ -520,11 +520,6 @@ def game_from_config(cfg: dict) -> StageGame:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def payoff(game: StageGame, profile: ActionProfile) -> np.ndarray:
-    """Payoff vector at ``profile`` with full box validation."""
-    return game.payoff(profile.a0, profile.a)
-
-
 def best_response_payoffs(game: StageGame, a0, a) -> np.ndarray:
     """Payoff each user earns by a one-shot best response, the others held
     fixed: :meth:`StageGame.deviation_payoffs` at :meth:`StageGame.best_responses`."""
@@ -587,28 +582,16 @@ def solo_values(game: StageGame) -> np.ndarray:
     return best_response_payoffs(game, game.null_intervention(), np.zeros(game.n))
 
 
-def payoff_hull_sample(game: StageGame, grid_points: int = 11,
-                       include_intervention: bool = False) -> HullSample:
-    """Sample the payoff set on a regular action grid.
-
-    By default only user actions are swept (device at null); pass
-    ``include_intervention=True`` to sweep the device box as well.
-    Rejects grids with fewer than two points per axis.
+def payoff_hull_sample(game: StageGame, grid_points: int = 11) -> HullSample:
+    """Sample the payoff set on a regular grid of user actions, the device
+    at null.  Rejects grids with fewer than two points per axis.
     """
     if grid_points < 2:
         raise GameConfigError("grid_points must be at least 2")
     axes = [np.linspace(0.0, game.a_max[i], grid_points) for i in range(game.n)]
-    if include_intervention:
-        axes = [np.linspace(0.0, game.a0_max[d], grid_points)
-                for d in range(game.a0_dim)] + axes
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = np.stack([m.ravel() for m in mesh], axis=-1)
-        a0s, acts = flat[:, :game.a0_dim], flat[:, game.a0_dim:]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        acts = np.stack([m.ravel() for m in mesh], axis=-1)
-        a0s = np.zeros((acts.shape[0], game.a0_dim))
-    pts = game.payoff_batch(a0s, acts)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    acts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = game.payoff_batch(np.zeros((acts.shape[0], game.a0_dim)), acts)
     vlow = minmax_values(game, with_intervention=True)
     ir = np.all(pts > vlow + GAIN_TOL, axis=-1)
     hull = None

@@ -22,6 +22,11 @@ from .automata import (SPE_GAIN_TOL, Automaton, Layout, State, StateValues,
                        _best_deviations, _worst_cell, state_values)
 from .games import StageGame
 
+# the suffix scan's truncation error bound, and the periods a deviation
+# rollout simulates before closing with the state values
+SUFFIX_ERR = 1e-10
+ROLLOUT_HORIZON = 128
+
 
 @dataclass(frozen=True)
 class DeviationPlan:
@@ -100,36 +105,35 @@ def run(game: StageGame, automaton: Automaton, delta: float, T: int,
 
 def _rollout_value(game: StageGame, automaton: Automaton, delta: float,
                    state: State, override: tuple[int, float] | None,
-                   horizon: int, tail: StateValues) -> np.ndarray:
+                   tail: StateValues) -> np.ndarray:
     """Discounted value of play from ``state``, exact via a tail closure."""
     total = np.zeros(game.n)
-    for t in range(horizon):
+    for t in range(ROLLOUT_HORIZON):
         a0, a = automaton.output(state)
         if t == 0 and override is not None:
             a = np.array(a, dtype=float, copy=True)
             a[override[0]] = override[1]
         total += (1.0 - delta) * delta ** t * game.payoff(a0, a)
         state = automaton.transition(state, a)
-    return total + delta ** horizon * tail[state]
+    return total + delta ** ROLLOUT_HORIZON * tail[state]
 
 
 def deviation_gain(game: StageGame, automaton: Automaton, delta: float,
-                   state: State, user: int, action: float | None = None,
-                   horizon: int = 128) -> float:
+                   state: State, user: int, action: float | None = None) -> float:
     """Exact discounted gain to ``user`` from a one-shot deviation at ``state``.
 
-    Both the compliant and the deviating trajectory are simulated forward and
-    closed with the automaton's state values, so the number is exact (up to
-    rounding) rather than truncated.  ``action`` defaults to the stage best
-    response against the prescribed profile.
+    Both the compliant and the deviating trajectory are simulated forward
+    ``ROLLOUT_HORIZON`` periods and closed with the automaton's state
+    values, so the number is exact (up to rounding) rather than truncated.
+    ``action`` defaults to the stage best response against the prescribed
+    profile.
     """
     a0, a = automaton.output(state)
     if action is None:
         action = game.best_response(user, a0, a)
     sv = state_values(game, automaton, delta)
-    v_comply = _rollout_value(game, automaton, delta, state, None, horizon, sv)
-    v_dev = _rollout_value(game, automaton, delta, state, (user, float(action)),
-                           horizon, sv)
+    v_comply = _rollout_value(game, automaton, delta, state, None, sv)
+    v_dev = _rollout_value(game, automaton, delta, state, (user, float(action)), sv)
     return float(v_dev[user] - v_comply[user])
 
 
@@ -141,7 +145,6 @@ class ScanReport:
     user: int | None
     n_states: int
     horizon: int
-    tol: float
     gains: np.ndarray     # (n_states, n) one-shot deviation gains, in layout order
 
     def __str__(self):
@@ -177,8 +180,7 @@ def _truncated_state_values(automaton: Automaton, delta: float, lay: Layout,
 
 
 def profitability_scan(game: StageGame, automaton: Automaton, delta: float,
-                       grid_points: int = 200, tol: float = SPE_GAIN_TOL,
-                       suffix_err: float = 1e-10) -> ScanReport:
+                       grid_points: int = 200) -> ScanReport:
     """One-shot deviation scan valued by truncated suffix sums only.
 
     Independent counterpart of ``verify_spe``: the deviation search is the
@@ -186,19 +188,19 @@ def profitability_scan(game: StageGame, automaton: Automaton, delta: float,
     profile) but every continuation is valued by explicitly accumulating
     at most ``horizon`` discounted periods, with ``horizon`` chosen from
     the payoffs the states play so the truncation error stays below
-    ``suffix_err``.  Agreement between the two reports certifies the
+    ``SUFFIX_ERR``.  It passes when no deviation gains more than
+    ``SPE_GAIN_TOL``; agreement between the two reports certifies the
     closed-form state values.
     """
     lay = automaton.layout
     U = game.payoff_batch(lay.a0, lay.a)
     scale = max(1.0, float(np.max(np.abs(U[np.unique(lay.row)]))))
-    horizon = int(np.ceil(np.log(suffix_err / scale) / np.log(delta))) + 1
+    horizon = int(np.ceil(np.log(SUFFIX_ERR / scale) / np.log(delta))) + 1
     W = _truncated_state_values(automaton, delta, lay, U[lay.row], horizon)
     d, _ = _best_deviations(game, lay.a0, lay.a, grid_points)
     users = np.arange(game.n)
     gains = (1.0 - delta) * (d - U)[lay.row] + delta * (W[lay.pun, users] - W[lay.nxt])
     k, i = _worst_cell(gains)
     worst = float(gains[k, i])
-    return ScanReport(ok=worst <= tol, worst_gain=worst, state=automaton.state_at(k),
-                      user=i, n_states=automaton.n_states, horizon=horizon,
-                      tol=tol, gains=gains)
+    return ScanReport(ok=worst <= SPE_GAIN_TOL, worst_gain=worst, state=automaton.state_at(k),
+                      user=i, n_states=automaton.n_states, horizon=horizon, gains=gains)

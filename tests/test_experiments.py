@@ -189,7 +189,7 @@ def test_one_shot_seeded_matches_grid_route():
     game = fig_game()
     gam = np.full(4, 3.0)
     grid = constrained_welfare_search(game, gam, "sum")
-    seeded = constrained_welfare_search(game, gam, "sum", seed=grid.profile)
+    seeded = xp._search(game, [(gam, "sum")], [grid.profile])[0]
     assert seeded.value == pytest.approx(grid.value, abs=1e-12)
 
 
@@ -199,8 +199,9 @@ def test_one_shot_fallback_seed_lets_other_errors_through(monkeypatch):
     def broken(game):
         raise TypeError("broken best-response map")
     monkeypatch.setattr(xp, "solve_stage_nash", broken)
+    monkeypatch.setattr(xp, "GRID_CAP", 0)
     with pytest.raises(TypeError, match="broken best-response map"):
-        constrained_welfare_search(fig_game(), np.ones(4), "sum", grid_cap=0)
+        constrained_welfare_search(fig_game(), np.ones(4), "sum")
 
 
 def test_one_shot_fallback_starts_from_the_box_and_the_stage_nash(monkeypatch):
@@ -211,8 +212,9 @@ def test_one_shot_fallback_starts_from_the_box_and_the_stage_nash(monkeypatch):
         starts.extend(stack)
         return ascend(game, stack, *args)
     monkeypatch.setattr(xp, "_ascend", recorded)
+    monkeypatch.setattr(xp, "GRID_CAP", 0)
     game = fig_game()
-    found = constrained_welfare_search(game, np.ones(4), "sum", grid_cap=0)
+    found = constrained_welfare_search(game, np.ones(4), "sum")
     assert found is not None and np.all(found.payoffs >= 1.0 - 1e-9)
     assert len(starts) == 4
     for got, scale in zip(starts, (0.5, 0.75, 1.0)):
@@ -270,7 +272,7 @@ def test_grid_pass_matches_row_major_rule(name):
               u_mid * np.linspace(0.2, 1.0, game.n),
               out_of_reach]
     cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
-    got = xp._grid_pass(game, cells, 0.05, 8_000_000)
+    got = xp._grid_pass(game, cells)
     want = _row_major_seeds(game, cells, 0.05)
     for (gamma, kind), g, w in zip(cells, got, want):
         assert np.array_equal(g, w), (gamma, kind, g, w)
@@ -282,7 +284,7 @@ def test_grid_pass_past_the_cap_builds_no_grid(n):
     a wrapped (negative) size must not slip under the cap."""
     game = FlowControlGame(mu=float(n), beta=[3.0] * n, a_max=[1.0] * n, a0_max=[1.0])
     game.grid_payoffs = lambda axes: pytest.fail("grid built past the cap")
-    assert xp._grid_pass(game, [(np.zeros(n), "sum")], 0.05, 8_000_000) is None
+    assert xp._grid_pass(game, [(np.zeros(n), "sum")]) is None
 
 
 def test_score_of_user_major_blocks_is_the_row_major_rule():
@@ -394,7 +396,7 @@ def test_stacked_ascent_matches_single_start_ascents(name):
     ran = set()
     for gamma in (u_mid * np.linspace(0.2, 1.0, game.n), out_of_reach):
         for kind in ("sum", "maxmin"):
-            ok, val, profiles = xp._ascend(game, starts, gamma, kind, 50)
+            ok, val, profiles = xp._ascend(game, starts, gamma, kind)
             for s, start in enumerate(starts):
                 want_ok, want_val, want_a, passes = _ascend_one(game, start, gamma, kind)
                 assert ok[s] == want_ok and val[s] == want_val, (gamma, kind, s)
@@ -426,14 +428,14 @@ def test_lockstep_ascent_of_cells_matches_each_cells_own_ascent(name):
     seeds = [rng.uniform(-0.1, 1.1, size=(2, game.n)) * game.a_max for _ in cells]
     ok, val, profiles = xp._ascend(game, np.concatenate(seeds),
                                    np.repeat([gamma for gamma, _ in cells], 2, axis=0),
-                                   np.repeat([kind for _, kind in cells], 2), 50)
+                                   np.repeat([kind for _, kind in cells], 2))
     for c, (gamma, kind) in enumerate(cells):
-        want_ok, want_val, want_a = xp._ascend(game, seeds[c], gamma, kind, 50)
+        want_ok, want_val, want_a = xp._ascend(game, seeds[c], gamma, kind)
         rows = slice(2 * c, 2 * c + 2)
         assert np.array_equal(ok[rows], want_ok) and np.array_equal(val[rows], want_val), (c, kind)
         assert np.array_equal(profiles[rows], want_a), (c, kind)
     for (gamma, kind), seed, got in zip(cells, seeds, xp._search(game, cells, seeds)):
-        want = constrained_welfare_search(game, gamma, kind, seed=seed)
+        want = xp._search(game, [(gamma, kind)], [seed])[0]
         assert (got is None) == (want is None), (gamma, kind)
         if got is not None:
             assert got.value == want.value and np.array_equal(got.profile, want.profile)
@@ -635,6 +637,19 @@ def test_tradeoff_required_cap():
     assert threshold(max(req[0.85] - 5e-3, 0.0)) > 0.85
 
 
+def test_tradeoff_without_a0_max_sweeps_the_default_cap():
+    """The cap is read off the built game, so a game block without
+    ``a0_max`` runs as the default box ``[0]`` does."""
+    cfg = {k: v for k, v in GAME_CFG.items() if k != "a0_max"}
+    for axis in ("a0_vs_delta", "delta_vs_gamma"):
+        got = tradeoff_sweep(cfg, axis, (7.0, 14.0), (0.0,), (0.9, 0.99)).rows
+        assert got == tradeoff_sweep(dict(GAME_CFG, a0_max=[0.0]), axis, (7.0, 14.0),
+                                     (0.0,), (0.9, 0.99)).rows
+    # gamma = 7 needs delta 0.961 without a device, gamma = 14 only 0.866
+    assert [r[5] for r in tradeoff_sweep(cfg, "a0_vs_delta", (7.0, 14.0), (), (0.9, 0.99)).rows] \
+        == [None, 0.0, 0.0, 0.0]
+
+
 def test_tradeoff_rejects_unknown_axis():
     with pytest.raises(ConfigError, match="axis"):
         tradeoff_sweep(GAME_CFG, "delta_vs_mu", (1.0,), (2.5,), (0.9,))
@@ -709,6 +724,14 @@ def test_cli_repeat_runs_are_byte_identical(tmp_path):
         rc = main(["--experiment", "fig3", "--config", str(CONFIG), "--out", str(tmp_path / k)])
         assert rc == 0
     assert (tmp_path / "1" / "fig3.csv").read_bytes() == (tmp_path / "2" / "fig3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["fig3", "tradeoff", "verify"])
+def test_cli_csv_matches_golden(tmp_path, experiment):
+    rc = main(["--experiment", experiment, "--config", str(CONFIG), "--out", str(tmp_path)])
+    assert rc == 0
+    golden = Path(__file__).parent / "data" / f"{experiment}_golden.csv"
+    assert (tmp_path / f"{experiment}.csv").read_bytes() == golden.read_bytes()
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
