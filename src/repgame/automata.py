@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .games import (ActionProfile, StageGame, best_response_payoffs, max_stage_payoff,
-                    minmax, minmax_values, mutual_minmax)
+from .games import (ActionProfile, StageGame, _minmax_table, best_response_payoffs,
+                    max_stage_payoff, minmax_values, mutual_minmax)
 
 State = tuple
 
@@ -279,12 +279,7 @@ def build_player_specific_automaton(game: StageGame, path_profiles: Sequence, L:
     rew_a0, rew_a = _profiles_to_arrays(game, reward_profiles)
     if rew_a.shape[0] != game.n:
         raise AutomatonError("need one reward profile per user")
-    pun_a0 = np.empty((game.n, game.a0_dim))
-    pun_a = np.empty((game.n, game.n))
-    for i in range(game.n):
-        mm = minmax(game, i, with_intervention=True)
-        pun_a0[i] = mm.profile.a0
-        pun_a[i] = mm.profile.a
+    pun_a0, pun_a, _ = _minmax_table(game)
     # ordering precondition on discounted-average-relevant stage payoffs
     v_path_min = game.payoff_batch(tab_a0, tab_a).min(axis=0)
     rew_u = game.payoff_batch(rew_a0, rew_a)  # row i = payoffs in i's reward phase
@@ -560,12 +555,11 @@ def player_specific_delta_constraints(game: StageGame, path_profile, L: int,
     rew_a0, rew_a = _profiles_to_arrays(game, reward_profiles)
     rew_u = game.payoff_batch(rew_a0, rew_a)  # rew_u[i, j] = user j's payoff in i's reward
     own = np.diagonal(rew_u)
-    vlw = minmax_values(game, with_intervention=True)
+    # q[i, j] = user j's payoff while i is punished
+    q = _minmax_table(game)[2]
+    vlw = np.diagonal(q)
     M = max_stage_payoff(game, a0=None)
     n = game.n
-    # q[i, j] = user j's payoff while i is punished
-    q = np.array([game.payoff_batch(mm.profile.a0, mm.profile.a)
-                  for mm in (minmax(game, i, with_intervention=True) for i in range(n))])
     dl = float(delta)
     # [i, j, l]: user j in phase l of i's punishment (reward_other has one
     # phase); the punished user's own entries j == i are dropped, keeping the
@@ -597,20 +591,21 @@ def find_min_delta_for_constraints(constraint_fn: Callable[[float], dict]) -> fl
     the incentive families here whenever the path dominates the
     punishment payoff.
     """
+    return _bisect(lambda d: min(np.min(v) for v in constraint_fn(d).values() if np.size(v)) >= 0.0,
+                   0.0, 1.0 - 1e-12, DELTA_TOL)
 
-    def margin(delta):
-        fams = constraint_fn(delta)
-        return float(min(np.min(np.asarray(v)) for v in fams.values() if np.size(v)))
 
-    hi = 1.0 - 1e-12
-    if margin(hi) < 0.0:
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float) -> float | None:
+    """Smallest point of ``[lo, hi]`` where the monotone test ``holds``
+    passes, to a bracket of ``tol``: None when ``hi`` fails, ``lo`` when it
+    passes, else the upper end of the last bracket."""
+    if not holds(hi):
         return None
-    lo = 0.0
-    if margin(lo) >= 0.0:
-        return 0.0
-    while hi - lo > DELTA_TOL:
+    if holds(lo):
+        return lo
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if margin(mid) >= 0.0:
+        if holds(mid):
             hi = mid
         else:
             lo = mid

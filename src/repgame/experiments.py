@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .automata import min_delta_for_L, verify_spe
+from .automata import _bisect, min_delta_for_L, verify_spe
 from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, _welfare_value,
                      assemble_protocol, delta_bar, deviation_stats, generate_outcome_path,
                      guarantee_feasible, optimize_welfare)
@@ -482,7 +482,7 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
     a = np.clip(starts, 0.0, game.a_max)
     floors = np.broadcast_to(gamma, a.shape).T
     maxmin = np.broadcast_to(np.asarray(kind) == "maxmin", len(a))
-    U = np.array([game.payoff_batch(null, x) for x in a])
+    U = game.payoff_batch(null, a)
     [(cur_ok, welfare, margin)] = _score(U.T, [(floors, maxmin)])
     cur_val = np.where(cur_ok, welfare, margin)
     climbing = np.ones(len(a), dtype=bool)
@@ -709,21 +709,10 @@ def tradeoff_sweep(game_cfg: dict, axis: str, gamma_levels, a0_values, delta_gri
         return delta_bar(stats, target.v, True)
 
     def required_cap(g: float, d: float) -> float | None:
-        top = threshold(cap, g)
-        if top is None or top > d + 1e-12:
-            return None
-        low = threshold(0.0, g)
-        if low is not None and low <= d + 1e-12:
-            return 0.0
-        lo_a, hi_a = 0.0, cap
-        while hi_a - lo_a > CAP_TOL:
-            mid = 0.5 * (lo_a + hi_a)
-            t = threshold(mid, g)
-            if t is not None and t <= d + 1e-12:
-                hi_a = mid
-            else:
-                lo_a = mid
-        return hi_a
+        def meets(a0: float) -> bool:
+            t = threshold(a0, g)
+            return t is not None and t <= d + 1e-12
+        return _bisect(meets, 0.0, cap, CAP_TOL)
 
     if axis == "delta_vs_gamma":
         rows = [[axis, g, None, a0, threshold(a0, g), None]

@@ -332,16 +332,19 @@ class PowerControlGame(StageGame):
         if np.any(self.a_max <= 0) or self.a0_max[0] < 0:
             raise GameConfigError("power budgets must be positive")
 
-    def payoff_unchecked(self, a0, a):
+    def _signal(self, a0, a):
+        """Own received power and noise plus interference at each receiver, the
+        interference summed along the user axis so no batch shape moves a bit."""
         own = np.diagonal(self.gain) * a
-        cross = a @ self.gain.T - own  # interference received by each user
-        denom = self.noise + self.intervention_gain * a0[..., 0:1] + cross
+        cross = np.sum(a[..., None, :] * self.gain, axis=-1) - own
+        return own, self.noise + self.intervention_gain * a0[..., 0:1] + cross
+
+    def payoff_unchecked(self, a0, a):
+        own, denom = self._signal(a0, a)
         return np.log2(1.0 + own / denom)
 
     def payoff_jacobian(self, a0, a):
-        a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
-        own = np.diagonal(self.gain) * a
-        denom = self.noise + self.intervention_gain * a0[..., 0:1] + (a @ self.gain.T - own)
+        own, denom = self._signal(np.asarray(a0, dtype=float), np.asarray(a, dtype=float))
         # d u_i / d a_j = (g_ii [i = j] - own_i g_ij / denom_i [i != j]) / ((denom_i + own_i) ln 2)
         jac = -(own / denom)[..., :, None] * self.gain
         users = np.arange(self.n)
@@ -544,6 +547,18 @@ def solve_stage_nash(game: StageGame, a0=None) -> ActionProfile:
     return ActionProfile(a0=a0, a=a)
 
 
+def _minmax_table(game: StageGame, with_intervention: bool = True):
+    """Every user's minmax profile (see :func:`minmax`) and its payoffs,
+    ``(a0, a, u)`` of shapes ``(n, a0_dim)``, ``(n, n)`` and ``(n, n)``:
+    row ``i`` holds user ``i`` to ``u[i, i]``.  One
+    :meth:`StageGame.best_responses` call and one payoff call fill it."""
+    a0 = np.array([game.minmax_minimizer(i) if with_intervention else game.null_intervention()
+                   for i in range(game.n)])
+    a = np.tile(game.a_max.astype(float), (game.n, 1))
+    np.fill_diagonal(a, np.diagonal(game.best_responses(a0, a)))
+    return a0, a, game.payoff_batch(a0, a)
+
+
 def minmax(game: StageGame, i: int, with_intervention: bool = True) -> MinmaxResult:
     """User ``i``'s minmax value, with or without the device's help.
 
@@ -552,16 +567,14 @@ def minmax(game: StageGame, i: int, with_intervention: bool = True) -> MinmaxRes
     profile (device at ``minmax_minimizer(i)`` when allowed, at null
     otherwise); ``i`` then plays a best response against it.
     """
-    a0 = game.minmax_minimizer(i) if with_intervention else game.null_intervention()
-    prof = game.a_max.astype(float).copy()
-    prof[i] = game.best_response(i, a0, prof)
-    value = float(game.payoff_batch(a0, prof)[i])
-    return MinmaxResult(user=i, value=value, profile=ActionProfile(a0=a0, a=prof),
+    a0, a, u = _minmax_table(game, with_intervention)
+    return MinmaxResult(user=i, value=float(u[i, i]), profile=ActionProfile(a0=a0[i], a=a[i]),
                         with_intervention=with_intervention)
 
 
 def minmax_values(game: StageGame, with_intervention: bool = True) -> np.ndarray:
-    return np.array([minmax(game, i, with_intervention).value for i in range(game.n)])
+    """Every user's :func:`minmax` value, the diagonal of one minmax table."""
+    return np.diagonal(_minmax_table(game, with_intervention)[2]).copy()
 
 
 def mutual_minmax(game: StageGame) -> MutualMinmaxResult:

@@ -300,6 +300,29 @@ def test_deviation_payoffs_match_per_profile_oracle(kind):
 
 
 @pytest.mark.parametrize("kind", ["flow", "packet_drop", "power"])
+def test_payoff_bits_do_not_depend_on_batch_shape(kind):
+    """A profile scored alone, in an ``(R, n)`` stack, nested as ``(R, 1,
+    n)`` or inside the ``(..., n, n)`` block of ``deviation_payoffs`` gets
+    the same payoff bits: every payoff map sums only along the user axis."""
+    rng = np.random.default_rng(37)
+    for n in range(2, 7):
+        for _ in range(10):
+            g = _random_game(rng, kind, n)
+            a0 = rng.uniform(0, 1, (50, g.a0_dim)) * g.a0_max
+            a = rng.uniform(0, 1, (50, n)) * g.a_max
+            x = rng.uniform(0, 1, (50, n)) * g.a_max
+            alone = np.array([g.payoff_batch(a0[r], a[r]) for r in range(50)])
+            assert np.array_equal(g.payoff_batch(a0, a), alone)
+            assert np.array_equal(g.payoff_batch(a0[:, None], a[:, None])[:, 0], alone)
+            deviated = np.empty((50, n))
+            for r, i in np.ndindex(50, n):
+                dev = a[r].copy()
+                dev[i] = x[r, i]
+                deviated[r, i] = g.payoff_batch(a0[r], dev)[i]
+            assert np.array_equal(g.deviation_payoffs(a0, a, x), deviated)
+
+
+@pytest.mark.parametrize("kind", ["flow", "packet_drop", "power"])
 def test_max_stage_payoff_is_best_solo_payoff(kind):
     """The bound is the best solo payoff at the given device action (null
     for None), and no sampled profile, device action included, beats it."""
@@ -562,6 +585,29 @@ def test_minmax_matches_enumeration_small_game():
                 others[i] = bi
                 worst = min(worst, g.payoff_batch([a0], others)[i])
         assert np.isclose(worst, minmax(g, i).value, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_device", [True, False], ids=["device", "no_device"])
+@pytest.mark.parametrize("kind", ["flow", "packet_drop", "power"])
+def test_minmax_table_matches_per_user_oracle(kind, with_device):
+    """Row i of the one-call minmax table against user i's profile built
+    alone: the all-max profile, the device at ``minmax_minimizer(i)`` (or
+    null), and i's reply from a one-row ``best_responses`` call."""
+    rng = np.random.default_rng(43)
+    for n in range(2, 13):
+        g = _random_game(rng, kind, n)
+        a0, a, u = games._minmax_table(g, with_device)
+        for i in range(n):
+            b0 = g.minmax_minimizer(i) if with_device else g.null_intervention()
+            prof = g.a_max.astype(float).copy()
+            prof[i] = g.best_responses(b0[None], prof[None])[0, i]
+            want = g.payoff_batch(b0, prof)
+            assert np.array_equal(a0[i], b0) and np.array_equal(a[i], prof)
+            assert np.array_equal(u[i], want)
+            r = minmax(g, i, with_device)
+            assert r.value == want[i] and r.with_intervention == with_device
+            assert np.array_equal(r.profile.a0, b0) and np.array_equal(r.profile.a, prof)
+        assert np.array_equal(minmax_values(g, with_device), np.diagonal(u))
 
 
 def test_mutual_minmax_nash_only_under_enough_intervention():
