@@ -34,7 +34,7 @@ from .automata import _bisect, min_delta_for_L, verify_spe
 from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, _welfare_value,
                      assemble_protocol, delta_bar, deviation_stats, generate_outcome_path,
                      guarantee_feasible, optimize_welfare)
-from .games import (FlowControlGame, GameConfigError, StageGame, game_from_config,
+from .games import (FlowControlGame, GameConfigError, StageGame, _user_sum, game_from_config,
                     minmax_values, mutual_minmax, solve_stage_nash)
 from .simulate import profitability_scan
 
@@ -281,25 +281,16 @@ def _score(UT: np.ndarray, cells):
 
     The block is reduced once for all cells, in length-R passes over the
     rows of a contiguous copy (none is made of a contiguous block): the row
-    minimum, the welfare sum, and one margin and feasibility mask per
-    distinct floor vector (per-profile floors are matched by identity, not
-    by value).  Rounding ``x - g`` is monotone in ``x``, so a
-    margin against equal floors ``g`` is ``rowmin - g`` exactly, and one
-    against per-profile floors is each profile's margin against its own.
-    The sum is bit-equal to ``U.sum(axis=-1)`` of the row-major block
-    ``U = UT.T``, and is that very sum when ``U`` is contiguous (the
-    ascent's lines) or n >= 8, where numpy adds pairwise; otherwise it adds
-    the rows in sequence from +0.0, as numpy does below 8 users.
+    minimum, the welfare sum (rows added in index order by :func:`_user_sum`,
+    as in the payoff maps), and one margin and feasibility mask per distinct
+    floor vector (per-profile floors are matched by identity, not by value).
+    Rounding ``x - g`` is monotone in ``x``, so a margin against equal floors
+    ``g`` is ``rowmin - g`` exactly, and one against per-profile floors is
+    each profile's margin against its own.
     """
-    n, U = UT.shape[0], UT.T
-    UT = np.ascontiguousarray(UT)
+    n, UT = UT.shape[0], np.ascontiguousarray(UT)
     rowmin = UT.min(axis=0)
-    if U.flags.c_contiguous or n >= 8:
-        total = np.ascontiguousarray(U).sum(axis=-1)
-    else:
-        total = 0.0 + UT[0]
-        for row in UT[1:]:
-            total += row
+    total = _user_sum(UT.T)
     margins = {}
     for gamma, kind in cells:
         key = gamma.tobytes() if gamma.ndim == 1 else id(gamma)

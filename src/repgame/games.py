@@ -49,6 +49,19 @@ def _finite(x, name) -> np.ndarray:
     return arr
 
 
+def _user_sum(x: np.ndarray):
+    """Sum over the last (user) axis in index order from +0.0, user 0 first,
+    in any batch shape: the one order of every payoff map (``np.sum`` keeps
+    it only below 8 terms).  A contiguous batch is added as flat columns."""
+    if x.size <= x.shape[-1] ** 2:   # a few rows: one numpy call, not one per user
+        return 0.0 + np.cumsum(x, axis=-1)[..., -1]
+    rows = x.reshape(-1, x.shape[-1]) if x.flags.c_contiguous else x   # 1-D adds, no copy
+    total = 0.0 + rows[..., 0]
+    for k in range(1, x.shape[-1]):
+        total += rows[..., k]
+    return total.reshape(x.shape[:-1])
+
+
 def _as_vector(x, n, name) -> np.ndarray:
     arr = _finite(x, name)
     if arr.ndim == 0:
@@ -271,13 +284,13 @@ class FlowControlGame(StageGame):
                 f"queue underprovisioned: mu={self.mu} < sum(a_max)={np.sum(self.a_max)}")
 
     def payoff_unchecked(self, a0, a):
-        cap = self.mu - a0[..., 0] - np.sum(a, axis=-1)
+        cap = self.mu - a0[..., 0] - _user_sum(a)
         cap = np.maximum(cap, 0.0)
         return np.power(a, self.beta) * cap[..., None]
 
     def payoff_jacobian(self, a0, a):
         a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
-        cap = self.mu - a0[..., 0] - np.sum(a, axis=-1)
+        cap = self.mu - a0[..., 0] - _user_sum(a)
         # a saturated queue pays zero and no rate moves that; at the kink
         # (cap exactly 0) the saturated side's slope is taken
         return _queue_jacobian(self, a, 1.0, np.maximum(cap, 0.0),
@@ -288,7 +301,7 @@ class FlowControlGame(StageGame):
         return _queue_grid_payoffs(self, axes, lambda load: np.maximum(self.mu - load, 0.0))
 
     def best_responses(self, a0, a):
-        free = self.mu - a0 - (np.sum(a, axis=-1, keepdims=True) - a)
+        free = self.mu - a0 - (_user_sum(a)[..., None] - a)
         interior = np.minimum(self.beta / (1.0 + self.beta) * free, self.a_max)
         # a saturated queue pays zero whatever i sends; the full rate keeps
         # the all-max profile a best-response fixed point
@@ -334,9 +347,10 @@ class PowerControlGame(StageGame):
 
     def _signal(self, a0, a):
         """Own received power and noise plus interference at each receiver, the
-        interference summed along the user axis so no batch shape moves a bit."""
+        interference added in index order by :func:`_user_sum`, so no batch
+        shape moves a bit."""
         own = np.diagonal(self.gain) * a
-        cross = np.sum(a[..., None, :] * self.gain, axis=-1) - own
+        cross = _user_sum(a[..., None, :] * self.gain) - own
         return own, self.noise + self.intervention_gain * a0[..., 0:1] + cross
 
     def payoff_unchecked(self, a0, a):
@@ -390,13 +404,13 @@ class PacketDropGame(StageGame):
                 f"queue underprovisioned: mu={self.mu} < sum(a_max)={np.sum(self.a_max)}")
 
     def payoff_unchecked(self, a0, a):
-        cap = self.mu - np.sum(a, axis=-1)
+        cap = self.mu - _user_sum(a)
         eff = np.maximum((1.0 - a0) * a, 0.0)
         return np.power(eff, self.beta) * cap[..., None]
 
     def payoff_jacobian(self, a0, a):
         a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
-        cap = self.mu - np.sum(a, axis=-1)
+        cap = self.mu - _user_sum(a)
         return _queue_jacobian(self, np.maximum((1.0 - a0) * a, 0.0), 1.0 - a0, cap, -1.0)
 
     def grid_payoffs(self, axes):
@@ -404,7 +418,7 @@ class PacketDropGame(StageGame):
         return _queue_grid_payoffs(self, axes, lambda load: self.mu - load)
 
     def best_responses(self, a0, a):
-        free = self.mu - (np.sum(a, axis=-1, keepdims=True) - a)
+        free = self.mu - (_user_sum(a)[..., None] - a)
         interior = np.minimum(self.beta / (1.0 + self.beta) * free, self.a_max)
         # a user whose packets are all dropped is paid zero whatever it sends
         return np.where((a0 >= 1.0 - 1e-12) | (free <= 0.0), self.a_max, interior)
@@ -471,14 +485,9 @@ def _queue_grid_payoffs(game, axes, capacity):
     ``a_i**beta_i * capacity(load)`` at null intervention, from per-axis
     factors: ``a**beta`` is one power table for all axes, a slab's load is
     built by broadcasting one axis at a time, and each user's block is one
-    multiply.  The load adds the users in sequence, as ``np.sum`` over the
-    user axis does below 8 users; from 8 on numpy adds pairwise, so those
-    games take the row-major route."""
-    n = game.n
-    if n >= 8:
-        yield from StageGame.grid_payoffs(game, axes)
-        return
-    table = np.zeros((max(len(ax) for ax in axes), n))
+    multiply.  The load adds the users in index order, as :func:`_user_sum`
+    does, so the blocks equal ``payoff_batch`` bit for bit at every n."""
+    table = np.zeros((max(len(ax) for ax in axes), game.n))
     for i, ax in enumerate(axes):
         table[:len(ax), i] = ax
     # (m, n) by beta along the last axis: the call shape of payoff_unchecked
@@ -491,10 +500,10 @@ def _queue_grid_payoffs(game, axes, capacity):
         for col in cols:
             load = load + col
         cap = capacity(np.broadcast_to(load, shape))
-        block = np.empty((n,) + shape)
+        block = np.empty((game.n,) + shape)
         for i, f in enumerate((p,) + factors):
             np.multiply(f, cap, out=block[i, ...])
-        yield block.reshape(n, -1)
+        yield block.reshape(game.n, -1)
 
 
 _GAME_KINDS = {

@@ -194,7 +194,7 @@ def profitability_scan(game: StageGame, automaton: Automaton, delta: float,
     """
     lay = automaton.layout
     U = game.payoff_batch(lay.a0, lay.a)
-    scale = max(1.0, float(np.max(np.abs(U[np.unique(lay.row)]))))
+    scale = max(1.0, float(np.max(np.abs(U[np.bincount(lay.row, minlength=len(U)) > 0]))))
     horizon = int(np.ceil(np.log(SUFFIX_ERR / scale) / np.log(delta))) + 1
     W = _truncated_state_values(automaton, delta, lay, U[lay.row], horizon)
     d, _ = _best_deviations(game, lay.a0, lay.a, grid_points)

@@ -13,8 +13,8 @@ from repgame.experiments import (ConfigError, ResultTable, baseline_comparison,
                                  emit_curves, load_config, punishment_length_curves,
                                  reference_path, run_experiment, scaling_sweep,
                                  tradeoff_sweep, verification_report)
-from repgame.games import (FlowControlGame, PacketDropGame, PowerControlGame, game_from_config,
-                           solve_stage_nash)
+from repgame.games import (FlowControlGame, PacketDropGame, PowerControlGame, StageGame,
+                           game_from_config, solve_stage_nash)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "fig_flow.json"
@@ -224,8 +224,9 @@ def test_one_shot_fallback_starts_from_the_box_and_the_stage_nash(monkeypatch):
 
 def _row_major_seeds(game, cells, step):
     """The one-shot grid seeds by the row-major rule: payoffs of the whole
-    grid at once, each cell reduced over the user axis row by row, and the
-    first grid index wins among the best rows."""
+    grid at once, each cell reduced over the user axis row by row (the sum
+    in index order, as ``np.cumsum`` adds), and the first grid index wins
+    among the best rows."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, step), [am]])) for am in game.a_max]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, game.n)
     U = game.payoff_batch(game.null_intervention(), grid)
@@ -233,7 +234,8 @@ def _row_major_seeds(game, cells, step):
     for gamma, kind in cells:
         margin = np.min(U - gamma, axis=-1)
         ok = margin >= -1e-9
-        val = np.where(ok, U.sum(axis=-1) if kind == "sum" else U.min(axis=-1), margin)
+        val = np.where(ok, np.cumsum(U, axis=-1)[:, -1] if kind == "sum" else U.min(axis=-1),
+                       margin)
         idx = np.flatnonzero(ok)
         seeds.append(grid[idx[np.argmax(val[idx])] if idx.size else np.argmax(val)])
     return seeds
@@ -287,10 +289,21 @@ def test_grid_pass_past_the_cap_builds_no_grid(n):
     assert xp._grid_pass(game, [(np.zeros(n), "sum")]) is None
 
 
+@pytest.mark.parametrize("name", ["flow-9", "packet-9"])
+def test_grid_pass_of_9_user_queue_games_takes_the_factorised_route(name, monkeypatch):
+    """From 8 users too, the queue games' factorised blocks add the load in
+    index order, as their payoffs do: the grid pass never builds the
+    row-major grid of ``StageGame.grid_payoffs``, and it still picks the
+    row-major rule's profiles."""
+    monkeypatch.setattr(StageGame, "grid_payoffs",
+                        lambda self, axes: pytest.fail("row-major grid route taken"))
+    test_grid_pass_matches_row_major_rule(name)
+
+
 def test_score_of_user_major_blocks_is_the_row_major_rule():
     """Scoring a user-major block gives the row-major rule's ``ok`` and
-    ``val`` bit for bit: the sum ``U.sum(axis=-1)`` (in sequence below 8
-    users, pairwise from 8), the row minimum and every margin."""
+    ``val`` bit for bit: the sum in index order (``np.cumsum``'s, for every
+    n), the row minimum and every margin."""
     rng = np.random.default_rng(5)
     for n in range(1, 12):
         U = rng.uniform(0.0, 10.0, (400, n)) * 10.0 ** rng.integers(-6, 7, (400, n))
@@ -301,7 +314,8 @@ def test_score_of_user_major_blocks_is_the_row_major_rule():
                 val = np.where(ok, welfare, margin)
                 margin = np.min(U - gamma, axis=-1)
                 want = np.where(margin >= -1e-9,
-                                U.sum(axis=-1) if kind == "sum" else U.min(axis=-1), margin)
+                                np.cumsum(U, axis=-1)[:, -1] if kind == "sum" else U.min(axis=-1),
+                                margin)
                 assert np.array_equal(ok, margin >= -1e-9) and np.array_equal(val, want), (n, kind)
 
 
