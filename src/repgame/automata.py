@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .games import (ActionProfile, StageGame, _minmax_table, best_response_payoffs,
-                    max_stage_payoff, minmax_values, mutual_minmax)
+from .games import (ActionProfile, MutualMinmaxResult, StageGame, _minmax_table,
+                    best_response_payoffs, max_stage_payoff, minmax_values, mutual_minmax)
 
 State = tuple
 
@@ -45,6 +45,23 @@ DELTA_TOL = 1e-6
 
 class AutomatonError(ValueError):
     """Raised when an automaton cannot be built from the given pieces."""
+
+
+def _not_credible(mm: MutualMinmaxResult) -> str:
+    """Why grim punishment at ``mm``, no stage Nash equilibrium, is not credible."""
+    return (f"the mutual minmax profile is not a stage Nash equilibrium: user "
+            f"{mm.worst_user} gains {mm.worst_gain:.3g} by deviating, so grim "
+            "punishment is not credible")
+
+
+def _punishment_profile(game: StageGame, L: int | None) -> MutualMinmaxResult:
+    """The mutual minmax profile, checked to punish ``L >= 1`` periods or forever (None)."""
+    mm = mutual_minmax(game)
+    if L is None and not mm.is_stage_nash:
+        raise AutomatonError(_not_credible(mm))
+    if L is not None and L < 1:
+        raise AutomatonError("punishment length L must be at least 1")
+    return mm
 
 
 def _profiles_to_arrays(game: StageGame, profiles) -> tuple[np.ndarray, np.ndarray]:
@@ -244,17 +261,11 @@ def build_minmax_automaton(game: StageGame, path_profiles: Sequence, L: int | No
     default the profiles are played in order.
     """
     tab_a0, tab_a, index = _path_table(game, path_profiles, path_index, cycle_start)
-    mm = mutual_minmax(game)
+    mm = _punishment_profile(game, L)
     if L is None:
-        if not mm.is_stage_nash:
-            raise AutomatonError(
-                "grim punishment needs the mutual minmax profile to be a stage Nash "
-                f"equilibrium (worst deviation gain {mm.worst_gain:.3g})")
         return Automaton(kind="grim", n=game.n, table_a0=tab_a0, table_a=tab_a,
                          path_index=index, cycle_start=cycle_start,
                          abs_a0=mm.profile.a0, abs_a=mm.profile.a)
-    if L < 1:
-        raise AutomatonError("punishment length L must be at least 1")
     pun_a0 = np.tile(mm.profile.a0, (game.n, 1))
     pun_a = np.tile(mm.profile.a, (game.n, 1))
     np.fill_diagonal(pun_a, game.best_responses(mm.profile.a0, mm.profile.a))
@@ -474,13 +485,7 @@ def min_delta_for_L(game: StageGame, path_profile, L: int | None) -> MinDeltaRes
     be a stage Nash equilibrium.
     """
     pa0, pa, v = _path_profile(game, path_profile)
-    mm = mutual_minmax(game)
-    if L is None and not mm.is_stage_nash:
-        raise AutomatonError(
-            "absorbing punishment requires the mutual minmax profile to be a "
-            "stage Nash equilibrium; use a finite L instead")
-    if L is not None and L < 1:
-        raise ValueError("punishment length must be at least 1")
+    mm = _punishment_profile(game, L)
     d = best_response_payoffs(game, pa0, pa)
     vlw = minmax_values(game, with_intervention=True)
 

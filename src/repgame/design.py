@@ -23,8 +23,9 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .automata import Automaton, build_minmax_automaton, path_values
-from .games import StageGame, best_response_payoffs, minmax_values, mutual_minmax
+from .automata import Automaton, _not_credible, build_minmax_automaton, path_values
+from .games import (StageGame, best_response_payoffs, minmax_values, mutual_minmax,
+                    payoff_hull_sample)
 
 
 class DesignError(ValueError):
@@ -73,68 +74,57 @@ class AssumptionReport:
         return all(c.passed for c in self.checks)
 
     def passed(self, name: str) -> bool:
-        for c in self.checks:
-            if c.name == name:
-                return c.passed
-        raise KeyError(name)
+        return {c.name: c.passed for c in self.checks}[name]
 
     def __str__(self):
         return "\n".join(f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
                          for c in self.checks)
 
 
-def _solo_leak(solo_payoffs: np.ndarray) -> tuple[int, float, bool]:
-    """The solo profile leaking the most payoff to a bystander, that leak,
-    and whether it stays within ``1e-9 * max(1, max vbar)``, the tolerance
-    under which time-sharing solo profiles spans the payoff simplex.
-    ``solo_payoffs[i]`` is the payoff vector at user ``i``'s solo profile."""
+def _solo_leak(solo_payoffs: np.ndarray) -> str | None:
+    """Why time-sharing solo profiles does not span the payoff simplex: the
+    largest payoff a solo profile (row ``i`` of ``solo_payoffs``) leaks to a
+    bystander, past ``1e-9 * max(1, max vbar)``; None when none does."""
     vbar = np.diagonal(solo_payoffs)
-    leaks = np.max(np.abs(solo_payoffs - np.diag(vbar)), axis=1)
-    i = int(np.argmax(leaks))
-    return i, float(leaks[i]), bool(leaks[i] <= 1e-9 * max(1.0, float(np.max(vbar))))
+    leaks = np.abs(solo_payoffs - np.diag(vbar))
+    i, j = np.unravel_index(np.argmax(leaks), leaks.shape)
+    if leaks[i, j] <= 1e-9 * max(1.0, float(np.max(vbar))):
+        return None
+    return (f"user {i}'s solo profile leaks {leaks[i, j]:.3g} to user {j}, a bystander, "
+            "so time-sharing solo profiles does not span the payoff simplex")
 
 
 def validate_assumptions(game: StageGame, hull_grid: int = 11) -> AssumptionReport:
-    """Check the structural premises the design pipeline leans on.
+    """Report the structural premises the design pipeline leans on.
 
     1. The mutual minmax profile is a stage Nash equilibrium (so the grim
        protocol's punishment is credible).
-    2. Each user's solo optimum leaves everyone else at zero, within the
-       tolerance of :func:`generate_outcome_path` (so time-sharing solo
+    2. No solo optimum leaks payoff to a bystander (so time-sharing solo
        profiles spans the payoff simplex).
-    3. The sampled pure-payoff set lies inside that simplex (so nothing
-       outside the time-sharing hull is being given up).
+    3. The payoff set sampled by :func:`~repgame.games.payoff_hull_sample`
+       lies inside that simplex (so nothing outside the hull is given up).
 
-    The third check can genuinely fail for congestion games whose
-    efficient profiles concentrate capacity on few users; the pipeline
-    only requires the first two plus guarantee feasibility, so a report
-    with a failed hull check is a warning rather than a blocker.
+    A failed premise's detail is the error the pipeline raises.  The third
+    check can genuinely fail for congestion games whose efficient profiles
+    concentrate capacity on few users; the pipeline only requires the first
+    two plus guarantee feasibility, so a failed hull check is a warning.
     """
-    checks = []
-    mm = mutual_minmax(game)
-    checks.append(AssumptionCheck(
-        name="mutual_minmax_is_stage_nash", passed=mm.is_stage_nash,
-        detail=f"worst one-shot gain at the mutual minmax profile: {mm.worst_gain:.3g}",
-        witness=mm.worst_gain))
-    null = game.null_intervention()
-    # row i: payoffs at i's solo profile
-    solo_u = game.payoff_batch(null, np.diag(game.best_responses(null, np.zeros(game.n))))
-    i, leak, ok = _solo_leak(solo_u)
-    checks.append(AssumptionCheck(
-        name="solo_optimum_leaves_others_at_zero", passed=ok,
-        detail=f"largest payoff leak to a bystander: {leak:.3g}", witness=(i, leak)))
-    vbar = np.diagonal(solo_u)
-    pts_axes = [np.linspace(0.0, game.a_max[i], hull_grid) for i in range(game.n)]
-    mesh = np.meshgrid(*pts_axes, indexing="ij")
-    acts = np.stack([m.ravel() for m in mesh], axis=-1)
-    a0s = np.zeros((acts.shape[0], game.a0_dim))
-    ratios = game.payoff_batch(a0s, acts) @ (1.0 / vbar)
+    mm, stats = mutual_minmax(game), deviation_stats(game)
+    leak = _solo_leak(stats.solo_payoffs)
+    ratios = payoff_hull_sample(game, hull_grid).points @ (1.0 / stats.vbar)
     k = int(np.argmax(ratios))
-    checks.append(AssumptionCheck(
-        name="payoff_set_inside_guarantee_simplex", passed=ratios[k] <= 1.0 + 1e-6,
-        detail=f"max normalized payoff sum {ratios[k]:.6g} at a={np.round(acts[k], 4)}",
-        witness=(float(ratios[k]), acts[k])))
-    return AssumptionReport(checks=tuple(checks))
+    # the sample's row k on its row-major grid of user actions
+    a = np.linspace(0.0, game.a_max, hull_grid)[np.unravel_index(k, (hull_grid,) * game.n),
+                                                 np.arange(game.n)]
+    nash = f"the mutual minmax profile is a stage Nash equilibrium (worst gain {mm.worst_gain:.3g})"
+    return AssumptionReport(checks=(
+        AssumptionCheck("mutual_minmax_is_stage_nash", mm.is_stage_nash,
+                        nash if mm.is_stage_nash else _not_credible(mm), mm.worst_gain),
+        AssumptionCheck("solo_optimum_leaves_others_at_zero", leak is None,
+                        leak or "no solo profile leaks payoff to a bystander"),
+        AssumptionCheck("payoff_set_inside_guarantee_simplex", ratios[k] <= 1.0 + 1e-6,
+                        f"max normalized payoff sum {ratios[k]:.6g} at a={np.round(a, 4)}",
+                        (float(ratios[k]), a))))
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +382,9 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float) -> Outcom
     n = len(stats.vbar)
     u_solo = stats.solo_payoffs
     scale = float(np.max(stats.vbar))
-    _, leak, ok = _solo_leak(u_solo)
-    if not ok:
-        raise DesignError(f"solo payoffs leak {leak:.3g} to bystanders; time-sharing does not apply")
+    leak = _solo_leak(u_solo)
+    if leak is not None:
+        raise DesignError(leak)
 
     # a target sitting exactly on a solo payoff vector is a constant path and
     # needs no threshold (the floors degenerate to the minmax point there)
@@ -525,14 +515,13 @@ def design_protocol(game: StageGame, gamma, welfare: str,
     """End-to-end pipeline: stats, target, threshold and (given a discount
     factor) the explicit equilibrium protocol."""
     gamma = np.asarray(gamma, dtype=float)
-    if not mutual_minmax(game).is_stage_nash:
-        raise DesignError("intervention is too weak: mutual minmax is not a stage "
-                          "Nash equilibrium, so the grim protocol is not credible")
+    mm = mutual_minmax(game)
+    if not mm.is_stage_nash:
+        raise DesignError(_not_credible(mm))
     stats = deviation_stats(game)
-    _, leak, ok = _solo_leak(stats.solo_payoffs)
-    if not ok:
-        raise DesignError(f"solo optima leak {leak:.3g} to bystanders; the time-sharing "
-                          "construction does not apply")
+    leak = _solo_leak(stats.solo_payoffs)
+    if leak is not None:
+        raise DesignError(leak)
     target = optimize_welfare(stats, gamma, welfare)
     threshold = delta_bar(stats, target.v)
     path = automaton = None

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .automata import _bisect, min_delta_for_L, verify_spe
+from .automata import _bisect, _not_credible, min_delta_for_L, verify_spe
 from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, _welfare_value,
                      assemble_protocol, delta_bar, deviation_stats, generate_outcome_path,
                      guarantee_feasible, optimize_welfare)
@@ -241,9 +241,7 @@ def _cell(x) -> str:
         return "NA"
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     return f"{float(x):.6g}"
 
@@ -728,9 +726,12 @@ def verification_report(game: StageGame, welfare: str, gamma: float, delta: floa
     threshold, the outcome path is still constructed -- at a discount
     just above the threshold, where the decomposition exists -- and both
     scanners run at the requested one; the reported worst gain then
-    shows by how much enforcement fails there.  A target no discount
-    factor below 1 enforces (``delta_bar = 1``) is a :class:`ConfigError`.
+    shows by how much enforcement fails there.  A device too weak for grim
+    punishment and a target with ``delta_bar = 1`` raise :class:`ConfigError`.
     """
+    mm = mutual_minmax(game)
+    if not mm.is_stage_nash:
+        raise ConfigError(_not_credible(mm))
     stats = deviation_stats(game)
     gam = np.full(game.n, float(gamma))
     try:

@@ -99,12 +99,13 @@ class MinmaxResult:
 
 @dataclass(frozen=True)
 class MutualMinmaxResult:
-    """The profile that minmaxes every user simultaneously."""
+    """The profile minmaxing every user at once; ``worst_user`` gains most by leaving it."""
 
     profile: ActionProfile
     payoffs: np.ndarray
     is_stage_nash: bool
     worst_gain: float
+    worst_user: int
 
 
 @dataclass(frozen=True)
@@ -595,9 +596,10 @@ def mutual_minmax(game: StageGame) -> MutualMinmaxResult:
     a0 = game.full_intervention()
     a = game.a_max.astype(float).copy()
     u = game.payoff_batch(a0, a)
-    worst = float(np.max(best_response_payoffs(game, a0, a) - u))
-    return MutualMinmaxResult(profile=ActionProfile(a0=a0, a=a), payoffs=u,
-                              is_stage_nash=bool(worst <= GAIN_TOL), worst_gain=worst)
+    gain = best_response_payoffs(game, a0, a) - u
+    i = int(np.argmax(gain))
+    return MutualMinmaxResult(profile=ActionProfile(a0=a0, a=a), payoffs=u, worst_user=i,
+                              is_stage_nash=bool(gain[i] <= GAIN_TOL), worst_gain=float(gain[i]))
 
 
 def solo_values(game: StageGame) -> np.ndarray:

@@ -192,6 +192,8 @@ def profitability_scan(game: StageGame, automaton: Automaton, delta: float,
     ``SPE_GAIN_TOL``; agreement between the two reports certifies the
     closed-form state values.
     """
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"discount factor must lie in (0, 1), got {delta}")
     lay = automaton.layout
     U = game.payoff_batch(lay.a0, lay.a)
     scale = max(1.0, float(np.max(np.abs(U[np.bincount(lay.row, minlength=len(U)) > 0]))))

@@ -65,6 +65,17 @@ def test_grim_requires_stage_nash_punishment():
     assert np.all(aut.abs_a0 == [2.5]) and np.all(aut.abs_a == 2.5)
 
 
+def test_punishment_length_below_one_is_rejected_with_one_message():
+    g, path = fig_game(2.5), margin_profile()
+    errors = []
+    for call in (lambda: build_minmax_automaton(g, [path], L=0),
+                 lambda: min_delta_for_L(g, path, 0)):
+        with pytest.raises(AutomatonError) as exc:
+            call()
+        errors.append(str(exc.value))
+    assert errors == ["punishment length L must be at least 1"] * 2
+
+
 def test_transitions_grim():
     aut = build_minmax_automaton(fig_game(2.5), [margin_profile()], L=None)
     s0 = aut.initial_state

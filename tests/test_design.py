@@ -7,13 +7,16 @@ oracle (linear programming for the welfare targets, discounted
 accumulation for the paths).
 """
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import repgame.design
-from repgame.automata import verify_spe
+from repgame.automata import AutomatonError, build_minmax_automaton, min_delta_for_L, verify_spe
+from repgame.cli import main
 from repgame.design import (DecompositionError, DesignError, assemble_protocol,
                             delta_bar, delta_mu, design_protocol, deviation_stats,
                             generate_outcome_path, guarantee_feasible,
@@ -384,3 +387,43 @@ def test_design_protocol_end_to_end():
 def test_design_protocol_rejects_weak_intervention():
     with pytest.raises(DesignError):
         design_protocol(fig_game(1.0), np.full(4, 1.0), "sum")
+
+
+def test_every_premise_raiser_names_the_premise_user_and_amount(stats, monkeypatch, tmp_path,
+                                                                capsys):
+    """Each premise is decided and worded in one place: every function that
+    relies on it raises that one message in its own exception type, naming
+    the premise, the user and the amount."""
+    # at a cap of 1.0 user 2 gains 0.534 by leaving the mutual minmax profile
+    weak, path = fig_game(1.0), (np.zeros(1), np.full(4, 1.0))
+    credible = ("the mutual minmax profile is not a stage Nash equilibrium: user 2 gains "
+                "0.534 by deviating, so grim punishment is not credible")
+    for error, call in ((DesignError, lambda: design_protocol(weak, np.full(4, 1.0), "sum")),
+                        (AutomatonError, lambda: build_minmax_automaton(weak, [path], L=None)),
+                        (AutomatonError, lambda: min_delta_for_L(weak, path, None))):
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == credible
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "fig_flow.json")
+                     .read_text())
+    raw["game"]["a0_max"] = [1.0]
+    raw.update(target_gamma=1.0, delta=0.99)
+    cfg = tmp_path / "weak.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["--experiment", "verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {credible}\n"
+
+    # user 0's solo profile pays user 2 a payoff of 1e-3
+    u = stats.solo_payoffs.copy()
+    u[0, 2] = 1e-3
+    leaky = dataclasses.replace(stats, solo_payoffs=u)
+    leak = ("user 0's solo profile leaks 0.001 to user 2, a bystander, so time-sharing "
+            "solo profiles does not span the payoff simplex")
+    target = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
+    with pytest.raises(DesignError) as exc:
+        generate_outcome_path(leaky, target.v, 0.95)
+    assert str(exc.value) == leak
+    monkeypatch.setattr(repgame.design, "deviation_stats", lambda game: leaky)
+    with pytest.raises(DesignError) as exc:
+        design_protocol(fig_game(), np.full(4, 3.0), "maxmin")
+    assert str(exc.value) == leak

@@ -810,6 +810,21 @@ def test_cli_verify_unenforceable_target_exits_2(tmp_path, capsys):
     assert "guarantee -5 cannot be enforced" in err and "delta_bar = 1" in err
 
 
+def test_cli_verify_device_too_weak_for_grim_exits_2(tmp_path, capsys):
+    # at a cap of 1.0 the mutual minmax profile is not a stage Nash
+    # equilibrium (it is from a cap of about 2.498): a config error, caught
+    # before any outcome path is built
+    raw = json.loads(CONFIG.read_text())
+    raw["game"]["a0_max"] = [1.0]
+    raw.update(target_gamma=1.0, delta=0.99)
+    p = tmp_path / "weak.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["--experiment", "verify", "--config", str(p), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert "config error: the mutual minmax profile is not a stage Nash" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_cli_internal_failure_exits_3(tmp_path, monkeypatch, capsys):
     def boom(config):
         raise DecompositionError("path closure failed its accuracy contract")

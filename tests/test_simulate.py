@@ -1,5 +1,6 @@
 """Simulation layer: rollouts, scripted deviations, independent SPE scan."""
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -178,3 +179,12 @@ def test_trace_csv_round_trip(tmp_path):
     assert header[:2] == ["t", "state"]
     assert float(rows[4][header.index("a_1")]) == 0.25
     assert rows[5][header.index("state")] == "('punish_abs',)"
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.5, float("nan")])
+def test_both_scanners_reject_discount_factors_outside_the_unit_interval(delta):
+    g, aut = fig_game(), grim_margin_automaton()
+    for scan in (verify_spe, profitability_scan):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"discount factor must lie in (0, 1), got {delta}")):
+            scan(g, aut, delta)
