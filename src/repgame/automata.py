@@ -54,13 +54,17 @@ def _not_credible(mm: MutualMinmaxResult) -> str:
             "punishment is not credible")
 
 
-def _punishment_profile(game: StageGame, L: int | None) -> MutualMinmaxResult:
-    """The mutual minmax profile, checked to punish ``L >= 1`` periods or forever (None)."""
-    mm = mutual_minmax(game)
-    if L is None and not mm.is_stage_nash:
-        raise AutomatonError(_not_credible(mm))
+def _check_length(L: int | None) -> None:
+    """Reject a finite punishment length below 1, in one wording wherever L is taken."""
     if L is not None and L < 1:
         raise AutomatonError("punishment length L must be at least 1")
+
+
+def _punishment_profile(mm: MutualMinmaxResult, L: int | None) -> MutualMinmaxResult:
+    """The mutual minmax profile ``mm``, checked to punish ``L >= 1`` periods or forever (None)."""
+    if L is None and not mm.is_stage_nash:
+        raise AutomatonError(_not_credible(mm))
+    _check_length(L)
     return mm
 
 
@@ -261,7 +265,7 @@ def build_minmax_automaton(game: StageGame, path_profiles: Sequence, L: int | No
     default the profiles are played in order.
     """
     tab_a0, tab_a, index = _path_table(game, path_profiles, path_index, cycle_start)
-    mm = _punishment_profile(game, L)
+    mm = _punishment_profile(mutual_minmax(game), L)
     if L is None:
         return Automaton(kind="grim", n=game.n, table_a0=tab_a0, table_a=tab_a,
                          path_index=index, cycle_start=cycle_start,
@@ -284,8 +288,9 @@ def build_player_specific_automaton(game: StageGame, path_profiles: Sequence, L:
     better than their own reward phase, and likes punishing better than
     being punished (``v_j(reward j') > v_j(reward j)`` for ``j' != j``).
     """
-    if L is None or L < 1:
-        raise AutomatonError("player-specific punishment needs a finite L >= 1")
+    if L is None:
+        raise AutomatonError("player-specific punishment needs a finite punishment length L")
+    _check_length(L)
     tab_a0, tab_a, index = _path_table(game, path_profiles, None, cycle_start)
     rew_a0, rew_a = _profiles_to_arrays(game, reward_profiles)
     if rew_a.shape[0] != game.n:
@@ -484,8 +489,14 @@ def min_delta_for_L(game: StageGame, path_profile, L: int | None) -> MinDeltaRes
     first family, but in exchange requires the mutual minmax profile to
     be a stage Nash equilibrium.
     """
+    return _min_delta_for_L(game, path_profile, L, mutual_minmax(game))
+
+
+def _min_delta_for_L(game: StageGame, path_profile, L: int | None,
+                     mm: MutualMinmaxResult) -> MinDeltaResult:
+    """:func:`min_delta_for_L` given the game's mutual minmax profile ``mm``."""
     pa0, pa, v = _path_profile(game, path_profile)
-    mm = _punishment_profile(game, L)
+    mm = _punishment_profile(mm, L)
     d = best_response_payoffs(game, pa0, pa)
     vlw = minmax_values(game, with_intervention=True)
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .automata import _bisect, _not_credible, min_delta_for_L, verify_spe
+from .automata import _bisect, _min_delta_for_L, _not_credible, verify_spe
 from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, _welfare_value,
                      assemble_protocol, delta_bar, deviation_stats, generate_outcome_path,
                      guarantee_feasible, optimize_welfare)
@@ -267,55 +267,69 @@ class SearchResult:
     payoffs: np.ndarray
 
 
-def _score(UT: np.ndarray, cells):
+def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray):
     """Rank the profiles of the user-major payoff block ``UT`` (shape
-    ``(n, R)``, one column per profile) for each ``(gamma, kind)`` cell:
-    feasibility first, then welfare (infeasible profiles rank by their worst
-    floor shortfall, so ascent can climb into the feasible set).  ``gamma``
-    is one floor vector ``(n,)`` or one per profile ``(n, R)``, ``kind`` one
-    welfare name, an array of one per profile, or a precomputed boolean
-    "is maxmin" mask of one per profile.  Yields one ``(ok, welfare,
-    margin)`` triple of length-R arrays per cell, in order.
-
-    The block is reduced once for all cells, in length-R passes over the
-    rows of a contiguous copy (none is made of a contiguous block): the row
-    minimum, the welfare sum (rows added in index order by :func:`_user_sum`,
-    as in the payoff maps), and one margin and feasibility mask per distinct
-    floor vector (per-profile floors are matched by identity, not by value).
-    Rounding ``x - g`` is monotone in ``x``, so a margin against equal floors
-    ``g`` is ``rowmin - g`` exactly, and one against per-profile floors is
-    each profile's margin against its own.
-    """
-    n, UT = UT.shape[0], np.ascontiguousarray(UT)
-    rowmin = UT.min(axis=0)
-    total = _user_sum(UT.T)
-    margins = {}
-    for gamma, kind in cells:
-        key = gamma.tobytes() if gamma.ndim == 1 else id(gamma)
-        if key not in margins:
-            equal = gamma.ndim == 1 and gamma.tolist().count(gamma[0]) == n
-            margin = rowmin - gamma[0] if equal else (UT - gamma.reshape(n, -1)).min(axis=0)
-            margins[key] = margin, margin >= -FLOOR_TOL
-        margin, ok = margins[key]
-        maxmin = np.asarray(kind)
-        if maxmin.dtype != bool:
-            maxmin = maxmin == "maxmin"
-        welfare = np.where(maxmin, rowmin, total) if maxmin.ndim else rowmin if maxmin else total
-        yield ok, welfare, margin
+    ``(n, R)``, one column per profile), each against its own floors
+    (``floors``, broadcast to ``(n, R)``) and welfare (``maxmin``, a boolean
+    "is maxmin" mask broadcast to length R): feasibility first, then
+    welfare (infeasible profiles rank by their worst floor shortfall, so
+    ascent can climb into the feasible set).  Returns the length-R arrays
+    ``(ok, welfare, margin)``.  The block is reduced in length-R passes over
+    the rows of a contiguous copy (none is made of a contiguous block); the
+    welfare sum adds the rows in index order by :func:`_user_sum`, as the
+    payoff maps do."""
+    UT = np.ascontiguousarray(UT)
+    margin = (UT - floors).min(axis=0)
+    welfare = np.where(maxmin, UT.min(axis=0), _user_sum(UT.T))
+    return margin >= -FLOOR_TOL, welfare, margin
 
 
-def _pick(block: np.ndarray, cells):
-    """``(ok, val, j)`` of the best profile of a user-major grid slab for
-    each cell, the first index winning ties: the feasible profile of highest
-    welfare, or the largest margin when none is feasible.  The feasible
-    profiles are gathered once per distinct floor vector."""
-    feasible = {}
-    for (gamma, _), (ok, welfare, margin) in zip(cells, _score(block, cells)):
-        idx = feasible.get(gamma.tobytes())
-        if idx is None:
-            idx = feasible[gamma.tobytes()] = np.flatnonzero(ok)
-        j = int(idx[np.argmax(welfare[idx])]) if idx.size else int(np.argmax(margin))
-        yield bool(idx.size), float((welfare if idx.size else margin)[j]), j
+def _take_slab(best, s, rowmin, payoffs, cells):
+    """Score grid slab ``s`` of :meth:`StageGame.grid_slabs` for every
+    ``(floor, kind)`` cell, a floor being one level (a float) shared by all
+    users or one floor vector ``(n,)``, and put the slab's pick in ``best``
+    (one ``(ok, val, j, s)`` or None per cell) where it is strictly better.
+    A pick is the feasible profile of highest welfare, the first index
+    winning ties, or the largest floor margin when none is feasible.
+
+    Feasibility at a level is monotone in the row minimum: the slab meets a
+    level exactly when its largest row minimum does, and that row is then
+    the maxmin pick.  The sum totals are built once, on the columns that
+    meet the lowest level met, and each higher level filters the survivors
+    of the one below.  A level the slab does not meet has the largest
+    margin ``fl(max rowmin - g)``; its first row is sought only when that
+    margin beats the running best."""
+    j_top = int(np.argmax(rowmin))
+    top = rowmin[j_top]
+    met = sorted({g for g, kind in cells
+                  if isinstance(g, float) and kind == "sum" and top - g >= -FLOOR_TOL})
+    sums, margins = {}, {}
+    if met:
+        idx = np.flatnonzero(rowmin - met[0] >= -FLOOR_TOL)
+        low, total = rowmin[idx], _user_sum(payoffs(idx).T)
+        for g in met:
+            if g != met[0]:
+                keep = np.flatnonzero(low - g >= -FLOOR_TOL)
+                idx, low, total = idx[keep], low[keep], total[keep]
+            j = int(np.argmax(total))
+            sums[g] = True, float(total[j]), int(idx[j])
+    for k, (g, kind) in enumerate(cells):
+        if isinstance(g, float):
+            if top - g >= -FLOOR_TOL:
+                cand = sums[g] if kind == "sum" else (True, float(top), j_top)
+            else:
+                cand = False, float(top - g), None
+        else:   # a floor vector scores the whole slab
+            ok, welfare, margin = _score(payoffs(np.arange(rowmin.size)), g[:, None], kind == "maxmin")
+            idx = np.flatnonzero(ok)
+            j = int(idx[np.argmax(welfare[idx])]) if idx.size else int(np.argmax(margin))
+            cand = bool(idx.size), float((welfare if idx.size else margin)[j]), j
+        if best[k] is None or cand[:2] > best[k][:2]:
+            if cand[2] is None:
+                if g not in margins:
+                    margins[g] = int(np.argmax(rowmin - g))
+                cand = cand[:2] + (margins[g],)
+            best[k] = cand + (s,)
 
 
 def _grid_pass(game: StageGame, cells):
@@ -323,22 +337,29 @@ def _grid_pass(game: StageGame, cells):
     scored for every ``(gamma, kind)`` cell at once.  Returns one seed
     profile per cell, or None when the grid would exceed ``GRID_CAP`` points.
 
-    The grid is streamed as the user-major payoff blocks of
-    :meth:`StageGame.grid_payoffs`, one per value of the first action;
-    each block is reduced once for all cells by :func:`_score` and
-    :func:`_pick`, and a slab's pick replaces the running best only when
-    it is strictly better, so the first profile in grid order wins ties.
-    The seed is rebuilt from the winning (slab, row) index."""
+    The grid streams as the slabs of :meth:`StageGame.grid_slabs`, one per
+    value of the first action: a slab's row minimum, and its payoffs on the
+    columns asked for.  A queue game pays ``u_i = f_i * cap`` and builds the
+    row minimum from the factors: rounding is monotone, so where ``cap >=
+    0`` the least payoff ``min_i fl(f_i * cap)`` is ``fl(min_i f_i * cap)``
+    (the largest factor's where ``cap < 0``).  A floor level ``g`` shared
+    by all users is met where ``fl(rowmin - g) >= -FLOOR_TOL``, which is
+    monotone in the row minimum and in ``g``, so the levels' feasible sets
+    nest and :func:`_take_slab` adds the users' payoffs once per slab, on
+    the columns of the lowest level met.  Per-user floors take the slab's
+    whole payoffs.  A slab's pick replaces the running best only when it is
+    strictly better, so the first profile in grid order wins ties; the seed
+    is rebuilt from the winning (slab, row) index."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, GRID_STEP), [am]]))
             for am in game.a_max]
     # an exact integer: the int64 product wraps past 15 users of 21 points
     if math.prod(len(ax) for ax in axes) > GRID_CAP:
         return None
+    floors = [(float(gamma[0]) if gamma.tolist().count(gamma[0]) == game.n else gamma, kind)
+              for gamma, kind in cells]
     best = [None] * len(cells)
-    for s, block in enumerate(game.grid_payoffs(axes)):
-        for k, cand in enumerate(_pick(block, cells)):
-            if best[k] is None or cand[:2] > best[k][:2]:
-                best[k] = cand + (s,)
+    for s, (rowmin, payoffs) in enumerate(game.grid_slabs(axes)):
+        _take_slab(best, s, rowmin, payoffs, floors)
     rest = [len(ax) for ax in axes[1:]]
     return [np.array([axes[0][s]] + [ax[i] for ax, i in zip(axes[1:], np.unravel_index(j, rest))])
             for _, _, j, s in best]
@@ -472,7 +493,7 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
     floors = np.broadcast_to(gamma, a.shape).T
     maxmin = np.broadcast_to(np.asarray(kind) == "maxmin", len(a))
     U = game.payoff_batch(null, a)
-    [(cur_ok, welfare, margin)] = _score(U.T, [(floors, maxmin)])
+    cur_ok, welfare, margin = _score(U.T, floors, maxmin)
     cur_val = np.where(cur_ok, welfare, margin)
     climbing = np.ones(len(a), dtype=bool)
     k = np.arange(LINE_POINTS, dtype=float)
@@ -495,7 +516,7 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
         for i in range(game.n):
             prof[:, :, i] = cand[:, i]
             U = game.payoff_batch(null, prof).reshape(-1, game.n)
-            [(ok, welfare, margin)] = _score(U.T, [line])
+            ok, welfare, margin = _score(U.T, *line)
             val = np.where(ok, welfare, margin).reshape(-1, LINE_POINTS)
             ok = ok.reshape(-1, LINE_POINTS)
             # each line's best feasible point, else its largest margin
@@ -617,10 +638,11 @@ def punishment_length_curves(game_cfg: dict, a0_values, L_values, path=None) -> 
         g = base.with_a0_max([a0])
         pa = np.asarray(path, dtype=float) if path is not None else reference_path(g)
         profile = (g.null_intervention(), pa)
-        if mutual_minmax(g).is_stage_nash:
-            d = min_delta_for_L(g, profile, None).delta
+        mm = mutual_minmax(g)   # depends on the cap alone: one evaluation per curve
+        if mm.is_stage_nash:
+            d = _min_delta_for_L(g, profile, None, mm).delta
             return [[float(a0), int(L), d] for L in L_values]
-        return [[float(a0), int(L), min_delta_for_L(g, profile, int(L)).delta]
+        return [[float(a0), int(L), _min_delta_for_L(g, profile, int(L), mm).delta]
                 for L in L_values]
 
     rows = [row for a0 in a0_values for row in curve(a0)]

@@ -186,12 +186,17 @@ class StageGame:
         stands in."""
         raise NotImplementedError
 
-    def grid_payoffs(self, axes):
-        """Payoffs over the product grid of ``axes`` (one 1-D array of
-        actions per user) with the device at null: yields, for each value
-        of the first axis in order, the user-major ``(n, R)`` block over
-        the R profiles of the other axes, in ``np.meshgrid(..., indexing="ij")``
-        order.  Each block equals ``payoff_batch`` on that slab, transposed."""
+    def grid_slabs(self, axes):
+        """The product grid of ``axes`` (one 1-D array of actions per user)
+        with the device at null, one slab per value of the first axis, in
+        order.  Each slab is a pair ``(rowmin, payoffs)`` over its R
+        profiles of the other axes, in ``np.meshgrid(..., indexing="ij")``
+        order: ``rowmin`` holds each profile's least payoff, and
+        ``payoffs(cols)`` the user-major ``(n, len(cols))`` payoffs of the
+        profiles at the indices ``cols`` (a 1-D integer array).  Both equal
+        ``payoff_batch`` on that slab bit for bit: its minimum over users,
+        and its rows at ``cols``, transposed.  Here each slab is scored
+        whole; the queue games build both from payoff factors."""
         null = self.null_intervention()
         prof = np.empty((math.prod(len(ax) for ax in axes[1:]), self.n))
         if self.n > 1:
@@ -199,7 +204,8 @@ class StageGame:
                                    axis=-1).reshape(-1, self.n - 1)
         for x in axes[0]:
             prof[:, 0] = x
-            yield np.ascontiguousarray(self.payoff_batch(null, prof).T)
+            UT = np.ascontiguousarray(self.payoff_batch(null, prof).T)
+            yield UT.min(axis=0), lambda cols, UT=UT: UT[:, cols]
 
     # -- best responses ------------------------------------------------
 
@@ -297,9 +303,9 @@ class FlowControlGame(StageGame):
         return _queue_jacobian(self, a, 1.0, np.maximum(cap, 0.0),
                                np.where(cap > 0.0, -1.0, 0.0))
 
-    def grid_payoffs(self, axes):
+    def grid_slabs(self, axes):
         # with a0 = 0, mu - a0 - load rounds as mu - load
-        return _queue_grid_payoffs(self, axes, lambda load: np.maximum(self.mu - load, 0.0))
+        return _queue_grid_slabs(self, axes, saturates=True)
 
     def best_responses(self, a0, a):
         free = self.mu - a0 - (_user_sum(a)[..., None] - a)
@@ -414,9 +420,9 @@ class PacketDropGame(StageGame):
         cap = self.mu - _user_sum(a)
         return _queue_jacobian(self, np.maximum((1.0 - a0) * a, 0.0), 1.0 - a0, cap, -1.0)
 
-    def grid_payoffs(self, axes):
+    def grid_slabs(self, axes):
         # with a0 = 0 and a >= 0 the paid rate is the sent rate
-        return _queue_grid_payoffs(self, axes, lambda load: self.mu - load)
+        return _queue_grid_slabs(self, axes, saturates=False)
 
     def best_responses(self, a0, a):
         free = self.mu - (_user_sum(a)[..., None] - a)
@@ -481,30 +487,57 @@ def _queue_jacobian(game, paid, scale, cap, slope):
     return jac
 
 
-def _queue_grid_payoffs(game, axes, capacity):
-    """:meth:`StageGame.grid_payoffs` of a queue game paying
-    ``a_i**beta_i * capacity(load)`` at null intervention, from per-axis
-    factors: ``a**beta`` is one power table for all axes, a slab's load is
-    built by broadcasting one axis at a time, and each user's block is one
-    multiply.  The load adds the users in index order, as :func:`_user_sum`
-    does, so the blocks equal ``payoff_batch`` bit for bit at every n."""
+def _queue_grid_slabs(game, axes, saturates):
+    """:meth:`StageGame.grid_slabs` of a queue game paying
+    ``u_i = f_i * cap`` at null intervention, with ``f_i = a_i**beta_i`` and
+    ``cap = mu - load`` (floored at 0 where the queue ``saturates``), from
+    per-axis factors: one ``a**beta`` table for all axes, and a slab's load
+    built by broadcasting one axis at a time, adding the users in index
+    order as :func:`_user_sum` does; so every product is ``payoff_batch``'s
+    bit for bit at every n, and no slab's payoffs are built whole.
+
+    Rounding is monotone, so where ``cap >= 0`` the least payoff ``min_i
+    fl(f_i * cap)`` is ``fl(min_i f_i * cap)``, and where ``cap < 0`` it is
+    the largest factor's.  The other users' least factor is taken once for
+    all slabs.  A negative capacity needs a packet-drop ``mu`` up to
+    ``BOX_TOL`` below ``sum(a_max)``; the load rounds up with every action,
+    so it occurs only if it does at the grid's largest actions."""
     table = np.zeros((max(len(ax) for ax in axes), game.n))
     for i, ax in enumerate(axes):
         table[:len(ax), i] = ax
     # (m, n) by beta along the last axis: the call shape of payoff_unchecked
     table = np.power(table, game.beta)
     powers = [table[:len(ax), i] for i, ax in enumerate(axes)]
-    cols, factors = np.ix_(*axes[1:]), np.ix_(*powers[1:])
-    shape = tuple(len(ax) for ax in axes[1:])
+    others, shape = np.ix_(*axes[1:]), tuple(len(ax) for ax in axes[1:])
+    rest = np.empty((game.n - 1,) + shape)
+    for r, f in zip(rest, np.ix_(*powers[1:])):
+        r[...] = f
+    rest = rest.reshape(game.n - 1, math.prod(shape))
+    low = np.min(rest, axis=0, initial=np.inf)
+    corner = game.mu - sum((ax.max() for ax in axes[1:]), start=axes[0].max())
+    high = np.max(rest, axis=0, initial=-np.inf) if corner < 0.0 and not saturates else None
     for x, p in zip(axes[0], powers[0]):
-        load = x
-        for col in cols:
+        load = np.asarray(x)
+        for col in others:
             load = load + col
-        cap = capacity(np.broadcast_to(load, shape))
-        block = np.empty((game.n,) + shape)
-        for i, f in enumerate((p,) + factors):
-            np.multiply(f, cap, out=block[i, ...])
-        yield block.reshape(game.n, -1)
+        cap = np.subtract(game.mu, load, out=load).reshape(-1)
+        if saturates:
+            np.maximum(cap, 0.0, out=cap)
+        rowmin = np.minimum(low, p)
+        rowmin *= cap
+        if high is not None:
+            neg = cap < 0.0
+            rowmin[neg] = np.maximum(high[neg], p) * cap[neg]
+
+        def payoffs(cols, p=p, cap=cap):
+            c = cap[cols]
+            block = np.empty((game.n, c.size))
+            np.multiply(p, c, out=block[0])
+            # cols index this slab: "wrap" skips the bounds check's buffered copy
+            np.take(rest, cols, axis=1, out=block[1:], mode="wrap")
+            block[1:] *= c
+            return block
+        yield rowmin, payoffs
 
 
 _GAME_KINDS = {

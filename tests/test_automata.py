@@ -69,11 +69,20 @@ def test_punishment_length_below_one_is_rejected_with_one_message():
     g, path = fig_game(2.5), margin_profile()
     errors = []
     for call in (lambda: build_minmax_automaton(g, [path], L=0),
-                 lambda: min_delta_for_L(g, path, 0)):
+                 lambda: min_delta_for_L(g, path, 0),
+                 lambda: build_player_specific_automaton(g, [path], L=0, reward_profiles=[]),
+                 lambda: build_player_specific_automaton(g, [path], L=-2, reward_profiles=[])):
         with pytest.raises(AutomatonError) as exc:
             call()
         errors.append(str(exc.value))
-    assert errors == ["punishment length L must be at least 1"] * 2
+    assert errors == ["punishment length L must be at least 1"] * 4
+
+
+def test_player_specific_punishment_rejects_an_unbounded_length():
+    g, path = fig_game(2.5), margin_profile()
+    with pytest.raises(AutomatonError) as exc:
+        build_player_specific_automaton(g, [path], L=None, reward_profiles=[])
+    assert str(exc.value) == "player-specific punishment needs a finite punishment length L"
 
 
 def test_transitions_grim():

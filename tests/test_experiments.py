@@ -14,7 +14,7 @@ from repgame.experiments import (ConfigError, ResultTable, baseline_comparison,
                                  reference_path, run_experiment, scaling_sweep,
                                  tradeoff_sweep, verification_report)
 from repgame.games import (FlowControlGame, PacketDropGame, PowerControlGame, StageGame,
-                           game_from_config, solve_stage_nash)
+                           game_from_config, mutual_minmax, solve_stage_nash)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "fig_flow.json"
@@ -258,65 +258,10 @@ GRID_GAMES = {
     "packet-2": PacketDropGame(mu=3.0, beta=[2.0, 1.0], a_max=[1.0, 1.5]),
     "packet-3": PacketDropGame(mu=3.0, beta=[1.0, 2.0, 2.5], a_max=[0.8, 1.0, 1.0]),
     "packet-9": PacketDropGame(mu=1.0, beta=[1.0] * 9, a_max=[0.1] * 9),
+    # mu inside BOX_TOL below sum(a_max): the all-max profile pays a negative
+    # capacity, so there the least payoff is the largest factor's
+    "packet-short": PacketDropGame(mu=3.02 - 5e-10, beta=[1.0, 2.0, 2.5], a_max=[1.02, 1.0, 1.0]),
 }
-
-
-@pytest.mark.parametrize("name", sorted(GRID_GAMES))
-def test_grid_pass_matches_row_major_rule(name):
-    """The user-major grid pass picks the very profiles of the row-major
-    rule, for uniform and per-user floors, both welfare kinds, and a cell
-    that no profile meets (rows then rank by floor margin)."""
-    game = GRID_GAMES[name]
-    u_mid = game.payoff(game.null_intervention(), game.a_max / 2)
-    out_of_reach = np.zeros(game.n)
-    out_of_reach[-1] = 1e6
-    floors = [np.full(game.n, 0.5 * np.min(u_mid)),
-              u_mid * np.linspace(0.2, 1.0, game.n),
-              out_of_reach]
-    cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
-    got = xp._grid_pass(game, cells)
-    want = _row_major_seeds(game, cells, 0.05)
-    for (gamma, kind), g, w in zip(cells, got, want):
-        assert np.array_equal(g, w), (gamma, kind, g, w)
-
-
-@pytest.mark.parametrize("n", range(13, 41))
-def test_grid_pass_past_the_cap_builds_no_grid(n):
-    """The grid size is an exact integer: 21**15 and up wrap in int64, and
-    a wrapped (negative) size must not slip under the cap."""
-    game = FlowControlGame(mu=float(n), beta=[3.0] * n, a_max=[1.0] * n, a0_max=[1.0])
-    game.grid_payoffs = lambda axes: pytest.fail("grid built past the cap")
-    assert xp._grid_pass(game, [(np.zeros(n), "sum")]) is None
-
-
-@pytest.mark.parametrize("name", ["flow-9", "packet-9"])
-def test_grid_pass_of_9_user_queue_games_takes_the_factorised_route(name, monkeypatch):
-    """From 8 users too, the queue games' factorised blocks add the load in
-    index order, as their payoffs do: the grid pass never builds the
-    row-major grid of ``StageGame.grid_payoffs``, and it still picks the
-    row-major rule's profiles."""
-    monkeypatch.setattr(StageGame, "grid_payoffs",
-                        lambda self, axes: pytest.fail("row-major grid route taken"))
-    test_grid_pass_matches_row_major_rule(name)
-
-
-def test_score_of_user_major_blocks_is_the_row_major_rule():
-    """Scoring a user-major block gives the row-major rule's ``ok`` and
-    ``val`` bit for bit: the sum in index order (``np.cumsum``'s, for every
-    n), the row minimum and every margin."""
-    rng = np.random.default_rng(5)
-    for n in range(1, 12):
-        U = rng.uniform(0.0, 10.0, (400, n)) * 10.0 ** rng.integers(-6, 7, (400, n))
-        floors = [np.full(n, -1.0), np.full(n, 1e3), rng.uniform(0.0, 50.0, n)]
-        cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
-        for UT in (np.ascontiguousarray(U.T), U.T):
-            for (gamma, kind), (ok, welfare, margin) in zip(cells, xp._score(UT, cells)):
-                val = np.where(ok, welfare, margin)
-                margin = np.min(U - gamma, axis=-1)
-                want = np.where(margin >= -1e-9,
-                                np.cumsum(U, axis=-1)[:, -1] if kind == "sum" else U.min(axis=-1),
-                                margin)
-                assert np.array_equal(ok, margin >= -1e-9) and np.array_equal(val, want), (n, kind)
 
 
 def _grid_axes(game, step=0.05):
@@ -332,24 +277,105 @@ def _slab_payoffs(game, axes, x):
 
 
 @pytest.mark.parametrize("name", sorted(GRID_GAMES))
-def test_grid_payoffs_match_payoff_batch(name):
-    """Each user-major grid block, factorised or not, is bit for bit the
-    row-major payoff block of its slab, transposed."""
+def test_grid_pass_matches_row_major_rule(name):
+    """The grid pass picks the very profiles of the row-major rule, for
+    both welfare kinds against per-user floors and against four levels
+    shared by all users in one call: the feasible sets of the levels nest,
+    the grid's maxmin value is met by no slab before the one holding it,
+    and the last level is met by no profile (rows then rank by margin, and
+    at 1e15 row minima up to 0.125 apart round to one margin)."""
     game = GRID_GAMES[name]
     axes = _grid_axes(game)
-    blocks = list(game.grid_payoffs(axes))
-    assert len(blocks) == len(axes[0])
-    for x, block in zip(axes[0], blocks):
-        assert np.array_equal(block, _slab_payoffs(game, axes, x).T), x
+    tops = [np.min(_slab_payoffs(game, axes, x), axis=-1).max() for x in axes[0]]
+    late = max(tops)
+    assert tops[0] < late - 1e-9 and np.argmax(tops) > 0
+    u_mid = game.payoff(game.null_intervention(), game.a_max / 2)
+    out_of_reach = np.zeros(game.n)
+    out_of_reach[-1] = 1e6
+    levels = (0.5 * np.min(u_mid), 0.9 * late, late, 1e15)
+    floors = [np.full(game.n, g) for g in levels] + [u_mid * np.linspace(0.2, 1.0, game.n),
+                                                     out_of_reach]
+    cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
+    got = xp._grid_pass(game, cells)
+    want = _row_major_seeds(game, cells, 0.05)
+    for (gamma, kind), g, w in zip(cells, got, want):
+        assert np.array_equal(g, w), (gamma, kind, g, w)
+
+
+@pytest.mark.parametrize("n", range(13, 41))
+def test_grid_pass_past_the_cap_builds_no_grid(n):
+    """The grid size is an exact integer: 21**15 and up wrap in int64, and
+    a wrapped (negative) size must not slip under the cap."""
+    game = FlowControlGame(mu=float(n), beta=[3.0] * n, a_max=[1.0] * n, a0_max=[1.0])
+    game.grid_slabs = lambda axes: pytest.fail("grid built past the cap")
+    assert xp._grid_pass(game, [(np.zeros(n), "sum")]) is None
+
+
+@pytest.mark.parametrize("name", ["flow-9", "packet-9"])
+def test_grid_pass_of_9_user_queue_games_takes_the_factorised_route(name, monkeypatch):
+    """From 8 users too, the queue games' factorised slabs add the load in
+    index order, as their payoffs do: the grid pass never takes the
+    ``payoff_batch`` slabs of ``StageGame.grid_slabs``, and it still picks
+    the row-major rule's profiles."""
+    monkeypatch.setattr(StageGame, "grid_slabs",
+                        lambda self, axes: pytest.fail("row-major grid route taken"))
+    test_grid_pass_matches_row_major_rule(name)
+
+
+def _cell_floors(gamma, kind, R):
+    """One cell's floors and maxmin mask for each of R profiles."""
+    return np.broadcast_to(np.asarray(gamma)[:, None], (len(gamma), R)), np.full(R, kind == "maxmin")
+
+
+def test_score_of_user_major_blocks_is_the_row_major_rule():
+    """Scoring a user-major block gives the row-major rule's ``ok``,
+    ``val`` and margin bit for bit: the sum in index order (``np.cumsum``'s,
+    for every n), the row minimum and every margin."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 12):
+        U = rng.uniform(0.0, 10.0, (400, n)) * 10.0 ** rng.integers(-6, 7, (400, n))
+        for gamma in (np.full(n, -1.0), np.full(n, 1e3), rng.uniform(0.0, 50.0, n)):
+            want_margin = np.min(U - gamma, axis=-1)
+            for kind in ("sum", "maxmin"):
+                want = np.where(want_margin >= -1e-9, np.cumsum(U, axis=-1)[:, -1]
+                                if kind == "sum" else U.min(axis=-1), want_margin)
+                for UT in (np.ascontiguousarray(U.T), U.T):
+                    ok, welfare, margin = xp._score(UT, *_cell_floors(gamma, kind, len(U)))
+                    assert np.array_equal(ok, want_margin >= -1e-9), (n, kind)
+                    assert np.array_equal(np.where(ok, welfare, margin), want), (n, kind)
+                    assert np.array_equal(margin, want_margin), (n, kind)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GAMES))
+def test_grid_payoffs_match_payoff_batch(name):
+    """Each grid slab, factorised or not, gives bit for bit the row minimum
+    of ``payoff_batch`` on that slab and, at any columns, its rows there
+    transposed; slabs drawn earlier stay valid."""
+    game = GRID_GAMES[name]
+    axes = _grid_axes(game)
+    slabs = list(game.grid_slabs(axes))
+    assert len(slabs) == len(axes[0])
+    rng = np.random.default_rng(3)
+    for x, (rowmin, payoffs) in zip(axes[0], slabs):
+        U = _slab_payoffs(game, axes, x)
+        assert rowmin.tobytes() == U.min(axis=-1).tobytes(), x
+        picked = np.sort(rng.choice(len(U), len(U) // 3, replace=False))
+        for cols in (np.arange(len(U)), picked, picked[:0], np.array([len(U) - 1])):
+            want = U[cols].T
+            assert payoffs(cols).shape == want.shape, x
+            assert payoffs(cols).tobytes() == want.tobytes(), x
 
 
 def test_grid_payoffs_match_payoff_batch_on_fig_flow():
     game = game_from_config(json.loads(CONFIG.read_text())["game"])
     axes = _grid_axes(game)
     checked = {0: None, len(axes[0]) // 2: None, len(axes[0]) - 1: None}
-    for s, block in enumerate(game.grid_payoffs(axes)):
+    for s, (rowmin, payoffs) in enumerate(game.grid_slabs(axes)):
         if s in checked:
-            checked[s] = np.array_equal(block, _slab_payoffs(game, axes, axes[0][s]).T)
+            U = _slab_payoffs(game, axes, axes[0][s])
+            cols = np.flatnonzero(rowmin >= np.median(rowmin))
+            checked[s] = (rowmin.tobytes() == U.min(axis=-1).tobytes()
+                          and payoffs(cols).tobytes() == U[cols].T.tobytes())
     assert checked == dict.fromkeys(checked, True)
 
 
@@ -465,11 +491,11 @@ def test_score_of_per_profile_floors_is_each_cells_rule():
         cells = [(gamma, kind) for gamma in (np.full(n, 0.5), np.full(n, 1e3),
                                              rng.uniform(0.0, 5.0, n)) for kind in ("sum", "maxmin")]
         owner = rng.integers(0, len(cells), len(U))
-        per_row = (np.array([cells[c][0] for c in owner]).T, np.array([cells[c][1] for c in owner]))
-        [got] = xp._score(U.T, [per_row])
-        for c, want in enumerate(xp._score(U.T, cells)):
+        got = xp._score(U.T, np.array([cells[c][0] for c in owner]).T,
+                        np.array([cells[c][1] == "maxmin" for c in owner]))
+        for c, (gamma, kind) in enumerate(cells):
             rows = owner == c
-            for g, w in zip(got, want):
+            for g, w in zip(got, xp._score(U.T, *_cell_floors(gamma, kind, len(U)))):
                 assert np.array_equal(g[rows], w[rows]), (n, c)
 
 
@@ -562,6 +588,22 @@ def test_length_curves_structure():
     assert by_a0[0.5][4] == pytest.approx(0.882399, abs=1e-5)
     # more intervention never hurts
     assert by_a0[2.5][10] <= by_a0[0.5][10]
+
+
+def test_length_curves_evaluate_the_mutual_minmax_once_per_cap(monkeypatch):
+    """The mutual minmax profile depends on the device cap alone: one
+    evaluation per curve, not one more per punishment length."""
+    import repgame.automata as automata
+    calls = []
+
+    def counted(game):
+        calls.append(float(game.a0_max[0]))
+        return mutual_minmax(game)
+    monkeypatch.setattr(xp, "mutual_minmax", counted)
+    monkeypatch.setattr(automata, "mutual_minmax", counted)
+    cfg = load_config(CONFIG, "fig3")
+    punishment_length_curves(cfg.game, cfg.a0_values, cfg.L_values, cfg.path)
+    assert calls == [float(a0) for a0 in cfg.a0_values]
 
 
 def test_length_curves_need_scalar_device_box():
