@@ -339,10 +339,10 @@ def _grid_pass(game: StageGame, cells):
 
     The grid streams as the slabs of :meth:`StageGame.grid_slabs`, one per
     value of the first action: a slab's row minimum, and its payoffs on the
-    columns asked for.  A queue game pays ``u_i = f_i * cap`` and builds the
-    row minimum from the factors: rounding is monotone, so where ``cap >=
-    0`` the least payoff ``min_i fl(f_i * cap)`` is ``fl(min_i f_i * cap)``
-    (the largest factor's where ``cap < 0``).  A floor level ``g`` shared
+    columns asked for.  A queue game pays ``u_i = f_i * cap`` with ``cap >=
+    0`` and builds the row minimum from the factors: rounding is monotone,
+    so the least payoff ``min_i fl(f_i * cap)`` is ``fl(min_i f_i * cap)``.
+    A floor level ``g`` shared
     by all users is met where ``fl(rowmin - g) >= -FLOOR_TOL``, which is
     monotone in the row minimum and in ``g``, so the levels' feasible sets
     nest and :func:`_take_slab` adds the users' payoffs once per slab, on
@@ -475,34 +475,46 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
     """Coordinate ascent with a geometrically shrinking search window, for
     an ``(S, n)`` stack of starts climbing in lockstep, each against its
     own floors and welfare (``gamma`` broadcasts to ``(S, n)``, ``kind`` to
-    ``(S,)``): each step scores the lines of all starts still climbing in
-    one payoff call, and each start moves and stops exactly as it would
-    alone.  Returns ``(ok, val, profiles)`` of shapes ``(S,)``, ``(S,)``
-    and ``(S, n)``.
+    ``(S,)``): each step scores the lines of all starts still climbing at
+    once, and each start moves and stops exactly as it would alone.
+    Returns ``(ok, val, profiles)`` of shapes ``(S,)``, ``(S,)`` and ``(S,
+    n)``.
 
     Coordinate i changes only at step i of a pass, so every coordinate's
     window and ``LINE_POINTS``-point line is built once at the start of the
-    pass, in the arithmetic of ``np.linspace`` per start.  One ``(S,
-    LINE_POINTS, n)`` profile buffer serves the whole pass: step i writes
-    its line into column i and, after the move, the chosen value back.  The
-    floors and the maxmin mask of every line point are built once per pass,
-    and the steps update copies of the climbing rows, written back after
-    the pass."""
+    pass, in the arithmetic of ``np.linspace`` per start, as one ``(S,
+    LINE_POINTS, n)`` table.  :meth:`StageGame.line_payoffs` turns it into
+    one C-contiguous user-major ``(n, S, LINE_POINTS)`` payoff block per
+    step, which :func:`_score` reduces with no copy.  The queue games build
+    the blocks from payoff factors: the table's ``a**beta``, taken once per
+    pass in the call shape of ``payoff_unchecked`` (an ``(..., n)`` array
+    against the whole ``beta``, so numpy runs ``pow`` where it would square
+    or take a square root of one exponent of 2 or 0.5), and each step's
+    load, added in index order from the moved prefix, the line and the
+    pass-start suffix; every payoff is ``payoff_batch``'s bit for bit.
+
+    Payoffs are nonnegative, so a feasible point's welfare is above every
+    infeasible point's margin (below ``-FLOOR_TOL``): ranking by ``val``
+    alone, ``val`` being the welfare where feasible and the margin
+    elsewhere, is ranking by feasibility first.  Each line's pick is its
+    first largest ``val``, a start moves where that beats its own by more
+    than 1e-13, and ``ok`` is ``val >= 0``.  Each step writes its move into
+    the climbing rows' copy, read again by the next step and written back
+    after the pass."""
     null = game.null_intervention()
     a = np.clip(starts, 0.0, game.a_max)
     floors = np.broadcast_to(gamma, a.shape).T
     maxmin = np.broadcast_to(np.asarray(kind) == "maxmin", len(a))
-    U = game.payoff_batch(null, a)
-    cur_ok, welfare, margin = _score(U.T, floors, maxmin)
-    cur_val = np.where(cur_ok, welfare, margin)
+    ok, welfare, margin = _score(game.payoff_batch(null, a).T, floors, maxmin)
+    cur_val = np.where(ok, welfare, margin)
     climbing = np.ones(len(a), dtype=bool)
-    k = np.arange(LINE_POINTS, dtype=float)
+    k = np.arange(LINE_POINTS, dtype=float)[:, None]
     for p in range(PASSES):
         frac = 0.5 * 0.7 ** p
         rows = np.flatnonzero(climbing)
+        x, x_val = a[rows], cur_val[rows]
         line = (np.repeat(floors[:, rows], LINE_POINTS, axis=1),
                 np.repeat(maxmin[rows], LINE_POINTS))
-        x, x_ok, x_val = a[rows], cur_ok[rows], cur_val[rows]
         moved = np.zeros(len(x), dtype=bool)
         at = np.arange(len(x))
         half = frac * game.a_max
@@ -510,29 +522,23 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
         hi = np.minimum(game.a_max, x + half)
         # np.linspace(lo, hi, LINE_POINTS) for every start and coordinate, in
         # its arithmetic but without its call overhead
-        cand = k * ((hi - lo) / (LINE_POINTS - 1))[..., None] + lo[..., None]
-        cand[..., -1] = hi
-        prof = np.repeat(x[:, None, :], LINE_POINTS, axis=1)
-        for i in range(game.n):
-            prof[:, :, i] = cand[:, i]
-            U = game.payoff_batch(null, prof).reshape(-1, game.n)
-            ok, welfare, margin = _score(U.T, *line)
+        lines = k * ((hi - lo) / (LINE_POINTS - 1))[:, None, :] + lo[:, None, :]
+        lines[:, -1] = hi
+        for i, UT in enumerate(game.line_payoffs(x, lines)):
+            ok, welfare, margin = _score(UT.reshape(game.n, -1), *line)
             val = np.where(ok, welfare, margin).reshape(-1, LINE_POINTS)
-            ok = ok.reshape(-1, LINE_POINTS)
-            # each line's best feasible point, else its largest margin
-            j = np.argmax(np.where(ok.any(axis=-1, keepdims=True), np.where(ok, val, -np.inf), val),
-                          axis=-1)
-            ok_j, val_j = ok[at, j], val[at, j]
-            up = (ok_j > x_ok) | ((ok_j == x_ok) & (val_j > x_val + 1e-13))
-            x[:, i] = np.where(up, cand[at, i, j], x[:, i])
-            prof[:, :, i] = x[:, i, None]
-            x_ok, x_val, moved = np.where(up, ok_j, x_ok), np.where(up, val_j, x_val), moved | up
-        a[rows], cur_ok[rows], cur_val[rows] = x, x_ok, x_val
+            j = np.argmax(val, axis=-1)
+            val_j = val[at, j]
+            up = val_j > x_val + 1e-13
+            np.copyto(x[:, i], lines[at, j, i], where=up)
+            np.copyto(x_val, val_j, where=up)
+            moved |= up
+        a[rows], cur_val[rows] = x, x_val
         if frac * float(np.max(game.a_max)) < 1e-10:
             climbing[rows] = moved   # a start stops after a pass without a move
             if not climbing.any():
                 break
-    return cur_ok, cur_val, a
+    return cur_val >= 0.0, cur_val, a
 
 
 # ---------------------------------------------------------------------------

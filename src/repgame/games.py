@@ -53,6 +53,8 @@ def _user_sum(x: np.ndarray):
     """Sum over the last (user) axis in index order from +0.0, user 0 first,
     in any batch shape: the one order of every payoff map (``np.sum`` keeps
     it only below 8 terms).  A contiguous batch is added as flat columns."""
+    if not x.shape[-1]:   # no users: +0.0 per row
+        return np.zeros(x.shape[:-1])
     if x.size <= x.shape[-1] ** 2:   # a few rows: one numpy call, not one per user
         return 0.0 + np.cumsum(x, axis=-1)[..., -1]
     rows = x.reshape(-1, x.shape[-1]) if x.flags.c_contiguous else x   # 1-D adds, no copy
@@ -207,6 +209,26 @@ class StageGame:
             UT = np.ascontiguousarray(self.payoff_batch(null, prof).T)
             yield UT.min(axis=0), lambda cols, UT=UT: UT[:, cols]
 
+    def line_payoffs(self, x, lines):
+        """The payoffs along the lines of one coordinate-ascent pass, the
+        device at null.  ``x`` (shape ``(S, n)``) holds the pass-start
+        profiles and ``lines`` (``(S, P, n)``) the P values each start tries
+        for each coordinate, ``lines[s, :, i]`` for coordinate i.  Yields,
+        for i = 0, ..., n-1 in order, the C-contiguous user-major block ``(n,
+        S, P)`` whose entry ``[j, s, k]`` is user j's payoff at ``x[s]`` with
+        coordinate i set to ``lines[s, k, i]``.  ``x`` is read again after
+        each block: the caller writes coordinate i's move into ``x[:, i]``
+        before it asks for the next one.  Each block equals ``payoff_batch``
+        on its ``(S, P, n)`` profiles, moved to user-major, bit for bit.
+        Here each block is built whole; the queue games build it from payoff
+        factors."""
+        null = self.null_intervention()
+        prof = np.repeat(x[:, None, :], lines.shape[1], axis=1)
+        for i in range(self.n):
+            prof[:, :, i] = lines[:, :, i]
+            yield np.ascontiguousarray(np.moveaxis(self.payoff_batch(null, prof), -1, 0))
+            prof[:, :, i] = x[:, i, None]
+
     # -- best responses ------------------------------------------------
 
     def best_responses(self, a0: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -305,7 +327,10 @@ class FlowControlGame(StageGame):
 
     def grid_slabs(self, axes):
         # with a0 = 0, mu - a0 - load rounds as mu - load
-        return _queue_grid_slabs(self, axes, saturates=True)
+        return _queue_grid_slabs(self, axes)
+
+    def line_payoffs(self, x, lines):
+        return _queue_line_payoffs(self, x, lines)
 
     def best_responses(self, a0, a):
         free = self.mu - a0 - (_user_sum(a)[..., None] - a)
@@ -390,7 +415,7 @@ class PowerControlGame(StageGame):
 class PacketDropGame(StageGame):
     """Flow control where the device drops user ``i``'s packets w.p. ``a0[i]``.
 
-    Payoffs are ``((1 - a0_i) * a_i)**beta_i * (mu - sum(a))``: dropping
+    Payoffs are ``((1 - a0_i) * a_i)**beta_i * max(0, mu - sum(a))``: dropping
     shrinks the effective rate a user is paid for, while the full sent
     rate still congests the queue.
     """
@@ -411,18 +436,24 @@ class PacketDropGame(StageGame):
                 f"queue underprovisioned: mu={self.mu} < sum(a_max)={np.sum(self.a_max)}")
 
     def payoff_unchecked(self, a0, a):
-        cap = self.mu - _user_sum(a)
+        cap = np.maximum(self.mu - _user_sum(a), 0.0)
         eff = np.maximum((1.0 - a0) * a, 0.0)
         return np.power(eff, self.beta) * cap[..., None]
 
     def payoff_jacobian(self, a0, a):
         a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
         cap = self.mu - _user_sum(a)
-        return _queue_jacobian(self, np.maximum((1.0 - a0) * a, 0.0), 1.0 - a0, cap, -1.0)
+        # the capacity is floored at 0 as in the flow game; a load that rounds
+        # past mu (which mu up to BOX_TOL below sum(a_max) allows) saturates it
+        return _queue_jacobian(self, np.maximum((1.0 - a0) * a, 0.0), 1.0 - a0,
+                               np.maximum(cap, 0.0), np.where(cap > 0.0, -1.0, 0.0))
 
     def grid_slabs(self, axes):
         # with a0 = 0 and a >= 0 the paid rate is the sent rate
-        return _queue_grid_slabs(self, axes, saturates=False)
+        return _queue_grid_slabs(self, axes)
+
+    def line_payoffs(self, x, lines):
+        return _queue_line_payoffs(self, x, lines)
 
     def best_responses(self, a0, a):
         free = self.mu - (_user_sum(a)[..., None] - a)
@@ -487,21 +518,18 @@ def _queue_jacobian(game, paid, scale, cap, slope):
     return jac
 
 
-def _queue_grid_slabs(game, axes, saturates):
+def _queue_grid_slabs(game, axes):
     """:meth:`StageGame.grid_slabs` of a queue game paying
     ``u_i = f_i * cap`` at null intervention, with ``f_i = a_i**beta_i`` and
-    ``cap = mu - load`` (floored at 0 where the queue ``saturates``), from
-    per-axis factors: one ``a**beta`` table for all axes, and a slab's load
-    built by broadcasting one axis at a time, adding the users in index
-    order as :func:`_user_sum` does; so every product is ``payoff_batch``'s
-    bit for bit at every n, and no slab's payoffs are built whole.
+    ``cap = max(mu - load, 0)``, from per-axis factors: one ``a**beta``
+    table for all axes, and a slab's load built by broadcasting one axis at
+    a time, adding the users in index order as :func:`_user_sum` does; so
+    every product is ``payoff_batch``'s bit for bit at every n, and no
+    slab's payoffs are built whole.
 
-    Rounding is monotone, so where ``cap >= 0`` the least payoff ``min_i
-    fl(f_i * cap)`` is ``fl(min_i f_i * cap)``, and where ``cap < 0`` it is
-    the largest factor's.  The other users' least factor is taken once for
-    all slabs.  A negative capacity needs a packet-drop ``mu`` up to
-    ``BOX_TOL`` below ``sum(a_max)``; the load rounds up with every action,
-    so it occurs only if it does at the grid's largest actions."""
+    Rounding is monotone and ``cap >= 0``, so the least payoff ``min_i
+    fl(f_i * cap)`` is ``fl(min_i f_i * cap)``.  The other users' least
+    factor is taken once for all slabs."""
     table = np.zeros((max(len(ax) for ax in axes), game.n))
     for i, ax in enumerate(axes):
         table[:len(ax), i] = ax
@@ -514,20 +542,14 @@ def _queue_grid_slabs(game, axes, saturates):
         r[...] = f
     rest = rest.reshape(game.n - 1, math.prod(shape))
     low = np.min(rest, axis=0, initial=np.inf)
-    corner = game.mu - sum((ax.max() for ax in axes[1:]), start=axes[0].max())
-    high = np.max(rest, axis=0, initial=-np.inf) if corner < 0.0 and not saturates else None
     for x, p in zip(axes[0], powers[0]):
         load = np.asarray(x)
         for col in others:
             load = load + col
         cap = np.subtract(game.mu, load, out=load).reshape(-1)
-        if saturates:
-            np.maximum(cap, 0.0, out=cap)
+        np.maximum(cap, 0.0, out=cap)
         rowmin = np.minimum(low, p)
         rowmin *= cap
-        if high is not None:
-            neg = cap < 0.0
-            rowmin[neg] = np.maximum(high[neg], p) * cap[neg]
 
         def payoffs(cols, p=p, cap=cap):
             c = cap[cols]
@@ -538,6 +560,41 @@ def _queue_grid_slabs(game, axes, saturates):
             block[1:] *= c
             return block
         yield rowmin, payoffs
+
+
+def _queue_line_payoffs(game, x, lines):
+    """:meth:`StageGame.line_payoffs` of a queue game paying ``u_i = f_i *
+    cap`` at null intervention, with ``f_i = a_i**beta_i`` and ``cap =
+    max(mu - load, 0)``, from payoff factors: the lines' ``a**beta`` once
+    per pass, and the current profiles' at each step.  Both are taken in
+    the call shape of ``payoff_unchecked``, an ``(..., n)`` array against
+    the whole ``beta`` vector: numpy squares, or takes a square root, where
+    it sees an exponent of 2 or 0.5 as one value (a scalar, a stride-0
+    broadcast or a ``(1,)`` array), and that rounds otherwise than ``pow``.
+    Step i adds its load in index order from +0.0, as :func:`_user_sum`
+    does: the prefix of the coordinates before i (moved this pass), the
+    line's value, then the pass-start columns after i, which hold still
+    until their own step.  So every payoff is ``payoff_batch``'s bit for
+    bit, and no ``(S, P, n)`` profile block is built."""
+    n, (S, P, _) = game.n, lines.shape
+    power = lambda a: np.power(np.ascontiguousarray(a), game.beta)
+    # user-major (n, S, P) tables: the lines' factors, the pass-start
+    # columns, and the factors of the current profiles
+    factors = power(lines).transpose(2, 0, 1).copy()
+    cols = np.repeat(x.T[:, :, None], P, axis=2)
+    held = np.repeat(power(x).T[:, :, None], P, axis=2)
+    head = np.zeros(S)   # the load of no users
+    for i in range(n):
+        load = head[:, None] + lines[:, :, i]
+        for col in cols[i + 1:]:
+            load += col
+        cap = np.maximum(np.subtract(game.mu, load, out=load), 0.0, out=load)
+        block = np.multiply(held, cap)
+        np.multiply(factors[i], cap, out=block[i])
+        yield block
+        # coordinate i's move, now in x: onto the prefix, and its factors
+        head = head + x[:, i]
+        held[i] = power(x)[:, i, None]
 
 
 _GAME_KINDS = {

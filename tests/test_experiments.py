@@ -258,9 +258,12 @@ GRID_GAMES = {
     "packet-2": PacketDropGame(mu=3.0, beta=[2.0, 1.0], a_max=[1.0, 1.5]),
     "packet-3": PacketDropGame(mu=3.0, beta=[1.0, 2.0, 2.5], a_max=[0.8, 1.0, 1.0]),
     "packet-9": PacketDropGame(mu=1.0, beta=[1.0] * 9, a_max=[0.1] * 9),
-    # mu inside BOX_TOL below sum(a_max): the all-max profile pays a negative
-    # capacity, so there the least payoff is the largest factor's
+    # mu inside BOX_TOL below sum(a_max): at the all-max profile the load
+    # rounds past mu, and the capacity is floored at 0 there
     "packet-short": PacketDropGame(mu=3.02 - 5e-10, beta=[1.0, 2.0, 2.5], a_max=[1.02, 1.0, 1.0]),
+    # numpy takes a square root for an exponent of 0.5 it sees as one value,
+    # and squares for 2.0, rounding otherwise than pow
+    "flow-root": FlowControlGame(mu=2.9, beta=[0.5, 2.0, 0.5], a_max=[1.0, 0.9, 1.0], a0_max=[0.5]),
 }
 
 
@@ -379,6 +382,33 @@ def test_grid_payoffs_match_payoff_batch_on_fig_flow():
     assert checked == dict.fromkeys(checked, True)
 
 
+@pytest.mark.parametrize("name", sorted(GRID_GAMES))
+def test_line_payoffs_match_payoff_batch(name):
+    """Each block of an ascent pass's line payoffs, factorised or not, is
+    ``payoff_batch`` on that step's ``(S, 33, n)`` profiles, moved to
+    user-major, bit for bit and C-contiguous, at every coordinate: the
+    coordinates before it hold the moves written after their blocks, the
+    ones after it their pass-start values."""
+    game = GRID_GAMES[name]
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.0, 1.0, (6, game.n)) * game.a_max
+    x[-2], x[-1] = game.a_max, 0.0   # the saturated corner and the all-zero profile
+    half = 0.35 * game.a_max
+    lines = np.linspace(np.maximum(0.0, x - half), np.minimum(game.a_max, x + half), 33, axis=1)
+    null = game.null_intervention()
+    prof = np.repeat(x[:, None, :], 33, axis=1)
+    steps = 0
+    for i, block in enumerate(game.line_payoffs(x, lines)):
+        prof[:, :, i] = lines[:, :, i]
+        want = np.moveaxis(game.payoff_batch(null, prof), -1, 0)
+        assert block.flags.c_contiguous and block.shape == want.shape, i
+        assert block.tobytes() == want.tobytes(), i
+        x[::2, i] = lines[::2, rng.integers(0, 33), i]   # a move for every other start
+        prof[:, :, i] = x[:, i, None]
+        steps += 1
+    assert steps == game.n
+
+
 def _ascend_one(game, start, gamma, kind, passes=50, points=33):
     """Coordinate ascent from one start, written out line by line: each
     coordinate step scores a ``points``-point line by the row-major rule,
@@ -416,6 +446,10 @@ def _ascend_one(game, start, gamma, kind, passes=50, points=33):
 ASCENT_GAMES = {
     **{name: GRID_GAMES[name] for name in ("flow-2", "flow-3", "power-3", "packet-3")},
     "flow-9": FlowControlGame(mu=9.5, beta=[1.0, 1.5, 2.0] * 3, a_max=[1.0] * 9, a0_max=[0.5]),
+    # the scaling sweep's 10- and 12-user games
+    **{f"scaling-{n}": FlowControlGame(mu=float(n), beta=[3.0] * n, a_max=[1.0] * n, a0_max=[1.0])
+       for n in (10, 12)},
+    "packet-short": GRID_GAMES["packet-short"],
     # boxes this small make the window fall below 1e-10 before the last
     # pass, and with so little noise a start that stopped would still move
     "power-tiny": PowerControlGame(gain=np.full((3, 3), 0.25) + 0.75 * np.eye(3),

@@ -97,6 +97,23 @@ def test_packet_drop_payoff_scales_through_drop_probability():
     assert dropped[0] == 0.0
 
 
+def test_packet_drop_capacity_is_floored_at_zero():
+    """``mu`` may sit up to ``BOX_TOL`` below ``sum(a_max)``; where the load
+    rounds past it the queue saturates, as in the flow game: every payoff
+    is +0.0 and no rate moves one."""
+    g = PacketDropGame(mu=3.02 - 5e-10, beta=[1, 2, 2.5], a_max=[1.02, 1, 1])
+    u = g.payoff(np.zeros(3), g.a_max)
+    assert np.array_equal(u, np.zeros(3)) and not np.signbit(u).any()
+    assert np.array_equal(g.payoff_jacobian(np.zeros(3), g.a_max), np.zeros((3, 3)))
+
+
+def test_user_sum_of_no_users_is_positive_zero():
+    for shape in ((8, 0), (2, 3, 0), (0,)):
+        total = games._user_sum(np.empty(shape))
+        assert total.shape == shape[:-1] and np.array_equal(total, np.zeros(shape[:-1]))
+        assert not np.signbit(total).any()
+
+
 def test_payoff_rejects_out_of_box_actions():
     g = reference_flow_game()
     with pytest.raises(GameConfigError):
