@@ -339,15 +339,12 @@ def _grid_pass(game: StageGame, cells):
 
     The grid streams as the slabs of :meth:`StageGame.grid_slabs`, one per
     value of the first action: a slab's row minimum, and its payoffs on the
-    columns asked for.  A queue game pays ``u_i = f_i * cap`` with ``cap >=
-    0`` and builds the row minimum from the factors: rounding is monotone,
-    so the least payoff ``min_i fl(f_i * cap)`` is ``fl(min_i f_i * cap)``.
-    A floor level ``g`` shared
-    by all users is met where ``fl(rowmin - g) >= -FLOOR_TOL``, which is
-    monotone in the row minimum and in ``g``, so the levels' feasible sets
-    nest and :func:`_take_slab` adds the users' payoffs once per slab, on
-    the columns of the lowest level met.  Per-user floors take the slab's
-    whole payoffs.  A slab's pick replaces the running best only when it is
+    columns asked for.  A floor level ``g`` shared by all users is met
+    where ``fl(rowmin - g) >= -FLOOR_TOL``, which is monotone in the row
+    minimum and in ``g``, so the levels' feasible sets nest and
+    :func:`_take_slab` adds the users' payoffs once per slab, on the
+    columns of the lowest level met.  Per-user floors take the slab's whole
+    payoffs.  A slab's pick replaces the running best only when it is
     strictly better, so the first profile in grid order wins ties; the seed
     is rebuilt from the winning (slab, row) index."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, GRID_STEP), [am]]))
@@ -485,13 +482,7 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
     pass, in the arithmetic of ``np.linspace`` per start, as one ``(S,
     LINE_POINTS, n)`` table.  :meth:`StageGame.line_payoffs` turns it into
     one C-contiguous user-major ``(n, S, LINE_POINTS)`` payoff block per
-    step, which :func:`_score` reduces with no copy.  The queue games build
-    the blocks from payoff factors: the table's ``a**beta``, taken once per
-    pass in the call shape of ``payoff_unchecked`` (an ``(..., n)`` array
-    against the whole ``beta``, so numpy runs ``pow`` where it would square
-    or take a square root of one exponent of 2 or 0.5), and each step's
-    load, added in index order from the moved prefix, the line and the
-    pass-start suffix; every payoff is ``payoff_batch``'s bit for bit.
+    step, which :func:`_score` reduces with no copy.
 
     Payoffs are nonnegative, so a feasible point's welfare is above every
     infeasible point's margin (below ``-FLOOR_TOL``): ranking by ``val``

@@ -2,16 +2,17 @@
 
 The device is a non-strategic punisher: its action can only lower user
 payoffs, and its null action leaves the game unchanged.  Three concrete
-games are provided:
+games are provided, two of them one queue model:
 
-* :class:`FlowControlGame` -- users pick service rates at a shared M/M/1
-  queue; payoff is a power of the own rate times the residual capacity.
-  The device absorbs capacity.
+* :class:`FlowControlGame` and :class:`PacketDropGame` -- users pick
+  service rates at a shared M/M/1 queue; payoff is a power of the paid
+  rate times the residual capacity.  Both are :class:`_QueueGame` and
+  differ only in the device's lever: in flow control it absorbs capacity,
+  in packet dropping it drops each user's packets independently with some
+  probability.
 * :class:`PowerControlGame` -- users pick transmit powers on a shared
   Gaussian interference channel; payoff is the Shannon rate.  The device
   jams.
-* :class:`PacketDropGame` -- flow control where the device drops each
-  user's packets independently with some probability.
 
 Each game is its payoff function plus one best-response map, both
 vectorised over leading batch dimensions; :meth:`StageGame.deviation_payoffs`
@@ -127,11 +128,15 @@ class HullSample:
 
 
 class StageGame:
-    """Common interface for the concrete games.
+    """Common interface for the concrete games: the queue class
+    :class:`_QueueGame`, which the flow-control and packet-drop games share,
+    and :class:`PowerControlGame`.
 
     Subclasses set ``n``, ``a_max`` (shape ``(n,)``) and ``a0_max`` (shape
-    ``(a0_dim,)``), and implement ``payoff_unchecked``, ``best_responses``
-    and ``payoff_jacobian``; everything else is derived from those maps.
+    ``(a0_dim,)``), and implement ``payoff_unchecked``, ``best_responses``,
+    ``payoff_jacobian`` and ``stage_nash``; everything else is derived from
+    those maps.  :meth:`grid_slabs` and :meth:`line_payoffs` score whole
+    profile blocks here; the queue class builds them from payoff factors.
     """
 
     n: int
@@ -197,8 +202,7 @@ class StageGame:
         ``payoffs(cols)`` the user-major ``(n, len(cols))`` payoffs of the
         profiles at the indices ``cols`` (a 1-D integer array).  Both equal
         ``payoff_batch`` on that slab bit for bit: its minimum over users,
-        and its rows at ``cols``, transposed.  Here each slab is scored
-        whole; the queue games build both from payoff factors."""
+        and its rows at ``cols``, transposed."""
         null = self.null_intervention()
         prof = np.empty((math.prod(len(ax) for ax in axes[1:]), self.n))
         if self.n > 1:
@@ -219,9 +223,7 @@ class StageGame:
         coordinate i set to ``lines[s, k, i]``.  ``x`` is read again after
         each block: the caller writes coordinate i's move into ``x[:, i]``
         before it asks for the next one.  Each block equals ``payoff_batch``
-        on its ``(S, P, n)`` profiles, moved to user-major, bit for bit.
-        Here each block is built whole; the queue games build it from payoff
-        factors."""
+        on its ``(S, P, n)`` profiles, moved to user-major, bit for bit."""
         null = self.null_intervention()
         prof = np.repeat(x[:, None, :], lines.shape[1], axis=1)
         for i in range(self.n):
@@ -273,19 +275,189 @@ class StageGame:
         raise NotImplementedError
 
     def with_a0_max(self, a0_max) -> "StageGame":
-        """Copy of this game with a different device action box."""
+        """Copy of this game with a different device action box; raises
+        :class:`GameConfigError` for the packet-drop game, whose box is fixed."""
         cfg = self.to_config()
         cfg["a0_max"] = np.asarray(a0_max, dtype=float).reshape(-1).tolist()
         return game_from_config(cfg)
 
 
-class FlowControlGame(StageGame):
+class _QueueGame(StageGame):
     """Users share an M/M/1 queue of service rate ``mu``.
 
-    User ``i`` sends at rate ``a_i`` and values throughput-weighted delay
-    as ``a_i**beta_i * max(0, mu - a0 - sum(a))``; the device takes
-    ``a0`` of the capacity for itself.  ``mu >= sum(a_max)`` is required
-    so that the queue stays stable at every admissible profile.
+    User ``i`` sends at rate ``a_i`` and values throughput-weighted delay as
+    ``paid_i**beta_i * max(0, room - sum(a))``.  ``mu >= sum(a_max)`` is
+    required so that the queue stays stable at every admissible profile;
+    ``mu`` may sit up to ``BOX_TOL`` below it, where a load that rounds past
+    ``mu`` saturates the queue and pays 0.
+    The queue games differ only in the device's lever, stated by three
+    hooks: the capacity the device leaves (:meth:`_room`, ``mu`` here), the
+    paid rates and their slope in the own rates (:meth:`_paid`, ``a`` and
+    1 here), and the users whose packets are all dropped (:meth:`_dropped`,
+    none here).  The stage Nash point is closed-form (Bharath-Kumar &
+    Jaffe, 1981).
+
+    At null intervention the room is ``mu`` and the paid rate the sent
+    rate, so :meth:`grid_slabs` and :meth:`line_payoffs` build their
+    payoffs ``u_i = f_i * cap`` from factors, ``f_i = a_i**beta_i`` and
+    ``cap = max(mu - load, 0)``, and never score a profile block whole.
+    Each product is ``payoff_batch``'s bit for bit at every n: the load is
+    added in index order from +0.0, as :func:`_user_sum` does, and each
+    ``a**beta`` is taken in the call shape of :meth:`payoff_unchecked`, an
+    ``(..., n)`` array against the whole ``beta`` vector.  (numpy squares,
+    or takes a square root, where it sees an exponent of 2 or 0.5 as one
+    value -- a scalar, a stride-0 broadcast or a ``(1,)`` array -- and that
+    rounds otherwise than ``pow``.)
+    """
+
+    def __init__(self, mu: float, beta, a_max):
+        self.mu = float(_finite(mu, "mu"))
+        n = len(np.atleast_1d(np.asarray(beta, dtype=float)))
+        self.n = n
+        self.beta = _as_vector(beta, n, "beta")
+        self.a_max = _as_vector(a_max, n, "a_max")
+        if self.mu <= 0 or np.any(self.beta <= 0) or np.any(self.a_max <= 0):
+            raise GameConfigError("mu, beta and a_max must be strictly positive")
+        if self.mu < np.sum(self.a_max) - BOX_TOL:
+            raise GameConfigError(
+                f"queue underprovisioned: mu={self.mu} < sum(a_max)={np.sum(self.a_max)}")
+
+    # -- the device's lever ----------------------------------------------
+
+    def _room(self, a0):
+        """The capacity left at device action ``a0``, before the users' load."""
+        return self.mu
+
+    def _paid(self, a0, a):
+        """The rates users are paid for at ``(a0, a)``, and their slope in
+        the own rates."""
+        return a, 1.0
+
+    def _dropped(self, a0):
+        """Which users the device pays zero whatever they send."""
+        return False
+
+    # -- the queue -------------------------------------------------------
+
+    def payoff_unchecked(self, a0, a):
+        cap = np.maximum(self._room(a0) - _user_sum(a), 0.0)
+        return np.power(self._paid(a0, a)[0], self.beta) * cap[..., None]
+
+    def payoff_jacobian(self, a0, a):
+        a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
+        cap = self._room(a0) - _user_sum(a)
+        paid, scale = self._paid(a0, a)
+        # d u_i / d a_j = beta_i paid_i**(beta_i - 1) scale_i cap [i = j]
+        # + paid_i**beta_i slope.  A saturated queue pays zero and no rate
+        # moves that: at the kink (cap exactly 0) the saturated side's slope
+        # is taken.  At paid_i = 0 with beta_i < 1 the own slope is
+        # infinite; there it is taken at paid_i = 2**-26 (the square root of
+        # the float epsilon, the forward step of 2-point differencing at
+        # zero), a large finite slope pointing into the box.
+        slope = np.where(cap > 0.0, -1.0, 0.0)
+        cap = np.maximum(cap, 0.0)
+        base = np.where((paid == 0.0) & (self.beta < 1.0), 2.0 ** -26, paid)
+        # the capacity term is the same in every column j
+        shared = np.power(paid, self.beta) * np.expand_dims(slope, -1)
+        jac = np.repeat(shared[..., :, None], self.n, axis=-1)
+        users = np.arange(self.n)
+        jac[..., users, users] += self.beta * np.power(base, self.beta - 1.0) * scale * cap[..., None]
+        return jac
+
+    def best_responses(self, a0, a):
+        free = np.asarray(self._room(a0))[..., None] - (_user_sum(a)[..., None] - a)
+        interior = np.minimum(self.beta / (1.0 + self.beta) * free, self.a_max)
+        # a saturated queue, or a device dropping all of i's packets, pays i
+        # zero whatever it sends; the full rate keeps the all-max profile a
+        # best-response fixed point
+        return np.where(self._dropped(a0) | (free <= 0.0), self.a_max, interior)
+
+    def stage_nash(self, a0):
+        """All-max when no user the device leaves paid has capacity left,
+        else the dropped users at their caps and every other user at
+        ``min(beta_i C, a_max_i)`` of the residual capacity ``C``, solving
+        ``C + sum(min(beta_i C, a_max_i)) = room - dropped load`` one segment
+        at a time over the sorted breakpoints ``a_max_i / beta_i``."""
+        room, fixed = self._room(a0), self._dropped(a0) | np.zeros(self.n, dtype=bool)
+        beta, a = self.beta, self.a_max.astype(float).copy()
+        if np.all(fixed | (room - (np.sum(a) - a) <= 0.0)):
+            return a
+        free = np.flatnonzero(~fixed)
+        num, den = room - np.sum(a[fixed]), 1.0 + np.sum(beta[free])
+        order = free[np.argsort(a[free] / beta[free], kind="stable")]
+        for m, i in enumerate(order):
+            if beta[i] * num / den < a[i]:
+                # C = num / den lies below every breakpoint left
+                rest = order[m:]
+                a[rest] = np.minimum(beta[rest] * num / den, a[rest])
+                break
+            num, den = num - a[i], den - beta[i]
+        return a
+
+    def grid_slabs(self, axes):
+        # one a**beta table for all axes; a slab's load is built by
+        # broadcasting one axis at a time.  Rounding is monotone and cap >= 0,
+        # so the least payoff min_i fl(f_i * cap) is fl(min_i f_i * cap); the
+        # other users' least factor is taken once for all slabs
+        table = np.zeros((max(len(ax) for ax in axes), self.n))
+        for i, ax in enumerate(axes):
+            table[:len(ax), i] = ax
+        table = np.power(table, self.beta)
+        powers = [table[:len(ax), i] for i, ax in enumerate(axes)]
+        others, shape = np.ix_(*axes[1:]), tuple(len(ax) for ax in axes[1:])
+        rest = np.empty((self.n - 1,) + shape)
+        for r, f in zip(rest, np.ix_(*powers[1:])):
+            r[...] = f
+        rest = rest.reshape(self.n - 1, math.prod(shape))
+        low = np.min(rest, axis=0, initial=np.inf)
+        for x, p in zip(axes[0], powers[0]):
+            load = np.asarray(x)
+            for col in others:
+                load = load + col
+            cap = np.subtract(self.mu, load, out=load).reshape(-1)
+            np.maximum(cap, 0.0, out=cap)
+            rowmin = np.minimum(low, p)
+            rowmin *= cap
+
+            def payoffs(cols, p=p, cap=cap):
+                c = cap[cols]
+                block = np.empty((self.n, c.size))
+                np.multiply(p, c, out=block[0])
+                # cols index this slab: "wrap" skips the bounds check's buffered copy
+                np.take(rest, cols, axis=1, out=block[1:], mode="wrap")
+                block[1:] *= c
+                return block
+            yield rowmin, payoffs
+
+    def line_payoffs(self, x, lines):
+        # the lines' a**beta once per pass, the current profiles' at each
+        # step.  Step i adds its load from the prefix of the coordinates
+        # before i (moved this pass), the line's value, then the pass-start
+        # columns after i, which hold still until their own step
+        n, (S, P, _) = self.n, lines.shape
+        power = lambda a: np.power(np.ascontiguousarray(a), self.beta)
+        # user-major (n, S, P) tables: the lines' factors, the pass-start
+        # columns, and the factors of the current profiles
+        factors = power(lines).transpose(2, 0, 1).copy()
+        cols = np.repeat(x.T[:, :, None], P, axis=2)
+        held = np.repeat(power(x).T[:, :, None], P, axis=2)
+        head = np.zeros(S)   # the load of no users
+        for i in range(n):
+            load = head[:, None] + lines[:, :, i]
+            for col in cols[i + 1:]:
+                load += col
+            cap = np.maximum(np.subtract(self.mu, load, out=load), 0.0, out=load)
+            block = np.multiply(held, cap)
+            np.multiply(factors[i], cap, out=block[i])
+            yield block
+            # coordinate i's move, now in x: onto the prefix, and its factors
+            head = head + x[:, i]
+            held[i] = power(x)[:, i, None]
+
+
+class FlowControlGame(_QueueGame):
+    """The queue game where the device takes ``a0`` of the capacity for
+    itself: user ``i`` is paid ``a_i**beta_i * max(0, mu - a0 - sum(a))``.
 
     >>> g = FlowControlGame(mu=10, beta=[2, 2, 3, 3], a_max=[2.5] * 4, a0_max=[2.5])
     >>> g.payoff([0.0], [2.5, 2.5, 2.5, 2.5])
@@ -295,56 +467,61 @@ class FlowControlGame(StageGame):
     kind = "flow"
 
     def __init__(self, mu: float, beta, a_max, a0_max=0.0):
-        self.mu = float(_finite(mu, "mu"))
-        n = len(np.atleast_1d(np.asarray(beta, dtype=float)))
-        self.n = n
-        self.beta = _as_vector(beta, n, "beta")
-        self.a_max = _as_vector(a_max, n, "a_max")
+        super().__init__(mu, beta, a_max)
         a0 = _finite(a0_max, "a0_max").reshape(-1)
         if a0.shape != (1,):
             raise GameConfigError("flow-control device action is a scalar capacity grab")
-        self.a0_max = a0
-        if self.mu <= 0 or np.any(self.beta <= 0) or np.any(self.a_max <= 0):
-            raise GameConfigError("mu, beta and a_max must be strictly positive")
-        if self.a0_max[0] < 0:
+        if a0[0] < 0:
             raise GameConfigError("a0_max must be nonnegative")
-        if self.mu < np.sum(self.a_max) - BOX_TOL:
-            raise GameConfigError(
-                f"queue underprovisioned: mu={self.mu} < sum(a_max)={np.sum(self.a_max)}")
+        self.a0_max = a0
 
-    def payoff_unchecked(self, a0, a):
-        cap = self.mu - a0[..., 0] - _user_sum(a)
-        cap = np.maximum(cap, 0.0)
-        return np.power(a, self.beta) * cap[..., None]
-
-    def payoff_jacobian(self, a0, a):
-        a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
-        cap = self.mu - a0[..., 0] - _user_sum(a)
-        # a saturated queue pays zero and no rate moves that; at the kink
-        # (cap exactly 0) the saturated side's slope is taken
-        return _queue_jacobian(self, a, 1.0, np.maximum(cap, 0.0),
-                               np.where(cap > 0.0, -1.0, 0.0))
-
-    def grid_slabs(self, axes):
-        # with a0 = 0, mu - a0 - load rounds as mu - load
-        return _queue_grid_slabs(self, axes)
-
-    def line_payoffs(self, x, lines):
-        return _queue_line_payoffs(self, x, lines)
-
-    def best_responses(self, a0, a):
-        free = self.mu - a0 - (_user_sum(a)[..., None] - a)
-        interior = np.minimum(self.beta / (1.0 + self.beta) * free, self.a_max)
-        # a saturated queue pays zero whatever i sends; the full rate keeps
-        # the all-max profile a best-response fixed point
-        return np.where(free <= 0.0, self.a_max, interior)
-
-    def stage_nash(self, a0):
-        return _queue_nash(self, self.mu - a0[0], np.zeros(self.n, dtype=bool))
+    def _room(self, a0):
+        return self.mu - a0[..., 0]
 
     def to_config(self):
         return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
                 "a_max": self.a_max.tolist(), "a0_max": self.a0_max.tolist()}
+
+
+class PacketDropGame(_QueueGame):
+    """The queue game where the device drops user ``i``'s packets w.p.
+    ``a0[i]``: user ``i`` is paid ``((1 - a0_i) a_i)**beta_i * max(0, mu -
+    sum(a))``.  Dropping shrinks the rate a user is paid for, while the
+    full sent rate still congests the queue.  The device box is the unit
+    box, fixed.
+
+    A user whose packets are all dropped is paid zero, and sends its most:
+
+    >>> g = PacketDropGame(mu=10, beta=[2, 2, 3, 3], a_max=[2.5] * 4)
+    >>> g.payoff([1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
+    array([0., 6., 6., 6.])
+    >>> g.best_response(0, [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
+    2.5
+    """
+
+    kind = "packet_drop"
+
+    def __init__(self, mu: float, beta, a_max):
+        super().__init__(mu, beta, a_max)
+        self.a0_max = np.ones(self.n)
+
+    def _paid(self, a0, a):
+        kept = 1.0 - a0
+        return np.maximum(kept * a, 0.0), kept
+
+    def _dropped(self, a0):
+        return a0 >= 1.0 - 1e-12
+
+    def minmax_minimizer(self, i):
+        # dropping user i's packets w.p. 1 already floors them at zero;
+        # other users need not be involved beyond playing their maxima
+        a0 = np.zeros(self.n)
+        a0[i] = 1.0
+        return a0
+
+    def to_config(self):
+        return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
+                "a_max": self.a_max.tolist()}
 
 
 class PowerControlGame(StageGame):
@@ -412,190 +589,6 @@ class PowerControlGame(StageGame):
                 "a0_max": self.a0_max.tolist()}
 
 
-class PacketDropGame(StageGame):
-    """Flow control where the device drops user ``i``'s packets w.p. ``a0[i]``.
-
-    Payoffs are ``((1 - a0_i) * a_i)**beta_i * max(0, mu - sum(a))``: dropping
-    shrinks the effective rate a user is paid for, while the full sent
-    rate still congests the queue.
-    """
-
-    kind = "packet_drop"
-
-    def __init__(self, mu: float, beta, a_max):
-        self.mu = float(_finite(mu, "mu"))
-        n = len(np.atleast_1d(np.asarray(beta, dtype=float)))
-        self.n = n
-        self.beta = _as_vector(beta, n, "beta")
-        self.a_max = _as_vector(a_max, n, "a_max")
-        self.a0_max = np.ones(n)
-        if self.mu <= 0 or np.any(self.beta <= 0) or np.any(self.a_max <= 0):
-            raise GameConfigError("mu, beta and a_max must be strictly positive")
-        if self.mu < np.sum(self.a_max) - BOX_TOL:
-            raise GameConfigError(
-                f"queue underprovisioned: mu={self.mu} < sum(a_max)={np.sum(self.a_max)}")
-
-    def payoff_unchecked(self, a0, a):
-        cap = np.maximum(self.mu - _user_sum(a), 0.0)
-        eff = np.maximum((1.0 - a0) * a, 0.0)
-        return np.power(eff, self.beta) * cap[..., None]
-
-    def payoff_jacobian(self, a0, a):
-        a0, a = np.asarray(a0, dtype=float), np.asarray(a, dtype=float)
-        cap = self.mu - _user_sum(a)
-        # the capacity is floored at 0 as in the flow game; a load that rounds
-        # past mu (which mu up to BOX_TOL below sum(a_max) allows) saturates it
-        return _queue_jacobian(self, np.maximum((1.0 - a0) * a, 0.0), 1.0 - a0,
-                               np.maximum(cap, 0.0), np.where(cap > 0.0, -1.0, 0.0))
-
-    def grid_slabs(self, axes):
-        # with a0 = 0 and a >= 0 the paid rate is the sent rate
-        return _queue_grid_slabs(self, axes)
-
-    def line_payoffs(self, x, lines):
-        return _queue_line_payoffs(self, x, lines)
-
-    def best_responses(self, a0, a):
-        free = self.mu - (_user_sum(a)[..., None] - a)
-        interior = np.minimum(self.beta / (1.0 + self.beta) * free, self.a_max)
-        # a user whose packets are all dropped is paid zero whatever it sends
-        return np.where((a0 >= 1.0 - 1e-12) | (free <= 0.0), self.a_max, interior)
-
-    def stage_nash(self, a0):
-        return _queue_nash(self, self.mu, a0 >= 1.0 - 1e-12)
-
-    def minmax_minimizer(self, i):
-        # dropping user i's packets w.p. 1 already floors them at zero;
-        # other users need not be involved beyond playing their maxima
-        a0 = np.zeros(self.n)
-        a0[i] = 1.0
-        return a0
-
-    def to_config(self):
-        return {"kind": self.kind, "mu": self.mu, "beta": self.beta.tolist(),
-                "a_max": self.a_max.tolist()}
-
-
-def _queue_nash(game, room, fixed):
-    """Stage Nash point of a queue game of capacity ``room`` whose ``fixed``
-    users send at their caps: all-max when no other user has capacity left
-    there, else ``min(beta_i C, a_max_i)`` at the residual capacity ``C``
-    (Bharath-Kumar & Jaffe, 1981), solving ``C + sum(min(beta_i C, a_max_i))
-    = room - fixed load`` one segment at a time over the sorted breakpoints
-    ``a_max_i / beta_i``."""
-    beta, a = game.beta, game.a_max.astype(float).copy()
-    if np.all(fixed | (room - (np.sum(a) - a) <= 0.0)):
-        return a
-    free = np.flatnonzero(~fixed)
-    num, den = room - np.sum(a[fixed]), 1.0 + np.sum(beta[free])
-    order = free[np.argsort(a[free] / beta[free], kind="stable")]
-    for m, i in enumerate(order):
-        if beta[i] * num / den < a[i]:
-            # C = num / den lies below every breakpoint left
-            rest = order[m:]
-            a[rest] = np.minimum(beta[rest] * num / den, a[rest])
-            break
-        num, den = num - a[i], den - beta[i]
-    return a
-
-
-def _queue_jacobian(game, paid, scale, cap, slope):
-    """:meth:`StageGame.payoff_jacobian` of a queue game paying
-    ``u_i = paid_i**beta_i * cap``, where the paid rate ``paid_i`` moves
-    with the own rate at ``scale_i`` and ``cap`` with every rate at
-    ``slope``: ``d u_i / d a_j = beta_i paid_i**(beta_i - 1) scale_i cap [i = j]
-    + paid_i**beta_i slope``.  At ``paid_i = 0`` with ``beta_i < 1`` the
-    own slope is infinite; there it is taken at ``paid_i = 2**-26`` (the
-    square root of the float epsilon, the forward step of 2-point
-    differencing at zero), a large finite slope pointing into the box."""
-    beta = game.beta
-    base = np.where((paid == 0.0) & (beta < 1.0), 2.0 ** -26, paid)
-    # the capacity term is the same in every column j
-    shared = np.power(paid, beta) * np.expand_dims(slope, -1)
-    jac = np.repeat(shared[..., :, None], game.n, axis=-1)
-    users = np.arange(game.n)
-    jac[..., users, users] += beta * np.power(base, beta - 1.0) * scale * cap[..., None]
-    return jac
-
-
-def _queue_grid_slabs(game, axes):
-    """:meth:`StageGame.grid_slabs` of a queue game paying
-    ``u_i = f_i * cap`` at null intervention, with ``f_i = a_i**beta_i`` and
-    ``cap = max(mu - load, 0)``, from per-axis factors: one ``a**beta``
-    table for all axes, and a slab's load built by broadcasting one axis at
-    a time, adding the users in index order as :func:`_user_sum` does; so
-    every product is ``payoff_batch``'s bit for bit at every n, and no
-    slab's payoffs are built whole.
-
-    Rounding is monotone and ``cap >= 0``, so the least payoff ``min_i
-    fl(f_i * cap)`` is ``fl(min_i f_i * cap)``.  The other users' least
-    factor is taken once for all slabs."""
-    table = np.zeros((max(len(ax) for ax in axes), game.n))
-    for i, ax in enumerate(axes):
-        table[:len(ax), i] = ax
-    # (m, n) by beta along the last axis: the call shape of payoff_unchecked
-    table = np.power(table, game.beta)
-    powers = [table[:len(ax), i] for i, ax in enumerate(axes)]
-    others, shape = np.ix_(*axes[1:]), tuple(len(ax) for ax in axes[1:])
-    rest = np.empty((game.n - 1,) + shape)
-    for r, f in zip(rest, np.ix_(*powers[1:])):
-        r[...] = f
-    rest = rest.reshape(game.n - 1, math.prod(shape))
-    low = np.min(rest, axis=0, initial=np.inf)
-    for x, p in zip(axes[0], powers[0]):
-        load = np.asarray(x)
-        for col in others:
-            load = load + col
-        cap = np.subtract(game.mu, load, out=load).reshape(-1)
-        np.maximum(cap, 0.0, out=cap)
-        rowmin = np.minimum(low, p)
-        rowmin *= cap
-
-        def payoffs(cols, p=p, cap=cap):
-            c = cap[cols]
-            block = np.empty((game.n, c.size))
-            np.multiply(p, c, out=block[0])
-            # cols index this slab: "wrap" skips the bounds check's buffered copy
-            np.take(rest, cols, axis=1, out=block[1:], mode="wrap")
-            block[1:] *= c
-            return block
-        yield rowmin, payoffs
-
-
-def _queue_line_payoffs(game, x, lines):
-    """:meth:`StageGame.line_payoffs` of a queue game paying ``u_i = f_i *
-    cap`` at null intervention, with ``f_i = a_i**beta_i`` and ``cap =
-    max(mu - load, 0)``, from payoff factors: the lines' ``a**beta`` once
-    per pass, and the current profiles' at each step.  Both are taken in
-    the call shape of ``payoff_unchecked``, an ``(..., n)`` array against
-    the whole ``beta`` vector: numpy squares, or takes a square root, where
-    it sees an exponent of 2 or 0.5 as one value (a scalar, a stride-0
-    broadcast or a ``(1,)`` array), and that rounds otherwise than ``pow``.
-    Step i adds its load in index order from +0.0, as :func:`_user_sum`
-    does: the prefix of the coordinates before i (moved this pass), the
-    line's value, then the pass-start columns after i, which hold still
-    until their own step.  So every payoff is ``payoff_batch``'s bit for
-    bit, and no ``(S, P, n)`` profile block is built."""
-    n, (S, P, _) = game.n, lines.shape
-    power = lambda a: np.power(np.ascontiguousarray(a), game.beta)
-    # user-major (n, S, P) tables: the lines' factors, the pass-start
-    # columns, and the factors of the current profiles
-    factors = power(lines).transpose(2, 0, 1).copy()
-    cols = np.repeat(x.T[:, :, None], P, axis=2)
-    held = np.repeat(power(x).T[:, :, None], P, axis=2)
-    head = np.zeros(S)   # the load of no users
-    for i in range(n):
-        load = head[:, None] + lines[:, :, i]
-        for col in cols[i + 1:]:
-            load += col
-        cap = np.maximum(np.subtract(game.mu, load, out=load), 0.0, out=load)
-        block = np.multiply(held, cap)
-        np.multiply(factors[i], cap, out=block[i])
-        yield block
-        # coordinate i's move, now in x: onto the prefix, and its factors
-        head = head + x[:, i]
-        held[i] = power(x)[:, i, None]
-
 
 _GAME_KINDS = {
     "flow": FlowControlGame,
@@ -610,11 +603,8 @@ def game_from_config(cfg: dict) -> StageGame:
     kind = cfg.pop("kind", None)
     if kind not in _GAME_KINDS:
         raise GameConfigError(f"unknown game kind {kind!r}; expected one of {sorted(_GAME_KINDS)}")
-    cls = _GAME_KINDS[kind]
-    if kind == "packet_drop":
-        cfg.pop("a0_max", None)  # fixed at the unit box
     try:
-        return cls(**cfg)
+        return _GAME_KINDS[kind](**cfg)
     except TypeError as exc:
         raise GameConfigError(f"bad parameters for {kind!r} game: {exc}") from None
 

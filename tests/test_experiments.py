@@ -420,7 +420,8 @@ def _ascend_one(game, start, gamma, kind, passes=50, points=33):
     def best(U):
         margin = np.min(U - gamma, axis=-1)
         ok = margin >= -1e-9
-        val = np.where(ok, U.sum(axis=-1) if kind == "sum" else U.min(axis=-1), margin)
+        total = np.cumsum(U, axis=-1)[..., -1]   # users added in index order
+        val = np.where(ok, total if kind == "sum" else U.min(axis=-1), margin)
         idx = np.flatnonzero(ok)
         j = int(idx[np.argmax(val[idx])] if idx.size else np.argmax(val))
         return j, (bool(ok[j]), float(val[j]))
@@ -468,7 +469,7 @@ def test_stacked_ascent_matches_single_start_ascents(name):
     out_of_reach[-1] = 1e6
     starts = rng.uniform(-0.1, 1.1, size=(4, game.n)) * game.a_max
     ran = set()
-    for gamma in (u_mid * np.linspace(0.2, 1.0, game.n), out_of_reach):
+    for gamma in (np.zeros(game.n), u_mid * np.linspace(0.2, 1.0, game.n), out_of_reach):
         for kind in ("sum", "maxmin"):
             ok, val, profiles = xp._ascend(game, starts, gamma, kind)
             for s, start in enumerate(starts):
@@ -899,6 +900,26 @@ def test_cli_verify_device_too_weak_for_grim_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "config error: the mutual minmax profile is not a stage Nash" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
+
+
+def test_packet_drop_device_box_is_rejected_not_ignored(tmp_path, capsys):
+    """The packet-drop device box is the unit box: a config that sets
+    ``a0_max`` is refused by the loader and by the command line (exit 2,
+    nothing written), not run with the key dropped."""
+    raw = json.loads(CONFIG.read_text())
+    raw["game"] = {"kind": "packet_drop", "mu": 10.0, "beta": [2.0, 2.0, 3.0, 3.0],
+                   "a_max": [2.5] * 4, "a0_max": [0.3]}
+    p = tmp_path / "drop_box.json"
+    p.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match="bad game block: .*a0_max"):
+        load_config(p, "table2")
+    rc = main(["--experiment", "table2", "--config", str(p), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert "a0_max" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    del raw["game"]["a0_max"]
+    p.write_text(json.dumps(raw))
+    assert load_config(p, "table2").game["kind"] == "packet_drop"
 
 
 def test_cli_internal_failure_exits_3(tmp_path, monkeypatch, capsys):

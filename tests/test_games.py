@@ -421,6 +421,141 @@ def test_payoff_jacobian_at_kinks_and_zero_rates_is_finite():
 
 
 # ---------------------------------------------------------------------------
+# the queue games, pinned to their formulas
+# ---------------------------------------------------------------------------
+
+def _queue_game_pair(rng, n):
+    """A flow and a packet-drop game of equal ``mu``, ``beta`` and ``a_max``;
+    some elasticities are 0.5, 2 or 3 exactly, where numpy would take a
+    square root, square or cube of one exponent, and some lie below 1."""
+    a_max = rng.uniform(0.5, 3.0, n)
+    beta = np.where(rng.uniform(size=n) < 0.4, rng.choice([0.5, 2.0, 3.0], n),
+                    rng.uniform(0.3, 4.0, n))
+    mu = float(np.sum(a_max) * rng.uniform(1.0, 1.6))
+    return (FlowControlGame(mu=mu, beta=beta, a_max=a_max, a0_max=[rng.uniform(0.0, mu)]),
+            PacketDropGame(mu=mu, beta=beta, a_max=a_max))
+
+
+def _written_queue_maps(g, a0, a):
+    """The payoffs, their Jacobian and the best responses of a queue game,
+    written out: the load added in index order from +0.0, the flow device
+    taking capacity (``(mu - a0) - load``), the packet-drop device paying
+    ``max((1 - a0) a, 0)`` for the rate ``a``."""
+    zero = np.zeros(a.shape[:-1] + (1,))
+    load = np.cumsum(np.concatenate([zero, a], axis=-1), axis=-1)[..., -1]
+    if g.kind == "flow":
+        room, paid, scale, dropped = g.mu - a0[..., 0], a, 1.0, False
+    else:
+        room, paid, scale, dropped = g.mu, np.maximum((1.0 - a0) * a, 0.0), 1.0 - a0, a0 >= 1.0 - 1e-12
+    cap = room - load
+    floored = np.maximum(cap, 0.0)[..., None]
+    u = np.power(paid, g.beta) * floored
+    # d u_i / d a_j = paid_i**beta_i slope + [i = j] beta_i base_i**(beta_i - 1) scale_i cap
+    slope = np.where(cap > 0.0, -1.0, 0.0)
+    base = np.where((paid == 0.0) & (g.beta < 1.0), 2.0 ** -26, paid)
+    jac = np.empty(a.shape + (g.n,))
+    jac[...] = (np.power(paid, g.beta) * slope[..., None])[..., None]
+    users = np.arange(g.n)
+    jac[..., users, users] += g.beta * np.power(base, g.beta - 1.0) * scale * floored
+    free = np.expand_dims(room, -1) - (load[..., None] - a)
+    br = np.where((free <= 0.0) | dropped, g.a_max,
+                  np.minimum(g.beta / (1.0 + g.beta) * free, g.a_max))
+    return u, jac, br
+
+
+def _written_stage_nash(g, a0):
+    """The Nash point (Bharath-Kumar & Jaffe, 1981), written out: all-max
+    where no paid user has capacity left; else, over the paid users sorted
+    by ``a_max_i / beta_i``, the first k capped at ``a_max`` and the rest at
+    ``beta_i C`` with ``C = (room - capped load) / (1 + sum(rest's beta))``,
+    k the first segment where that stays below the next breakpoint."""
+    room = g.mu - a0[0] if g.kind == "flow" else g.mu
+    fixed = np.zeros(g.n, dtype=bool) if g.kind == "flow" else a0 >= 1.0 - 1e-12
+    a = g.a_max.copy()
+    if np.all(fixed | (room - (np.sum(a) - a) <= 0.0)):
+        return a, "saturated"
+    free = np.flatnonzero(~fixed)
+    order = free[np.argsort(a[free] / g.beta[free], kind="stable")]
+    num = np.subtract.accumulate(np.concatenate([[room - np.sum(a[fixed])], a[order]]))
+    den = np.subtract.accumulate(np.concatenate([[1.0 + np.sum(g.beta[free])], g.beta[order]]))
+    below = g.beta[order] * num[:-1] / den[:-1] < a[order]
+    if not below.any():
+        return a, "all capped"
+    m = int(np.argmax(below))
+    rest = order[m:]
+    a[rest] = np.minimum(g.beta[rest] * num[m] / den[m], a[rest])
+    return a, "interior" if m == 0 else "some capped"
+
+
+def test_queue_maps_match_their_written_formulas():
+    """Both queue games' payoffs, Jacobians, best responses and stage Nash
+    points against the formulas written out here, bit for bit (signed zeros
+    included), for n = 2..12 on seeded profiles: saturated and idle queues,
+    device actions on and off, and packets dropped in full."""
+    rng = np.random.default_rng(43)
+    seen = dict.fromkeys(["saturated", "all capped", "some capped", "interior"], 0)
+    for n in range(2, 13):
+        for g in _queue_game_pair(rng, n):
+            a0 = rng.uniform(0, 1, (40, g.a0_dim)) * g.a0_max
+            a = rng.uniform(0, 1, (40, n)) * g.a_max
+            a0[:4], a[:8], a[8:12] = 0.0, g.a_max, 0.0
+            if g.kind == "flow":
+                a0[4:8] = g.a0_max
+            else:
+                a0[::3] = np.where(rng.uniform(size=(14, n)) < 0.4, 1.0, a0[::3])
+                a0[4] = 1.0
+            u, jac, br = _written_queue_maps(g, a0, a)
+            assert g.payoff_batch(a0, a).tobytes() == u.tobytes(), (g.kind, n)
+            assert g.payoff_jacobian(a0, a).tobytes() == jac.tobytes(), (g.kind, n)
+            assert g.best_responses(a0, a).tobytes() == br.tobytes(), (g.kind, n)
+            for k in range(0, 40, 4):
+                want, case = _written_stage_nash(g, a0[k])
+                assert g.stage_nash(a0[k]).tobytes() == want.tobytes(), (g.kind, n, k)
+                seen[case] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_queue_games_build_equal_grids_and_lines_at_null_intervention():
+    """At null intervention the flow and packet-drop games of equal ``mu``,
+    ``beta`` and ``a_max`` are one game: their grid slabs (row minimum and
+    payoffs at any columns) and ascent line blocks are equal bit for bit,
+    and equal to the written payoffs."""
+    rng = np.random.default_rng(47)
+    for n in range(2, 13):
+        flow, drop = _queue_game_pair(rng, n)
+        null = np.zeros((1, flow.n))
+        pts = 3 if n <= 7 else 2
+        axes = [np.unique(np.concatenate([[0.0, am], rng.uniform(0.0, am, pts - 2)]))
+                for am in flow.a_max]
+        slabs = list(zip(flow.grid_slabs(axes), drop.grid_slabs(axes)))
+        assert len(slabs) == len(axes[0])
+        rest = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, n - 1)
+        for x, ((low_f, pay_f), (low_d, pay_d)) in zip(axes[0], slabs):
+            prof = np.concatenate([np.full((len(rest), 1), x), rest], axis=1)
+            U = _written_queue_maps(flow, null[:, :1], prof)[0]
+            assert low_f.tobytes() == low_d.tobytes() == U.min(axis=-1).tobytes(), n
+            cols = np.sort(rng.choice(len(U), len(U) // 2, replace=False))
+            assert pay_f(cols).tobytes() == pay_d(cols).tobytes() == U[cols].T.tobytes(), n
+
+        x_f = rng.uniform(0.0, 1.0, (5, n)) * flow.a_max
+        x_f[-1] = flow.a_max
+        x_d = x_f.copy()
+        half = 0.3 * flow.a_max
+        lines = np.linspace(np.maximum(0.0, x_f - half), np.minimum(flow.a_max, x_f + half), 9, axis=1)
+        prof = np.repeat(x_f[:, None, :], 9, axis=1)
+        steps = 0
+        for i, (block_f, block_d) in enumerate(zip(flow.line_payoffs(x_f, lines),
+                                                   drop.line_payoffs(x_d, lines))):
+            prof[:, :, i] = lines[:, :, i]
+            want = np.moveaxis(_written_queue_maps(flow, null[:, :1], prof)[0], -1, 0)
+            assert block_f.tobytes() == block_d.tobytes() == want.tobytes(), (n, i)
+            x_f[::2, i] = x_d[::2, i] = lines[::2, rng.integers(0, 9), i]   # a move for every other start
+            prof[:, :, i] = x_f[:, i, None]
+            steps += 1
+        assert steps == n
+
+
+# ---------------------------------------------------------------------------
 # stage equilibrium
 # ---------------------------------------------------------------------------
 
@@ -700,6 +835,16 @@ def test_with_a0_max_rebuilds_box():
     g2 = g.with_a0_max([2.5])
     assert g2.a0_max[0] == 2.5
     assert np.allclose(minmax_values(g2, with_intervention=True), 0.0)
+
+
+def test_packet_drop_device_box_cannot_be_set():
+    """The packet-drop device box is the unit box: a config that sets it is
+    refused, and so is a copy with another box."""
+    g = PacketDropGame(mu=10.0, beta=[2, 2, 3, 3], a_max=[2.5] * 4)
+    with pytest.raises(GameConfigError, match="a0_max"):
+        game_from_config({**g.to_config(), "a0_max": [0.3] * 4})
+    with pytest.raises(GameConfigError, match="a0_max"):
+        g.with_a0_max([0.3] * 4)
 
 
 def test_max_stage_payoff_flow():
