@@ -39,9 +39,6 @@ State = tuple
 #: an automaton is subgame perfect when no one-shot deviation gains more
 SPE_GAIN_TOL = 1e-9
 
-#: width of the bracket the minimum-discount bisections stop at
-DELTA_TOL = 1e-6
-
 
 class AutomatonError(ValueError):
     """Raised when an automaton cannot be built from the given pieces."""
@@ -599,28 +596,27 @@ def player_specific_delta_constraints(game: StageGame, path_profile, L: int,
 
 
 def find_min_delta_for_constraints(constraint_fn: Callable[[float], dict]) -> float | None:
-    """Smallest delta in (0,1) with every family margin of
-    ``constraint_fn(delta)`` >= 0, by bisection to a bracket of
-    ``DELTA_TOL`` (None if none).
+    """Smallest double delta in (0,1) with every family margin of
+    ``constraint_fn(delta)`` >= 0, by :func:`_bisect` (None if none).
 
     Assumes the margins are nondecreasing in delta, which holds for all
     the incentive families here whenever the path dominates the
     punishment payoff.
     """
     return _bisect(lambda d: min(np.min(v) for v in constraint_fn(d).values() if np.size(v)) >= 0.0,
-                   0.0, 1.0 - 1e-12, DELTA_TOL)
+                   0.0, 1.0 - 1e-12)
 
 
-def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float) -> float | None:
-    """Smallest point of ``[lo, hi]`` where the monotone test ``holds``
-    passes, to a bracket of ``tol``: None when ``hi`` fails, ``lo`` when it
-    passes, else the upper end of the last bracket."""
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float) -> float | None:
+    """The point nearest ``lo`` where the monotone test ``holds`` passes,
+    between ``lo`` and ``hi`` (either may be the larger): None when ``hi``
+    fails, ``lo`` when it passes, else the passing end once the bracket is
+    two adjacent doubles."""
     if not holds(hi):
         return None
     if holds(lo):
         return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if holds(mid):
             hi = mid
         else:

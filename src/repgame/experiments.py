@@ -16,8 +16,8 @@ command line:
   deviation scanners against it.
 
 Everything is deterministic: the same config produces the same CSV bytes.
-scipy is imported at its use sites (``minimize`` in the one-shot polish,
-``brentq`` in :func:`reference_path`), so ``tradeoff`` loads none of it.
+scipy is imported at its one use site (``minimize`` in the one-shot
+polish), so ``fig3`` and ``tradeoff`` load none of it.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,6 @@ GRID_CAP = 8_000_000
 PASSES = 50
 LINE_POINTS = 33
 REFERENCE_MARGIN = 1.1   # the reference path clears this multiple of the no-device minmax
-CAP_TOL = 1e-4           # the trade-off sweep's bisection bracket on the device cap
 
 
 class ConfigError(ValueError):
@@ -109,15 +109,16 @@ def _floats(raw, key, default) -> tuple:
 
 
 def _ints(raw, key, default) -> tuple:
-    """Integer entries; a bool, a string or a fractional number is rejected, not coerced."""
+    """Integer entries within a float's range (``math.isfinite`` raises past it);
+    a bool, a string or a fractional number is rejected, not coerced."""
     val = raw.get(key, default)
     try:
         out = tuple(int(x) for x in val)
-        exact = all(not isinstance(x, bool) and x == k for x, k in zip(val, out))
+        exact = all(not isinstance(x, bool) and x == k and math.isfinite(k) for x, k in zip(val, out))
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
-        raise ConfigError(f"{key!r} must be a list of integers, got {val!r}")
+        raise ConfigError(f"{key!r} must be a list of integers within a float's range, got {val!r}")
     return out
 
 
@@ -419,12 +420,9 @@ def _search(game: StageGame, cells, seeds) -> list:
         # the largest step from the ascent point that holds the floors as well
         hold = min(0.0, float(np.min(u - gamma)))
         if np.min(u_pol - gamma) < hold:
-            lo, hi, step = 0.0, 1.0, polished - a
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                holds = np.min(game.payoff_batch(null, a + mid * step) - gamma) >= hold
-                lo, hi = (mid, hi) if holds else (lo, mid)
-            polished = a + lo * step
+            step = polished - a
+            t = _bisect(lambda s: np.min(game.payoff_batch(null, a + s * step) - gamma) >= hold, 1.0, 0.0)
+            polished = a + t * step
             u_pol = game.payoff(null, polished)
         if (np.min(u_pol - gamma) >= -FLOOR_TOL
                 and _welfare_value(kind, u_pol) > _welfare_value(kind, u)):
@@ -591,7 +589,6 @@ def reference_path(game: StageGame) -> np.ndarray:
     only for flow control; other games must supply an explicit path in the
     config.
     """
-    from scipy.optimize import brentq
     if not isinstance(game, FlowControlGame):
         raise ConfigError("no built-in reference path for this game kind; set 'path' in the config")
     beta = game.beta
@@ -608,10 +605,10 @@ def reference_path(game: StageGame) -> np.ndarray:
         m = int(low.sum())
         free = float(game.mu - np.sum(game.a_max[top]))
         peak = min(b * free / (m * (b + 1.0)), cap)
-        f = lambda x: x ** b * (free - m * x) - want
-        if free <= 0 or f(peak) < 0:
+        clears = lambda x: x ** b * (free - m * x) >= want
+        if free <= 0 or not clears(peak):
             raise ConfigError("cannot build an individually rational reference path; set 'path' in the config")
-        a[low] = brentq(f, 0.0, peak, xtol=1e-12)
+        a[low] = _bisect(clears, 0.0, peak)
     u = game.payoff_batch(game.null_intervention(), a)
     if np.any(u <= minmax_values(game, with_intervention=False)):
         raise ConfigError("reference path is not individually rational; set 'path' in the config")
@@ -697,12 +694,16 @@ def tradeoff_sweep(game_cfg: dict, axis: str, gamma_levels, a0_values, delta_gri
     ``delta_vs_gamma``: enforcement threshold vs guarantee level, one
     curve per device cap.  ``a0_vs_delta`` / ``a0_vs_gamma``: smallest
     device cap whose threshold meets the available discount factor, by
-    bisection on the cap to a bracket of ``CAP_TOL`` (monotone: more
-    intervention never raises the threshold).  Infeasible grid points are
-    kept as NA rows rather than dropped.
+    :func:`_bisect` on the cap (monotone: more intervention never raises
+    the threshold).  Infeasible grid points are kept as NA rows rather
+    than dropped.
     """
-    if axis not in TRADEOFF_AXES:
-        raise ConfigError(f"unknown tradeoff axis {axis!r}; expected one of {TRADEOFF_AXES}")
+    return _tradeoff_table(game_cfg, (axis,), gamma_levels, a0_values, delta_grid, welfare)
+
+
+def _tradeoff_table(game_cfg: dict, axes, gamma_levels, a0_values, delta_grid, welfare):
+    """The :func:`tradeoff_sweep` families ``axes`` in one table; each distinct
+    (gamma, delta) pair's cap is bisected once, however many families print it."""
     if game_cfg.get("kind") not in ("flow", "power"):
         raise ConfigError("trade-off sweeps vary a scalar device cap; flow or power game required")
     base = game_from_config(game_cfg)
@@ -716,21 +717,23 @@ def tradeoff_sweep(game_cfg: dict, axis: str, gamma_levels, a0_values, delta_gri
         target = optimize_welfare(stats, gam, welfare, True)
         return delta_bar(stats, target.v, True)
 
+    @cache
     def required_cap(g: float, d: float) -> float | None:
-        def meets(a0: float) -> bool:
-            t = threshold(a0, g)
-            return t is not None and t <= d + 1e-12
-        return _bisect(meets, 0.0, cap, CAP_TOL)
+        return _bisect(lambda a0: (t := threshold(a0, g)) is not None and t <= d + 1e-12, 0.0, cap)
 
-    if axis == "delta_vs_gamma":
-        rows = [[axis, g, None, a0, threshold(a0, g), None]
-                for a0 in a0_values for g in gamma_levels]
-    elif axis == "a0_vs_delta":
-        rows = [[axis, g, d, None, None, required_cap(g, d)]
-                for g in gamma_levels for d in delta_grid]
-    else:  # a0_vs_gamma
-        rows = [[axis, g, d, None, None, required_cap(g, d)]
-                for d in delta_grid for g in gamma_levels]
+    rows = []
+    for axis in axes:
+        if axis == "delta_vs_gamma":
+            rows += [[axis, g, None, a0, threshold(a0, g), None]
+                     for a0 in a0_values for g in gamma_levels]
+        elif axis == "a0_vs_delta":
+            rows += [[axis, g, d, None, None, required_cap(g, d)]
+                     for g in gamma_levels for d in delta_grid]
+        elif axis == "a0_vs_gamma":
+            rows += [[axis, g, d, None, None, required_cap(g, d)]
+                     for d in delta_grid for g in gamma_levels]
+        else:
+            raise ConfigError(f"unknown tradeoff axis {axis!r}; expected one of {TRADEOFF_AXES}")
     return ResultTable(TRADEOFF_COLUMNS, rows)
 
 
@@ -798,10 +801,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     elif config.experiment == "scaling":
         table = scaling_sweep(config.n_range)
     elif config.experiment == "tradeoff":
-        blocks = [tradeoff_sweep(config.game, axis, config.gamma, config.a0_values,
-                                 config.delta_grid, config.welfare)
-                  for axis in TRADEOFF_AXES]
-        table = ResultTable(TRADEOFF_COLUMNS, [row for b in blocks for row in b.rows])
+        table = _tradeoff_table(config.game, TRADEOFF_AXES, config.gamma, config.a0_values,
+                                config.delta_grid, config.welfare)
     elif config.experiment == "verify":
         table = verification_report(game, config.welfare, config.target_gamma, config.delta)
     else:  # unreachable after load_config validation

@@ -8,8 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from repgame.automata import (AutomatonError, _best_deviations, _minmax_families,
+from repgame.automata import (AutomatonError, _best_deviations, _bisect, _minmax_families,
                               build_minmax_automaton,
                               build_player_specific_automaton, describe,
                               find_min_delta_for_constraints, min_delta_for_L,
@@ -536,27 +537,41 @@ def test_player_specific_constraints_match_the_scalar_formulas():
 # minimum discount factors (frozen oracle values)
 # ---------------------------------------------------------------------------
 
+@given(x=st.floats(0.0, 1.0))
+@example(x=5e-324)
+@example(x=1.0)
+def test_bisect_returns_the_passing_double_nearest_lo(x):
+    """The one bisection runs to adjacent doubles: it returns exactly the
+    smallest ``t >= x`` on ``[0, 1]`` and the largest ``t <= x`` on
+    ``[1, 0]``, and stops at the smallest subnormal; None when ``hi`` fails."""
+    assert _bisect(lambda t: t >= x, 0.0, 1.0) == x
+    assert _bisect(lambda t: t <= x, 1.0, 0.0) == x
+    assert _bisect(lambda t: t > 1.0, 0.0, 1.0) is None
+
+
 def test_min_delta_grim_frozen():
-    """Unbounded punishment: delta/(1-delta) >= max gain ratio 2.954343."""
+    """Unbounded punishment: delta/(1-delta) >= max gain ratio 2.954343,
+    to the six digits the ``fig3`` CSV prints."""
     g = fig_game(2.5)
     res = min_delta_for_L(g, margin_profile(), L=None)
     assert res.feasible
-    assert abs(res.delta - 0.7471126) < 2e-6
+    assert f"{res.delta:.6g}" == "0.747113"
 
 
 @pytest.mark.parametrize("a0_max,L,expected", [
-    (0.0, 4, 0.976454),
-    (0.0, 6, 0.984240),
-    (0.5, 4, 0.882398),
-    (0.5, 6, 0.880331),
-    (1.0, 6, 0.800276),
-    (1.0, 10, 0.849779),
-    (2.5, 10, 0.759354),
+    (0.0, 4, "0.976454"),
+    (0.0, 6, "0.98424"),
+    (0.5, 4, "0.882398"),
+    (0.5, 6, "0.880331"),
+    (1.0, 6, "0.800276"),
+    (1.0, 10, "0.849779"),
+    (2.5, 10, "0.759354"),
 ])
 def test_min_delta_finite_frozen(a0_max, L, expected):
+    """To the six digits the ``fig3`` CSV prints."""
     res = min_delta_for_L(fig_game(a0_max), margin_profile(), L=L)
     assert res.feasible
-    assert abs(res.delta - expected) < 2e-6
+    assert f"{res.delta:.6g}" == expected
 
 
 def test_min_delta_infeasible_for_short_punishment():

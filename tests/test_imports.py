@@ -35,8 +35,9 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize("experiment,loaded,absent", [
     ("tradeoff", set(), {"scipy"}),   # any scipy submodule loads "scipy" too
+    ("fig3", set(), {"scipy"}),
     ("table2", {"scipy.optimize"}, {"scipy.signal"}),
-], ids=["tradeoff", "table2"])
+], ids=["tradeoff", "fig3", "table2"])
 def test_command_loads_only_its_scipy(tmp_path, experiment, loaded, absent):
     mods = scipy_modules(experiment, str(CONFIG), str(tmp_path))
     assert loaded <= mods
