@@ -14,12 +14,13 @@ Three automaton families are implemented, all built around a target path
   profile that treats the punishers better than the punished.
 
 At the API, states are plain tuples: ``("path", t)``, ``("punish", i, l)``,
-``("punish_abs",)`` and ``("reward", i)``.  Inside, every automaton has one
-fixed layout (:attr:`Automaton.layout`): path states ``0..K-1``, then the
-absorbing state ``K`` (grim) or the spells ``K + i*L + l``, then the reward
-states ``K + n*L + i`` (player-specific).  The path is a table of distinct
-profiles plus the row each period plays, so it is validated, valued and
-scanned once per profile.
+``("punish_abs",)`` and ``("reward", i)``.  Inside, every automaton keeps one
+table of the distinct profiles it plays (path, punishment and reward rows)
+and one fixed layout of index arrays into it (:attr:`Automaton.layout`):
+path states ``0..K-1``, then the absorbing state ``K`` (grim) or the spells
+``K + i*L + l``, then the reward states ``K + n*L + i`` (player-specific).
+So every profile is validated, valued and scanned once, however many
+states play it.
 
 scipy is imported at its one use site (``lfilter`` in :func:`path_values`).
 """
@@ -73,33 +74,37 @@ def _profiles_to_arrays(game: StageGame, profiles) -> tuple[np.ndarray, np.ndarr
 
 
 class Layout(NamedTuple):
-    """Stacked profile table plus the index arrays of the state layout."""
+    """Index arrays of the state layout, into the automaton's profile table."""
 
-    a0: np.ndarray    # (R, a0_dim): path table, then punishment and reward profiles
-    a: np.ndarray     # (R, n)
     row: np.ndarray   # (S,) table row each state plays
     nxt: np.ndarray   # (S,) successor of each state when everyone complies
     pun: np.ndarray   # (n,) state a deviation by each user leads to
     spells: np.ndarray   # (L, n) state of phase l of user i's punishment spell (L=0 for grim)
 
 
+def _is_index(x) -> bool:
+    """Whether ``x`` is an integer (Python or numpy) and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Automaton:
-    """Finite-state machine mapping public history to joint actions."""
+    """Finite-state machine mapping public history to joint actions.
+
+    ``table_a0``/``table_a`` hold every profile the machine plays, one row
+    each: rows ``0..P-1`` are the path profiles that ``path_index`` indexes;
+    then the punishment rows, one absorbing mutual-minmax row (grim) or row
+    ``P + i`` against user ``i`` (the other kinds); then, player-specific
+    only, user ``i``'s reward row ``P + n + i``.
+    """
 
     kind: str
     n: int
-    table_a0: np.ndarray      # (P, a0_dim) distinct path profiles
-    table_a: np.ndarray       # (P, n)
+    table_a0: np.ndarray      # (R, a0_dim) every profile played, rows in the order above
+    table_a: np.ndarray       # (R, n)
     path_index: np.ndarray    # (K,) int, table row played in each path period
     cycle_start: int
     L: int | None = None
-    punish_a0: np.ndarray | None = None   # (n, a0_dim), row i = device action vs i
-    punish_a: np.ndarray | None = None    # (n, n), row i = user profile vs i
-    reward_a0: np.ndarray | None = None
-    reward_a: np.ndarray | None = None
-    abs_a0: np.ndarray | None = None      # grim absorbing profile
-    abs_a: np.ndarray | None = None
 
     @property
     def path_len(self) -> int:
@@ -114,25 +119,25 @@ class Automaton:
         return ("path", 0)
 
     def state_index(self, state: State) -> int:
-        """Layout position of a named state."""
-        tag, K = state[0], self.path_len
-        if tag == "path" and 0 <= state[1] < K:
-            return int(state[1])
-        if tag == "punish_abs" and self.kind == "grim":
-            return K
-        if tag == "punish" and self.kind != "grim":
-            i, l = state[1], state[2]
-            if 0 <= i < self.n and 0 <= l < self.L:
-                return int(self.layout.spells[l, i])
-        if tag == "reward" and self.kind == "player_specific" and 0 <= state[1] < self.n:
-            return int(self.layout.nxt[self.layout.spells[-1, state[1]]])   # where i's spell ends
+        """Layout position of a named state (integer indices only); KeyError otherwise."""
+        K, lay = self.path_len, self.layout
+        named = isinstance(state, tuple) and all(map(_is_index, state[1:]))
+        match state if named else None:
+            case ("path", t) if 0 <= t < K:
+                return int(t)
+            case ("punish_abs",) if self.kind == "grim":
+                return K
+            case ("punish", i, l) if self.kind != "grim" and 0 <= i < self.n and 0 <= l < self.L:
+                return int(lay.spells[l, i])
+            case ("reward", i) if self.kind == "player_specific" and 0 <= i < self.n:
+                return int(lay.nxt[lay.spells[-1, i]])   # where i's spell ends
         raise KeyError(f"unknown state {state!r}")
 
     def state_at(self, k: int) -> State:
         """Named state at layout position ``k``, inverting :attr:`layout`."""
+        if not (_is_index(k) and 0 <= k < self.n_states):
+            raise IndexError(f"state position {k!r} is not an integer in 0..{self.n_states - 1}")
         k, K = int(k), self.path_len
-        if not 0 <= k < self.n_states:
-            raise IndexError(f"state position {k} outside 0..{self.n_states - 1}")
         if k < K:
             return ("path", k)
         if self.kind == "grim":
@@ -142,35 +147,30 @@ class Automaton:
 
     @cached_property
     def layout(self) -> Layout:
-        """The stacked profile table and, per layout position, the table row
-        played and the compliant successor; plus each user's punishment entry
-        and spell.  The named-state methods below all read it."""
-        K, n, P = self.path_len, self.n, self.table_a.shape[0]
+        """Per layout position, the table row played and the compliant
+        successor; plus each user's punishment entry and spell.  The
+        named-state methods below all read it."""
+        K, n, R = self.path_len, self.n, self.table_a.shape[0]
         nxt = np.append(np.arange(1, K), self.cycle_start)
         if self.kind == "grim":
-            return Layout(np.vstack([self.table_a0, self.abs_a0]),
-                          np.vstack([self.table_a, self.abs_a]),
-                          row=np.append(self.path_index, P), nxt=np.append(nxt, K),
+            return Layout(row=np.append(self.path_index, R - 1), nxt=np.append(nxt, K),
                           pun=np.full(n, K), spells=np.empty((0, n), dtype=int))
-        L = self.L
+        L, P = self.L, R - (2 * n if self.kind == "player_specific" else n)
         spells = K + np.arange(n * L).reshape(n, L).T
         reward = K + n * L + np.arange(n)
         # a spell's last period exits to the path start or to the punished user's reward
         exits = reward if self.kind == "player_specific" else np.zeros(n, dtype=int)
         nxt = [nxt, np.vstack([spells[1:], exits]).T.ravel()]
-        a0s, acts = [self.table_a0, self.punish_a0], [self.table_a, self.punish_a]
         row = [self.path_index, P + np.repeat(np.arange(n), L)]
         if self.kind == "player_specific":
-            a0s.append(self.reward_a0)
-            acts.append(self.reward_a)
             row.append(P + n + np.arange(n))
             nxt.append(reward)
-        return Layout(np.vstack(a0s), np.vstack(acts), row=np.concatenate(row),
-                      nxt=np.concatenate(nxt), pun=spells[0], spells=spells)
+        return Layout(row=np.concatenate(row), nxt=np.concatenate(nxt), pun=spells[0],
+                      spells=spells)
 
     def output(self, state: State) -> tuple[np.ndarray, np.ndarray]:
         r = self.layout.row[self.state_index(state)]
-        return self.layout.a0[r], self.layout.a[r]
+        return self.table_a0[r], self.table_a[r]
 
     def next_on_path(self, state: State) -> State:
         """Successor state when everyone complies."""
@@ -202,8 +202,10 @@ class Automaton:
         return [self.state_at(k) for k in range(self.n_states)]
 
 
-def _fmt(arr) -> str:
-    return "[" + " ".join(format(float(x), ".6g") for x in np.atleast_1d(arr)) + "]"
+def _fmt(profile) -> str:
+    """``a0=[...] a=[...]`` of an ``(a0, a)`` pair, to 6 significant digits."""
+    a0, a = (" ".join(format(float(x), ".6g") for x in np.atleast_1d(v)) for v in profile)
+    return f"a0=[{a0}] a=[{a}]"
 
 
 def describe(automaton: Automaton) -> str:
@@ -211,25 +213,18 @@ def describe(automaton: Automaton) -> str:
     a = automaton
     lines = [f"automaton kind={a.kind} users={a.n} path_len={a.path_len} "
              f"cycle_start={a.cycle_start}" + (f" L={a.L}" if a.L is not None else "")]
-    for t in range(a.path_len):
-        a0, act = a.output(("path", t))
-        lines.append(f"  path[{t}]: a0={_fmt(a0)} a={_fmt(act)}")
+    lines += [f"  path[{t}]: {_fmt(a.output(('path', t)))}" for t in range(a.path_len)]
     if a.kind == "grim":
-        lines.append(f"  punish(absorbing): a0={_fmt(a.abs_a0)} a={_fmt(a.abs_a)}")
+        lines.append(f"  punish(absorbing): {_fmt(a.output(('punish_abs',)))}")
         lines.append("  rule: any mismatch with the prescribed profile -> punish")
     else:
-        for i in range(a.n):
-            lines.append(f"  punish[user {i}] x{a.L}: a0={_fmt(a.punish_a0[i])} "
-                         f"a={_fmt(a.punish_a[i])}")
+        lines += [f"  punish[user {i}] x{a.L}: {_fmt(a.output(('punish', i, 0)))}"
+                  for i in range(a.n)]
         if a.kind == "player_specific":
-            for i in range(a.n):
-                lines.append(f"  reward[user {i}] (absorbing): a0={_fmt(a.reward_a0[i])} "
-                             f"a={_fmt(a.reward_a[i])}")
-            lines.append("  rule: unilateral deviation by i -> punish[i] for L periods,"
-                         " then reward[i]")
-        else:
-            lines.append("  rule: unilateral deviation by i -> punish[i] for L periods,"
-                         " then restart the path")
+            lines += [f"  reward[user {i}] (absorbing): {_fmt(a.output(('reward', i)))}"
+                      for i in range(a.n)]
+        then = "reward[i]" if a.kind == "player_specific" else "restart the path"
+        lines.append(f"  rule: unilateral deviation by i -> punish[i] for L periods, then {then}")
     return "\n".join(lines)
 
 
@@ -264,15 +259,15 @@ def build_minmax_automaton(game: StageGame, path_profiles: Sequence, L: int | No
     tab_a0, tab_a, index = _path_table(game, path_profiles, path_index, cycle_start)
     mm = _punishment_profile(mutual_minmax(game), L)
     if L is None:
-        return Automaton(kind="grim", n=game.n, table_a0=tab_a0, table_a=tab_a,
-                         path_index=index, cycle_start=cycle_start,
-                         abs_a0=mm.profile.a0, abs_a=mm.profile.a)
+        return Automaton(kind="grim", n=game.n, table_a0=np.vstack([tab_a0, mm.profile.a0]),
+                         table_a=np.vstack([tab_a, mm.profile.a]),
+                         path_index=index, cycle_start=cycle_start)
     pun_a0 = np.tile(mm.profile.a0, (game.n, 1))
     pun_a = np.tile(mm.profile.a, (game.n, 1))
     np.fill_diagonal(pun_a, game.best_responses(mm.profile.a0, mm.profile.a))
-    return Automaton(kind="finite_minmax", n=game.n, table_a0=tab_a0, table_a=tab_a,
-                     path_index=index, cycle_start=cycle_start, L=int(L),
-                     punish_a0=pun_a0, punish_a=pun_a)
+    return Automaton(kind="finite_minmax", n=game.n, table_a0=np.vstack([tab_a0, pun_a0]),
+                     table_a=np.vstack([tab_a, pun_a]),
+                     path_index=index, cycle_start=cycle_start, L=int(L))
 
 
 def build_player_specific_automaton(game: StageGame, path_profiles: Sequence, L: int,
@@ -306,9 +301,10 @@ def build_player_specific_automaton(game: StageGame, path_profiles: Sequence, L:
                 raise AutomatonError(
                     f"user {j} must strictly prefer rewarding (phase {i}) to being "
                     "the rewarded deviator")
-    return Automaton(kind="player_specific", n=game.n, table_a0=tab_a0, table_a=tab_a,
-                     path_index=index, cycle_start=cycle_start, L=int(L),
-                     punish_a0=pun_a0, punish_a=pun_a, reward_a0=rew_a0, reward_a=rew_a)
+    return Automaton(kind="player_specific", n=game.n,
+                     table_a0=np.vstack([tab_a0, pun_a0, rew_a0]),
+                     table_a=np.vstack([tab_a, pun_a, rew_a]),
+                     path_index=index, cycle_start=cycle_start, L=int(L))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +352,7 @@ def state_values(game: StageGame, automaton: Automaton, delta: float) -> StateVa
         raise ValueError(f"discount factor must lie in (0, 1), got {delta}")
     a = automaton
     lay = a.layout
-    u = game.payoff_batch(lay.a0, lay.a)[lay.row]   # (S, n) stage payoffs per state
+    u = game.payoff_batch(a.table_a0, a.table_a)[lay.row]   # (S, n) stage payoffs per state
     K = a.path_len
     V = np.empty_like(u)
     V[:K] = path_values(u[:K], a.cycle_start, delta)
@@ -429,8 +425,8 @@ def verify_spe(game: StageGame, automaton: Automaton, delta: float,
     """
     lay = automaton.layout
     V = state_values(game, automaton, delta).array
-    U = game.payoff_batch(lay.a0, lay.a)
-    d, act = _best_deviations(game, lay.a0, lay.a, grid_points)
+    U = game.payoff_batch(automaton.table_a0, automaton.table_a)
+    d, act = _best_deviations(game, automaton.table_a0, automaton.table_a, grid_points)
     users = np.arange(game.n)
     gain = (1.0 - delta) * (d - U)[lay.row] + delta * (V[lay.pun, users] - V[lay.nxt])
     k, i = _worst_cell(gain)

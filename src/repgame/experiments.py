@@ -24,17 +24,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .automata import _bisect, _min_delta_for_L, _not_credible, verify_spe
+from .automata import _bisect, _min_delta_for_L, verify_spe
 from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, _welfare_value,
-                     assemble_protocol, delta_bar, deviation_stats, generate_outcome_path,
-                     guarantee_feasible, optimize_welfare)
+                     assemble_protocol, delta_bar, design_protocol, deviation_stats,
+                     generate_outcome_path, guarantee_feasible, optimize_welfare)
 from .games import (FlowControlGame, GameConfigError, StageGame, _user_sum, game_from_config,
                     minmax_values, mutual_minmax, solve_stage_nash)
 from .simulate import profitability_scan
@@ -708,9 +708,14 @@ def _tradeoff_table(game_cfg: dict, axes, gamma_levels, a0_values, delta_grid, w
         raise ConfigError("trade-off sweeps vary a scalar device cap; flow or power game required")
     base = game_from_config(game_cfg)
     cap = float(base.a0_max[0])
+    free = deviation_stats(base)   # taken at null intervention but for minmax_with
+
+    @cache
+    def stats_at(a0: float) -> DeviationStats:
+        return replace(free, minmax_with=minmax_values(base.with_a0_max([a0]), True))
 
     def threshold(a0: float, g: float) -> float | None:
-        stats = deviation_stats(base.with_a0_max([a0]))
+        stats = stats_at(a0)
         gam = np.full(stats.vbar.size, g)
         if not guarantee_feasible(stats, gam, True):
             return None
@@ -748,19 +753,14 @@ def verification_report(game: StageGame, welfare: str, gamma: float, delta: floa
     threshold, the outcome path is still constructed -- at a discount
     just above the threshold, where the decomposition exists -- and both
     scanners run at the requested one; the reported worst gain then
-    shows by how much enforcement fails there.  A device too weak for grim
-    punishment and a target with ``delta_bar = 1`` raise :class:`ConfigError`.
+    shows by how much enforcement fails there.  What :func:`design_protocol`
+    rejects and a target with ``delta_bar = 1`` raise :class:`ConfigError`.
     """
-    mm = mutual_minmax(game)
-    if not mm.is_stage_nash:
-        raise ConfigError(_not_credible(mm))
-    stats = deviation_stats(game)
-    gam = np.full(game.n, float(gamma))
     try:
-        target = optimize_welfare(stats, gam, welfare, True)
+        design = design_protocol(game, np.full(game.n, float(gamma)), welfare)
     except DesignError as exc:
         raise ConfigError(str(exc)) from None
-    db = delta_bar(stats, target.v, True)
+    stats, target, db = design.stats, design.target, design.threshold
     if db >= 1.0:
         raise ConfigError(f"guarantee {gamma:g} cannot be enforced at any discount factor "
                           f"below 1: its target has delta_bar = 1")

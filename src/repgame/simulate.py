@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import (SPE_GAIN_TOL, Automaton, Layout, State, StateValues,
+from .automata import (SPE_GAIN_TOL, Automaton, State, StateValues,
                        _best_deviations, _worst_cell, state_values)
 from .games import StageGame
 
@@ -153,8 +153,8 @@ class ScanReport:
                 f"{self.n_states} states (suffix horizon {self.horizon})")
 
 
-def _truncated_state_values(automaton: Automaton, delta: float, lay: Layout,
-                            u: np.ndarray, horizon: int) -> np.ndarray:
+def _truncated_state_values(automaton: Automaton, delta: float, u: np.ndarray,
+                            horizon: int) -> np.ndarray:
     """Per-state discounted values from explicit truncated suffix sums.
 
     Path states are valued in one backward AR(1) pass over the path extended
@@ -172,6 +172,7 @@ def _truncated_state_values(automaton: Automaton, delta: float, lay: Layout,
     W[:K] = suffix[:K]
     W[K:] = (1.0 - delta ** horizon) * u[K:]   # absorbing; spells are overwritten below
     if automaton.kind != "grim":
+        lay = automaton.layout
         value = W[lay.nxt[lay.spells[-1]]]   # row i: value after i's last period
         for k in lay.spells[::-1]:
             value = (1.0 - delta) * u[k] + delta * value
@@ -195,11 +196,11 @@ def profitability_scan(game: StageGame, automaton: Automaton, delta: float,
     if not (0.0 < delta < 1.0):
         raise ValueError(f"discount factor must lie in (0, 1), got {delta}")
     lay = automaton.layout
-    U = game.payoff_batch(lay.a0, lay.a)
+    U = game.payoff_batch(automaton.table_a0, automaton.table_a)
     scale = max(1.0, float(np.max(np.abs(U[np.bincount(lay.row, minlength=len(U)) > 0]))))
     horizon = int(np.ceil(np.log(SUFFIX_ERR / scale) / np.log(delta))) + 1
-    W = _truncated_state_values(automaton, delta, lay, U[lay.row], horizon)
-    d, _ = _best_deviations(game, lay.a0, lay.a, grid_points)
+    W = _truncated_state_values(automaton, delta, U[lay.row], horizon)
+    d, _ = _best_deviations(game, automaton.table_a0, automaton.table_a, grid_points)
     users = np.arange(game.n)
     gains = (1.0 - delta) * (d - U)[lay.row] + delta * (W[lay.pun, users] - W[lay.nxt])
     k, i = _worst_cell(gains)

@@ -21,7 +21,7 @@ from repgame.automata import (AutomatonError, _best_deviations, _bisect, _minmax
 from repgame.design import (assemble_protocol, deviation_stats, generate_outcome_path,
                             optimize_welfare)
 from repgame.games import (ActionProfile, FlowControlGame, PacketDropGame, max_stage_payoff,
-                           minmax)
+                           minmax, mutual_minmax)
 from repgame.simulate import deviation_gain, profitability_scan
 
 MARGIN_PATH = [0.8889715613961255, 0.8889715613961255, 2.5, 2.5]
@@ -63,7 +63,9 @@ def test_grim_requires_stage_nash_punishment():
         build_minmax_automaton(fig_game(0.0), [margin_profile()], L=None)
     aut = build_minmax_automaton(fig_game(2.5), [margin_profile()], L=None)
     assert aut.kind == "grim"
-    assert np.all(aut.abs_a0 == [2.5]) and np.all(aut.abs_a == 2.5)
+    # one path row, then the absorbing row
+    assert aut.table_a.shape == (2, 4)
+    assert np.all(aut.table_a0[1] == [2.5]) and np.all(aut.table_a[1] == 2.5)
 
 
 def test_punishment_length_below_one_is_rejected_with_one_message():
@@ -152,16 +154,21 @@ def packet_drop_player_specific(L=2):
     return g, build_player_specific_automaton(g, [path], L=L, reward_profiles=rewards)
 
 
+LAYOUT_PROFILES = [ActionProfile([0.0], [1.0, 1.0, 2.0, 2.0]),
+                   ActionProfile([0.5], [2.0, 2.0, 1.0, 1.0])]
+
+
 def layout_automaton(kind):
-    profs = [ActionProfile([0.0], [1.0, 1.0, 2.0, 2.0]),
-             ActionProfile([0.5], [2.0, 2.0, 1.0, 1.0])]
+    """``(game, automaton)`` of one small machine of each kind."""
     if kind == "grim":
-        return build_minmax_automaton(fig_game(2.5), profs, L=None, cycle_start=2,
-                                      path_index=[1, 0, 1, 1, 0])
+        g = fig_game(2.5)
+        return g, build_minmax_automaton(g, LAYOUT_PROFILES, L=None, cycle_start=2,
+                                         path_index=[1, 0, 1, 1, 0])
     if kind == "finite_minmax":
-        return build_minmax_automaton(fig_game(1.0), profs, L=3, cycle_start=1,
-                                      path_index=[0, 0, 1])
-    return packet_drop_player_specific(L=3)[1]
+        g = fig_game(1.0)
+        return g, build_minmax_automaton(g, LAYOUT_PROFILES, L=3, cycle_start=1,
+                                         path_index=[0, 0, 1])
+    return packet_drop_player_specific(L=3)
 
 
 # (row, nxt, pun) of the layout_automaton machines, written out by hand:
@@ -180,7 +187,7 @@ EXPECTED_LAYOUT = {
 
 @pytest.mark.parametrize("kind", ["grim", "finite_minmax", "player_specific"])
 def test_layout_agrees_with_named_states(kind):
-    aut = layout_automaton(kind)
+    g, aut = layout_automaton(kind)
     assert aut.kind == kind
     lay = aut.layout
     row, nxt, pun = EXPECTED_LAYOUT[kind]
@@ -190,7 +197,8 @@ def test_layout_agrees_with_named_states(kind):
     for k, s in enumerate(states):
         assert aut.state_at(k) == s and aut.state_index(s) == k
         a0, a = aut.output(s)
-        assert np.array_equal(lay.a0[lay.row[k]], a0) and np.array_equal(lay.a[lay.row[k]], a)
+        assert np.array_equal(aut.table_a0[lay.row[k]], a0)
+        assert np.array_equal(aut.table_a[lay.row[k]], a)
         assert aut.state_at(lay.nxt[k]) == aut.next_on_path(s)
     assert [aut.state_at(k) for k in lay.pun] == [aut.punish_entry(i) for i in range(aut.n)]
     assert lay.spells.shape == (aut.L or 0, aut.n)
@@ -206,6 +214,58 @@ def test_layout_agrees_with_named_states(kind):
         aut.state_at(aut.n_states)
     with pytest.raises(KeyError):
         aut.state_index(("path", aut.path_len))
+    # one profile table: P path rows, then the punishment rows, then the rewards
+    n, P = aut.n, {"grim": 2, "finite_minmax": 2, "player_specific": 1}[kind]
+    assert aut.table_a0.shape[0] == aut.table_a.shape[0] == P + {
+        "grim": 1, "finite_minmax": n, "player_specific": 2 * n}[kind]
+    if kind != "player_specific":
+        for p, prof in enumerate(LAYOUT_PROFILES):
+            assert np.array_equal(aut.table_a0[p], prof.a0) and np.array_equal(aut.table_a[p], prof.a)
+    table_row = {"path": lambda t: aut.path_index[t], "punish_abs": lambda: P,
+                 "punish": lambda i, l: P + i, "reward": lambda i: P + n + i}
+    assert [table_row[s[0]](*s[1:]) for s in states] == row
+    mm = mutual_minmax(g).profile
+    if kind == "grim":
+        assert np.array_equal(aut.table_a0[P], mm.a0) and np.array_equal(aut.table_a[P], mm.a)
+    for i in range(n if kind != "grim" else 0):
+        if kind == "finite_minmax":   # the mutual minmax, with the deviator best-responding
+            a0, a = mm.a0, mm.a.copy()
+            a[i] = g.best_response(i, a0, a)
+        else:
+            a0, a = minmax(g, i).profile.a0, minmax(g, i).profile.a
+        assert np.array_equal(aut.table_a0[P + i], a0) and np.array_equal(aut.table_a[P + i], a)
+    if kind == "player_specific":   # user i's reward cuts i's path action to 30%
+        for i in range(n):
+            a = np.array([2.4, 2.4, 3.2])
+            a[i] *= 0.3
+            assert np.array_equal(aut.table_a[P + n + i], a)
+            assert np.array_equal(aut.table_a0[P + n + i], np.zeros(3))
+
+
+@pytest.mark.parametrize("kind", ["grim", "finite_minmax", "player_specific"])
+def test_named_state_lookup_takes_only_integer_indices(kind):
+    g, aut = layout_automaton(kind)
+    malformed = [("path", 0.0), ("path", False), ("path", np.float64(0.0)), ("path", 1.5),
+                 ("path", True), ("path",), ("path", 0, 0), ("punish", 1, 2.0), ("punish", 0),
+                 ("punish", True, 0), ("punish", np.bool_(True), 0), ("reward", 0.0),
+                 ("reward", False), ("punish_abs", 0), (), "path", ["path", 0]]
+    for state in malformed:
+        with pytest.raises(KeyError, match="unknown state"):
+            aut.state_index(state)
+    sv = state_values(g, aut, 0.9)
+    _, a = aut.output(("path", 0))
+    for call in (lambda: aut.output(("path", 0.0)), lambda: aut.next_on_path(("path", False)),
+                 lambda: aut.transition(("path", 0.0), a), lambda: sv[("path", 0.0)],
+                 lambda: deviation_gain(g, aut, 0.9, ("path", False), 0)):
+        with pytest.raises(KeyError, match="unknown state"):
+            call()
+    assert aut.state_index(("path", np.int64(0))) == 0
+    last = ("punish_abs",) if kind == "grim" else ("punish", np.intp(1), np.uint8(2))
+    assert aut.state_index(last) == aut.path_len + (0 if kind == "grim" else aut.L + 2)
+    for k in (0.0, 1.5, False, np.float64(0.0), "0", None):
+        with pytest.raises(IndexError, match="state position"):
+            aut.state_at(k)
+    assert aut.state_at(np.int64(0)) == ("path", 0)
 
 
 def test_path_index_must_index_the_profiles():
@@ -279,7 +339,7 @@ def test_state_values_finite_punishment_formula():
     L, delta = 4, 0.9
     aut = build_minmax_automaton(g, [margin_profile()], L=L)
     sv = state_values(g, aut, delta)
-    u_pun = g.payoff_batch(aut.punish_a0[1], aut.punish_a[1])
+    u_pun = g.payoff_batch(aut.table_a0[2], aut.table_a[2])   # the path row, then the spells
     v0 = sv[("path", 0)]
     for el in range(L):
         w = delta ** (L - el)
@@ -294,7 +354,7 @@ def test_player_specific_values_and_ordering():
     for s in aut.reachable_states():
         assert np.allclose(sv[s], oracle[s], atol=1e-10)
     # punished user's value interpolates punishment (0) toward their reward
-    own_reward = g.payoff_batch(aut.reward_a0[0], aut.reward_a[0])[0]
+    own_reward = g.payoff_batch(aut.table_a0[4], aut.table_a[4])[0]   # after 1 path, 3 spell rows
     assert np.isclose(sv[("punish", 0, 0)][0], delta ** 2 * own_reward)
 
 
@@ -376,7 +436,7 @@ def test_verify_spe_matches_brute_force_on_assembled_protocol():
     stats = deviation_stats(g)
     target = optimize_welfare(stats, np.full(4, 3.0), "maxmin")
     aut = assemble_protocol(g, stats, generate_outcome_path(stats, target.v, 0.88))
-    assert 100 <= aut.path_len <= 300 and aut.table_a.shape[0] == 4
+    assert 100 <= aut.path_len <= 300 and aut.table_a.shape[0] == 5   # four solo profiles and the absorbing row
     for delta in (0.88, 0.84, 0.6):
         brute = brute_force_gains(g, aut, delta, points=40)
         i = int(np.argmax(brute.max(axis=0)))   # ties go to the lowest user, then state

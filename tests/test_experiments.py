@@ -1,5 +1,6 @@
 """Experiment harness: config round-trip, CSV emission, golden table, CLI."""
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -746,6 +747,26 @@ def test_tradeoff_bisects_each_pair_once(monkeypatch):
     calls.clear()
     tradeoff_sweep(GAME_CFG, "a0_vs_gamma", (14.0, 7.0, 14.0), (), (0.85, 0.9))
     assert len(calls) == 4
+
+
+def test_tradeoff_builds_the_deviation_stats_once(monkeypatch):
+    """Only the device-aided minmax moves with the cap, so a run builds the
+    deviation statistics once and swaps in that minmax per distinct cap."""
+    calls, stats = [], xp.deviation_stats
+
+    def counted(game):
+        calls.append(game)
+        return stats(game)
+    monkeypatch.setattr(xp, "deviation_stats", counted)
+    run_experiment(load_config(CONFIG, "tradeoff"))
+    assert len(calls) == 1
+    base = game_from_config(GAME_CFG)
+    free = stats(base)
+    for a0 in (0.0, 0.7, 2.5):
+        capped = stats(base.with_a0_max([a0]))
+        for f in fields(capped):
+            if f.name != "minmax_with":
+                assert np.array_equal(getattr(capped, f.name), getattr(free, f.name)), f.name
 
 
 def test_tradeoff_without_a0_max_sweeps_the_default_cap():
