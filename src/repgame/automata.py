@@ -20,7 +20,10 @@ and one fixed layout of index arrays into it (:attr:`Automaton.layout`):
 path states ``0..K-1``, then the absorbing state ``K`` (grim) or the spells
 ``K + i*L + l``, then the reward states ``K + n*L + i`` (player-specific).
 So every profile is validated, valued and scanned once, however many
-states play it.
+states play it.  Per-state arrays are gathered from the table with
+``np.take`` into user-major ``(n, S)`` arrays, so each user's states are
+reduced over contiguous memory; the ``(S, n)`` arrays the API returns are
+their transposes.
 
 scipy is imported at its one use site (``lfilter`` in :func:`path_values`).
 """
@@ -317,7 +320,7 @@ class StateValues:
 
     delta: float
     automaton: Automaton
-    array: np.ndarray    # (S, n), row k = value at layout position k
+    array: np.ndarray    # (S, n), row k = value at layout position k; an (n, S).T
 
     def __getitem__(self, state: State) -> np.ndarray:
         return self.array[self.automaton.state_index(state)]
@@ -327,18 +330,26 @@ def path_values(u_path: np.ndarray, cs: int, delta: float) -> np.ndarray:
     """Values ``V[t] = (1-delta) u[t] + delta V[t+1]`` of a preamble entering
     the cycle ``cs..K-1``: the cycle-entry value is a finite geometric sum, then
     two backward AR(1) passes seeded with ``delta V[cs]`` fill the cycle tail
-    (whose last period wraps to the entry) and the preamble ``0..cs-1``."""
+    (whose last period wraps to the entry) and the preamble ``0..cs-1``.
+
+    The work runs user-major, on ``u_path.T``: pass the transpose of an
+    ``(n, K)`` array and each user's periods are contiguous.  The result is
+    ``(K, n)``, the transpose of a fresh ``(n, K)`` array.  The cycle-entry sum
+    adds the periods in order (a cumulative sum's last column), as an axis-0
+    sum of a row-major ``(K, n)`` array does; a pairwise sum would round
+    differently."""
     from scipy.signal import lfilter
     K = u_path.shape[0]
-    disc = delta ** np.arange(K - cs)
-    V = np.empty_like(u_path)
-    V[cs] = (1.0 - delta) / (1.0 - delta ** (K - cs)) * (disc[:, None] * u_path[cs:]).sum(axis=0)
-    zi = delta * V[cs][None, :]
+    u = u_path.T   # (n, K)
+    V = np.empty(u.shape)
+    V[:, cs] = ((1.0 - delta) / (1.0 - delta ** (K - cs))
+                * np.cumsum(delta ** np.arange(K - cs) * u[:, cs:], axis=1)[:, -1])
+    zi = delta * V[:, cs:cs + 1]
     for lo, hi in ((cs + 1, K), (0, cs)):
         if hi > lo:
-            V[lo:hi] = lfilter([1.0 - delta], [1.0, -delta], u_path[lo:hi][::-1],
-                               axis=0, zi=zi)[0][::-1]
-    return V
+            V[:, lo:hi] = lfilter([1.0 - delta], [1.0, -delta], u[:, lo:hi][:, ::-1],
+                                  zi=zi)[0][:, ::-1]
+    return V.T
 
 
 def state_values(game: StageGame, automaton: Automaton, delta: float) -> StateValues:
@@ -352,17 +363,18 @@ def state_values(game: StageGame, automaton: Automaton, delta: float) -> StateVa
         raise ValueError(f"discount factor must lie in (0, 1), got {delta}")
     a = automaton
     lay = a.layout
-    u = game.payoff_batch(a.table_a0, a.table_a)[lay.row]   # (S, n) stage payoffs per state
+    # (n, S) stage payoffs per state, user-major: each user's states contiguous
+    u = np.take(game.payoff_batch(a.table_a0, a.table_a).T, lay.row, axis=1)
     K = a.path_len
     V = np.empty_like(u)
-    V[:K] = path_values(u[:K], a.cycle_start, delta)
-    V[K:] = u[K:]   # absorbing states; punishment spells are overwritten below
+    V[:, :K] = path_values(u[:, :K].T, a.cycle_start, delta).T
+    V[:, K:] = u[:, K:]   # absorbing states; punishment spells are overwritten below
     if a.kind != "grim":
-        v_exit = V[lay.nxt[lay.spells[-1]]]   # row i: value after i's last period
+        v_exit = V[:, lay.nxt[lay.spells[-1]]]   # column i: value after i's last period
         for l, k in enumerate(lay.spells):
             w = delta ** (a.L - l)
-            V[k] = (1.0 - w) * u[k] + w * v_exit
-    return StateValues(delta=delta, automaton=a, array=V)
+            V[:, k] = (1.0 - w) * u[:, k] + w * v_exit
+    return StateValues(delta=delta, automaton=a, array=V.T)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +436,12 @@ def verify_spe(game: StageGame, automaton: Automaton, delta: float,
     onto the states.
     """
     lay = automaton.layout
-    V = state_values(game, automaton, delta).array
+    V = state_values(game, automaton, delta).array.T   # (n, S)
     U = game.payoff_batch(automaton.table_a0, automaton.table_a)
     d, act = _best_deviations(game, automaton.table_a0, automaton.table_a, grid_points)
     users = np.arange(game.n)
-    gain = (1.0 - delta) * (d - U)[lay.row] + delta * (V[lay.pun, users] - V[lay.nxt])
+    gain = ((1.0 - delta) * np.take((d - U).T, lay.row, axis=1)
+            + delta * (V[users, lay.pun][:, None] - np.take(V, lay.nxt, axis=1))).T
     k, i = _worst_cell(gain)
     worst = float(gain[k, i])
     return SpeReport(ok=worst <= SPE_GAIN_TOL, worst_gain=worst, state=automaton.state_at(k),

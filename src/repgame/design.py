@@ -23,7 +23,8 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .automata import Automaton, _not_credible, build_minmax_automaton, path_values
+from .automata import (Automaton, _is_index, _not_credible, build_minmax_automaton,
+                       path_values)
 from .games import (StageGame, best_response_payoffs, minmax_values, mutual_minmax,
                     payoff_hull_sample)
 
@@ -330,7 +331,7 @@ class OutcomePath:
 
     active: np.ndarray           # (K,) int
     cycle_start: int
-    values: np.ndarray           # (K, n)
+    values: np.ndarray           # (K, n), the transpose of a user-major (n, K) array
     nu: np.ndarray
     delta: float
     v_star: np.ndarray
@@ -340,6 +341,10 @@ class OutcomePath:
         return len(self.active) - self.cycle_start
 
     def active_at(self, t: int) -> int:
+        """User playing in period ``t``, an integer ``>= 0``; past the stored
+        schedule the cycle repeats.  IndexError for anything else."""
+        if not (_is_index(t) and t >= 0):
+            raise IndexError(f"period {t!r} is not an integer >= 0")
         if t < len(self.active):
             return int(self.active[t])
         return int(self.active[self.cycle_start
@@ -448,13 +453,15 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float) -> Outcom
             p *= d
             act(i)
             rec(zi / p)
-        # the (n, K+1) share history: user j's share at t is scaled[idx[j, t]] / delta^t
-        powers, path = d ** np.arange(K + 1), np.array(active)
-        scaled = np.concatenate((s_star, np.array(shares) * powers[1:]))
-        idx = np.repeat(np.arange(n, dtype=np.int32)[:, None], K + 1, axis=1)
-        idx[path, np.arange(1, K + 1)] = np.arange(n, n + K)
-        np.maximum.accumulate(idx, axis=1, out=idx)
-        hist = scaled[idx]
+        # the (n, K+1) share history times delta^t: user j's values (s_star[j],
+        # then its new share after each period it plays), each held until the next
+        powers, path = d ** np.arange(K + 1), np.fromiter(active, int, K)
+        scaled = np.fromiter(shares, float, K) * powers[1:]
+        hist = np.empty((n, K + 1))
+        for j in users:
+            edges = np.concatenate(([-1], np.flatnonzero(path == j), [K]))   # j's periods
+            hist[j] = np.repeat(np.append(s_star[j], np.take(scaled, edges[1:-1])),
+                                np.diff(edges))
         # in place: the slack above the floors less FLOOR_TOL, then R, then
         # every cut's splice d (column cs - 1), its value error and floor headroom
         hist /= powers
@@ -469,13 +476,15 @@ def generate_outcome_path(stats: DeviationStats, v_star, delta: float) -> Outcom
         err = np.maximum(np.max(splice, axis=0), -np.min(splice, axis=0)) * powers[K]
         splice += reach[:, None]
         err[np.min(splice, axis=0) < 0.0] = np.inf
-        del idx, hist, splice   # free the history before the certificate
+        del hist, splice, edges   # free the history before the certificate
         cs = 1 + int(np.argmin(err))
         if err[cs - 1] <= PATH_VALUE_TOL:
             break
-    values = path_values(u_solo[path], cs, delta)
+    # gathered user-major, so the certificate values each user's periods in
+    # contiguous memory; values is the transpose of its (n, K) result
+    values = path_values(np.take(u_solo.T, path, axis=1).T, cs, delta)
     err = float(np.max(np.abs(values[0] - v_star)))
-    dips = np.min(values - nu, axis=0)
+    dips = np.min(values.T - nu[:, None], axis=1)
     j = int(np.argmin(dips))
     if err <= PATH_VALUE_TOL and dips[j] >= -FLOOR_TOL:
         return OutcomePath(active=path, cycle_start=cs, values=values, nu=nu, delta=delta,

@@ -145,7 +145,7 @@ class ScanReport:
     user: int | None
     n_states: int
     horizon: int
-    gains: np.ndarray     # (n_states, n) one-shot deviation gains, in layout order
+    gains: np.ndarray     # (n_states, n) one-shot deviation gains in layout order, an (n, S).T
 
     def __str__(self):
         verdict = "no profitable deviation" if self.ok else "PROFITABLE deviation"
@@ -161,22 +161,22 @@ def _truncated_state_values(automaton: Automaton, delta: float, u: np.ndarray,
     ``horizon`` periods into its cycle; punishment states accumulate their
     finite block explicitly and defer to the exit value; absorbing states use
     the truncated geometric sum of their constant stage payoff.  ``u`` holds
-    the stage payoffs of every layout position.
+    the stage payoffs of every layout position user-major, ``(n, S)``, and so
+    does the result.
     """
     from scipy.signal import lfilter
     W = np.empty_like(u)
     K, cs = automaton.path_len, automaton.cycle_start
-    ext = cs + (np.arange(horizon) % (K - cs)) if K > cs else np.zeros(horizon, dtype=int)
-    full = np.concatenate([u[:K], u[:K][ext]], axis=0)
-    suffix = lfilter([1.0 - delta], [1.0, -delta], full[::-1], axis=0)[::-1]
-    W[:K] = suffix[:K]
-    W[K:] = (1.0 - delta ** horizon) * u[K:]   # absorbing; spells are overwritten below
+    laps = -(-horizon // (K - cs))   # whole cycles covering the horizon
+    full = np.concatenate([u[:, :K], np.tile(u[:, cs:K], laps)[:, :horizon]], axis=1)
+    W[:, :K] = lfilter([1.0 - delta], [1.0, -delta], full[:, ::-1])[:, ::-1][:, :K]
+    W[:, K:] = (1.0 - delta ** horizon) * u[:, K:]   # absorbing; spells are overwritten below
     if automaton.kind != "grim":
         lay = automaton.layout
-        value = W[lay.nxt[lay.spells[-1]]]   # row i: value after i's last period
+        value = W[:, lay.nxt[lay.spells[-1]]]   # column i: value after i's last period
         for k in lay.spells[::-1]:
-            value = (1.0 - delta) * u[k] + delta * value
-            W[k] = value
+            value = (1.0 - delta) * u[:, k] + delta * value
+            W[:, k] = value
     return W
 
 
@@ -199,10 +199,11 @@ def profitability_scan(game: StageGame, automaton: Automaton, delta: float,
     U = game.payoff_batch(automaton.table_a0, automaton.table_a)
     scale = max(1.0, float(np.max(np.abs(U[np.bincount(lay.row, minlength=len(U)) > 0]))))
     horizon = int(np.ceil(np.log(SUFFIX_ERR / scale) / np.log(delta))) + 1
-    W = _truncated_state_values(automaton, delta, U[lay.row], horizon)
+    W = _truncated_state_values(automaton, delta, np.take(U.T, lay.row, axis=1), horizon)
     d, _ = _best_deviations(game, automaton.table_a0, automaton.table_a, grid_points)
     users = np.arange(game.n)
-    gains = (1.0 - delta) * (d - U)[lay.row] + delta * (W[lay.pun, users] - W[lay.nxt])
+    gains = ((1.0 - delta) * np.take((d - U).T, lay.row, axis=1)
+             + delta * (W[users, lay.pun][:, None] - np.take(W, lay.nxt, axis=1))).T
     k, i = _worst_cell(gains)
     worst = float(gains[k, i])
     return ScanReport(ok=worst <= SPE_GAIN_TOL, worst_gain=worst, state=automaton.state_at(k),

@@ -315,14 +315,22 @@ def backward_recursion_oracle(u, cycle_start, delta):
     return V
 
 
-@pytest.mark.parametrize("K", [1, 2, 37])
-def test_path_values_kernel_matches_backward_recursion(K):
+@pytest.mark.parametrize("K, n, delta", [pytest.param(1, 3, 0.93, id="1"),
+                                          pytest.param(2, 3, 0.93, id="2"),
+                                          pytest.param(37, 3, 0.93, id="37"),
+                                          pytest.param(5000, 4, 0.999, id="5000")])
+def test_path_values_kernel_matches_backward_recursion(K, n, delta):
+    """Bit for bit, on row-major payoffs and on the user-major ones the package
+    passes, also on a long path whose cycle-entry sum has thousands of terms:
+    the kernel adds them in period order, as the oracle does, where a pairwise
+    sum would round differently."""
     rng = np.random.default_rng(K)
-    u = rng.uniform(0.0, 50.0, (K, 3))
-    delta = 0.93
-    for cs in sorted({0, 1, K // 2, K - 1} & set(range(K))):
-        V = path_values(u, cs, delta)
-        assert np.array_equal(V, backward_recursion_oracle(u, cs, delta)), cs
+    u = rng.uniform(0.0, 50.0, (K, n))
+    for cs in sorted({0, 1, K // 7, K // 3, K // 2, K - 1} & set(range(K))):
+        want = backward_recursion_oracle(u, cs, delta)
+        for user_major in (False, True):
+            layout = np.asfortranarray(u) if user_major else u
+            assert np.array_equal(path_values(layout, cs, delta), want), (cs, user_major)
 
 
 def test_state_values_grim_closed_form():

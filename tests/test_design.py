@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 import repgame.design
 from repgame.automata import AutomatonError, build_minmax_automaton, min_delta_for_L, verify_spe
 from repgame.cli import main
-from repgame.design import (DecompositionError, DesignError, assemble_protocol,
+from repgame.design import (DecompositionError, DesignError, OutcomePath, assemble_protocol,
                             delta_bar, delta_mu, design_protocol, deviation_stats,
                             generate_outcome_path, guarantee_feasible,
                             guarantee_floors, optimize_welfare, validate_assumptions)
@@ -287,6 +287,19 @@ def test_outcome_path_vertex_is_constant(stats):
     assert list(path.active) == [2]
     assert path.cycle_start == 0
     assert path.active_at(17) == 2
+
+
+def test_active_at_takes_only_periods_from_zero():
+    """A 4-period path entering its cycle at period 1: periods past the stored
+    schedule wrap into the cycle; negative, boolean and non-integer periods
+    are not periods."""
+    path = OutcomePath(active=np.array([0, 1, 0, 2]), cycle_start=1, values=np.zeros((4, 3)),
+                       nu=np.zeros(3), delta=0.9, v_star=np.zeros(3))
+    assert [path.active_at(t) for t in range(10)] == [0, 1, 0, 2, 1, 0, 2, 1, 0, 2]
+    assert path.active_at(np.int64(3)) == 2
+    for t in (-1, -4, -5, True, False, 1.0, 2.5, "0", None, np.float64(1.0)):
+        with pytest.raises(IndexError, match="is not an integer >= 0"):
+            path.active_at(t)
 
 
 def test_outcome_path_rejects_low_delta(stats):

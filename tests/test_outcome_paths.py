@@ -8,6 +8,10 @@ average hits the target within 1e-6, no promise dips more than 1e-9 below
 its floor, and every promise's shares sum to one within 1e-8.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from repgame.design import (DecompositionError, delta_bar, deviation_stats, gene
 from repgame.games import FlowControlGame, game_from_config
 
 KINDS = ("flow", "packet_drop", "power")
+PINNED_DIGESTS = Path(__file__).parent / "data" / "outcome_path_digests.json"
 
 
 def assert_path_contract(path, stats, v_star):
@@ -191,3 +196,39 @@ def test_outcome_path_contract_property(kind, n, seed, target, gamma_frac, delta
     delta = {"delta_bar": db, "tiny": db + 1e-12 * (1.0 + 1e3 * u),
              "uniform": db + (1.0 - db) * 0.5 * u}[delta_kind]
     assert_path_contract(generate_outcome_path(stats, v_star, delta), stats, v_star)
+
+
+def pinned_instances():
+    """Nine seeded instances: the three game kinds at n = 2, 3, 4, each size
+    and each kind once at each discount factor 0.95, 0.995 and 0.9995, with a
+    Dirichlet target whose threshold sits at least 1e-3 below it."""
+    for k in range(9):
+        kind, n = KINDS[k % 3], 2 + k // 3
+        delta = (0.95, 0.995, 0.9995)[(k + k // 3) % 3]
+        rng = np.random.default_rng(k)
+        while True:
+            stats = draw_stats(rng, kind, n)
+            v_star = dirichlet_target(rng, stats)
+            if delta_bar(stats, v_star) <= delta - 1e-3:
+                break
+        yield f"{kind}/n={n}/delta={delta}", stats, v_star, delta
+
+
+def path_digest(path):
+    """Path length, cycle start, and the dtype, shape and sha256 of the
+    ``active`` and ``values`` bytes (C order)."""
+    def digest(a):
+        return f"{a.dtype.str}{list(a.shape)}:{hashlib.sha256(a.tobytes()).hexdigest()}"
+    return {"K": len(path.active), "cycle_start": path.cycle_start,
+            "active": digest(path.active), "values": digest(path.values)}
+
+
+def test_outcome_paths_are_pinned_bit_for_bit():
+    """``generate_outcome_path`` on the nine pinned instances reproduces the
+    recorded schedule, cycle start and promised values byte for byte (C
+    order).  The digests pin this numpy's rounding: a faster kernel must
+    leave every bit of the path where it was."""
+    want = json.loads(PINNED_DIGESTS.read_text())
+    got = {label: path_digest(generate_outcome_path(stats, v_star, delta))
+           for label, stats, v_star, delta in pinned_instances()}
+    assert got == want
