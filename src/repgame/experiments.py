@@ -268,21 +268,24 @@ class SearchResult:
     payoffs: np.ndarray
 
 
-def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray):
+def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray, out=None):
     """Rank the profiles of the user-major payoff block ``UT`` (shape
     ``(n, R)``, one column per profile), each against its own floors
     (``floors``, broadcast to ``(n, R)``) and welfare (``maxmin``, a boolean
     "is maxmin" mask broadcast to length R): feasibility first, then
     welfare (infeasible profiles rank by their worst floor shortfall, so
-    ascent can climb into the feasible set).  Returns the length-R arrays
-    ``(ok, welfare, margin)``.  The block is reduced in length-R passes over
-    the rows of a contiguous copy (none is made of a contiguous block); the
-    welfare sum adds the rows in index order by :func:`_user_sum`, as the
-    payoff maps do."""
-    UT = np.ascontiguousarray(UT)
-    margin = (UT - floors).min(axis=0)
-    welfare = np.where(maxmin, UT.min(axis=0), _user_sum(UT.T))
-    return margin >= -FLOOR_TOL, welfare, margin
+    ascent can climb into the feasible set).  Returns the length-R ``val``:
+    the welfare where the floor margin is at least ``-FLOOR_TOL``, the
+    margin elsewhere.  Payoffs are nonnegative, so ``val`` alone ranks, and
+    ``val >= 0`` is feasibility.  The welfare sum adds the rows in index
+    order by :func:`_user_sum`, as the payoff maps do.  ``out`` may hold
+    ``(n, R)`` and ``(R,)`` buffers to write into; ``val`` is the second."""
+    diff, val = (np.empty(UT.shape), np.empty(UT.shape[1])) if out is None else out
+    np.minimum.reduce(np.subtract(UT, floors, out=diff), axis=0, out=val)
+    welfare = _user_sum(UT.T)
+    np.copyto(welfare, np.minimum.reduce(UT, axis=0), where=maxmin)
+    np.copyto(val, welfare, where=np.greater_equal(val, -FLOOR_TOL))
+    return val
 
 
 def _take_slab(best, s, rowmin, payoffs, cells):
@@ -321,10 +324,9 @@ def _take_slab(best, s, rowmin, payoffs, cells):
             else:
                 cand = False, float(top - g), None
         else:   # a floor vector scores the whole slab
-            ok, welfare, margin = _score(payoffs(np.arange(rowmin.size)), g[:, None], kind == "maxmin")
-            idx = np.flatnonzero(ok)
-            j = int(idx[np.argmax(welfare[idx])]) if idx.size else int(np.argmax(margin))
-            cand = bool(idx.size), float((welfare if idx.size else margin)[j]), j
+            val = _score(payoffs(np.arange(rowmin.size)), g[:, None], kind == "maxmin")
+            j = int(np.argmax(val))
+            cand = bool(val[j] >= 0.0), float(val[j]), j
         if best[k] is None or cand[:2] > best[k][:2]:
             if cand[2] is None:
                 if g not in margins:
@@ -384,11 +386,16 @@ def constrained_welfare_search(game: StageGame, gamma, kind: str) -> SearchResul
     finished by :func:`_search`: ``PASSES`` rounds of shrinking-window
     coordinate ascent and an SLSQP polish.  The problem is nonconvex, so
     the result is a certified feasible point, not a certified optimum.
-    Returns None when no feasible profile was found.
+    Returns None when no feasible profile was found; a floor of ``+inf``
+    is out of reach.  Raises ValueError for a NaN floor or for a ``gamma``
+    that is neither one floor nor ``n`` of them.
     """
     if kind not in WELFARES:
         raise ValueError(f"unknown welfare {kind!r}")
-    cells = [(np.broadcast_to(np.asarray(gamma, dtype=float), (game.n,)), kind)]
+    floors = np.asarray(gamma, dtype=float)
+    if floors.shape not in ((), (1,), (game.n,)) or np.isnan(floors).any():
+        raise ValueError(f"gamma must be one floor or {game.n}, none of them NaN, got {gamma!r}")
+    cells = [(np.broadcast_to(floors, (game.n,)), kind)]
     return _search(game, cells, _seeds(game, cells))[0]
 
 
@@ -480,30 +487,29 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
     pass, in the arithmetic of ``np.linspace`` per start, as one ``(S,
     LINE_POINTS, n)`` table.  :meth:`StageGame.line_payoffs` turns it into
     one C-contiguous user-major ``(n, S, LINE_POINTS)`` payoff block per
-    step, which :func:`_score` reduces with no copy.
+    step, written into one reused buffer, which :func:`_score` reduces into
+    buffers made once per pass: each step makes the same numpy calls,
+    whatever n is.
 
-    Payoffs are nonnegative, so a feasible point's welfare is above every
-    infeasible point's margin (below ``-FLOOR_TOL``): ranking by ``val``
-    alone, ``val`` being the welfare where feasible and the margin
-    elsewhere, is ranking by feasibility first.  Each line's pick is its
-    first largest ``val``, a start moves where that beats its own by more
-    than 1e-13, and ``ok`` is ``val >= 0``.  Each step writes its move into
-    the climbing rows' copy, read again by the next step and written back
-    after the pass."""
+    :func:`_score`'s ``val`` ranks by feasibility first.  Each line's pick
+    is its first largest ``val``, a start moves where that beats its own by
+    more than 1e-13, and ``ok`` is ``val >= 0``.  Each step writes its move
+    into the climbing rows' copy, read again by the next step and written
+    back after the pass."""
     null = game.null_intervention()
     a = np.clip(starts, 0.0, game.a_max)
     floors = np.broadcast_to(gamma, a.shape).T
     maxmin = np.broadcast_to(np.asarray(kind) == "maxmin", len(a))
-    ok, welfare, margin = _score(game.payoff_batch(null, a).T, floors, maxmin)
-    cur_val = np.where(ok, welfare, margin)
+    cur_val = _score(game.payoff_batch(null, a).T, floors, maxmin)
     climbing = np.ones(len(a), dtype=bool)
     k = np.arange(LINE_POINTS, dtype=float)[:, None]
     for p in range(PASSES):
         frac = 0.5 * 0.7 ** p
         rows = np.flatnonzero(climbing)
         x, x_val = a[rows], cur_val[rows]
+        R = len(rows) * LINE_POINTS
         line = (np.repeat(floors[:, rows], LINE_POINTS, axis=1),
-                np.repeat(maxmin[rows], LINE_POINTS))
+                np.repeat(maxmin[rows], LINE_POINTS), (np.empty((game.n, R)), np.empty(R)))
         moved = np.zeros(len(x), dtype=bool)
         at = np.arange(len(x))
         half = frac * game.a_max
@@ -514,14 +520,13 @@ def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
         lines = k * ((hi - lo) / (LINE_POINTS - 1))[:, None, :] + lo[:, None, :]
         lines[:, -1] = hi
         for i, UT in enumerate(game.line_payoffs(x, lines)):
-            ok, welfare, margin = _score(UT.reshape(game.n, -1), *line)
-            val = np.where(ok, welfare, margin).reshape(-1, LINE_POINTS)
-            j = np.argmax(val, axis=-1)
-            val_j = val[at, j]
+            val = _score(UT.reshape(game.n, R), *line).reshape(-1, LINE_POINTS)
+            val_j = val.max(axis=-1)
             up = val_j > x_val + 1e-13
-            np.copyto(x[:, i], lines[at, j, i], where=up)
-            np.copyto(x_val, val_j, where=up)
-            moved |= up
+            if up.any():
+                np.copyto(x[:, i], lines[at, val.argmax(axis=-1), i], where=up)
+                np.copyto(x_val, val_j, where=up)
+                moved |= up
         a[rows], cur_val[rows] = x, x_val
         if frac * float(np.max(game.a_max)) < 1e-10:
             climbing[rows] = moved   # a start stops after a pass without a move

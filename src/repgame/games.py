@@ -53,9 +53,13 @@ def _finite(x, name) -> np.ndarray:
 def _user_sum(x: np.ndarray):
     """Sum over the last (user) axis in index order from +0.0, user 0 first,
     in any batch shape: the one order of every payoff map (``np.sum`` keeps
-    it only below 8 terms).  A contiguous batch is added as flat columns."""
+    it only below 8 terms).  A user-major ``(R, n)`` view of a C-contiguous
+    ``(n, R)`` block, R > 1, is one ``np.add.reduce`` over its rows, which
+    numpy adds in row order; a contiguous batch is added as flat columns."""
     if not x.shape[-1]:   # no users: +0.0 per row
         return np.zeros(x.shape[:-1])
+    if x.ndim == 2 and x.shape[0] > 1 and x.T.flags.c_contiguous:   # (n, 1) reduces pairwise
+        return np.add.reduce(x.T, axis=0, initial=0.0)
     if x.size <= x.shape[-1] ** 2:   # a few rows: one numpy call, not one per user
         return 0.0 + np.cumsum(x, axis=-1)[..., -1]
     rows = x.reshape(-1, x.shape[-1]) if x.flags.c_contiguous else x   # 1-D adds, no copy
@@ -222,7 +226,8 @@ class StageGame:
         S, P)`` whose entry ``[j, s, k]`` is user j's payoff at ``x[s]`` with
         coordinate i set to ``lines[s, k, i]``.  ``x`` is read again after
         each block: the caller writes coordinate i's move into ``x[:, i]``
-        before it asks for the next one.  Each block equals ``payoff_batch``
+        before it asks for the next one, and a block may be one reused buffer,
+        which holds only until then.  Each block equals ``payoff_batch``
         on its ``(S, P, n)`` profiles, moved to user-major, bit for bit."""
         null = self.null_intervention()
         prof = np.repeat(x[:, None, :], lines.shape[1], axis=1)
@@ -430,10 +435,13 @@ class _QueueGame(StageGame):
             yield rowmin, payoffs
 
     def line_payoffs(self, x, lines):
-        # the lines' a**beta once per pass, the current profiles' at each
-        # step.  Step i adds its load from the prefix of the coordinates
-        # before i (moved this pass), the line's value, then the pass-start
-        # columns after i, which hold still until their own step
+        """:meth:`StageGame.line_payoffs` from payoff factors, into one reused
+        ``(n, S, P)`` buffer: the lines' ``a**beta`` once per pass, the
+        current profiles' at each step.  Step i adds its load from the prefix
+        of the coordinates before i (moved this pass), the line's value, then
+        the pass-start columns after i, which hold still until their own
+        step: the first two go into column i, dead from then on, and one
+        ``np.add.reduce`` adds columns i, ..., n-1 in that order."""
         n, (S, P, _) = self.n, lines.shape
         power = lambda a: np.power(np.ascontiguousarray(a), self.beta)
         # user-major (n, S, P) tables: the lines' factors, the pass-start
@@ -441,13 +449,12 @@ class _QueueGame(StageGame):
         factors = power(lines).transpose(2, 0, 1).copy()
         cols = np.repeat(x.T[:, :, None], P, axis=2)
         held = np.repeat(power(x).T[:, :, None], P, axis=2)
-        head = np.zeros(S)   # the load of no users
+        head, block = np.zeros(S), np.empty((n, S, P))   # the load of no users
         for i in range(n):
-            load = head[:, None] + lines[:, :, i]
-            for col in cols[i + 1:]:
-                load += col
+            np.add(head[:, None], lines[:, :, i], out=cols[i])
+            load = np.add.reduce(cols[i:], axis=0)
             cap = np.maximum(np.subtract(self.mu, load, out=load), 0.0, out=load)
-            block = np.multiply(held, cap)
+            np.multiply(held, cap, out=block)
             np.multiply(factors[i], cap, out=block[i])
             yield block
             # coordinate i's move, now in x: onto the prefix, and its factors

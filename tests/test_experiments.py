@@ -1,4 +1,5 @@
 """Experiment harness: config round-trip, CSV emission, golden table, CLI."""
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -23,6 +24,7 @@ GOLDEN = Path(__file__).parent / "data" / "table2_golden.csv"
 SCALING_GOLDEN = Path(__file__).parent / "data" / "scaling_2_5_golden.csv"
 SCALING_FALLBACK_GOLDEN = Path(__file__).parent / "data" / "scaling_6_12_golden.csv"
 ONE_SHOT_VALUES = Path(__file__).parent / "data" / "one_shot_values.json"
+ONE_SHOT_DIGESTS = Path(__file__).parent / "data" / "one_shot_digests.json"
 
 GAME_CFG = {"kind": "flow", "mu": 10.0, "beta": [2.0, 2.0, 3.0, 3.0],
             "a_max": [2.5, 2.5, 2.5, 2.5], "a0_max": [2.5]}
@@ -174,9 +176,20 @@ def test_one_shot_sum_optimum_exact():
 
 
 def test_one_shot_infeasible_floor_returns_none():
+    """Floors out of reach, +inf among them, find no feasible profile."""
     game = fig_game()
-    assert constrained_welfare_search(game, np.full(4, 14.0), "sum") is None
-    assert constrained_welfare_search(game, np.full(4, 14.0), "maxmin") is None
+    for gamma in (np.full(4, 14.0), np.inf, [3.0, 3.0, 3.0, np.inf]):
+        assert constrained_welfare_search(game, gamma, "sum") is None
+        assert constrained_welfare_search(game, gamma, "maxmin") is None
+
+
+@pytest.mark.parametrize("gamma", [np.nan, [3.0, np.nan, 3.0, 3.0], np.full(3, 3.0),
+                                   np.full(5, 3.0), np.full((1, 4), 3.0)])
+def test_one_shot_rejects_nan_or_misshapen_floors(gamma):
+    """A NaN floor is not an unreachable one, and a floor vector of the
+    wrong length is not broadcast: both raise a ValueError naming gamma."""
+    with pytest.raises(ValueError, match="gamma"):
+        constrained_welfare_search(fig_game(), gamma, "sum")
 
 
 def test_one_shot_maxmin_equalizes():
@@ -335,9 +348,10 @@ def _cell_floors(gamma, kind, R):
 
 
 def test_score_of_user_major_blocks_is_the_row_major_rule():
-    """Scoring a user-major block gives the row-major rule's ``ok``,
-    ``val`` and margin bit for bit: the sum in index order (``np.cumsum``'s,
-    for every n), the row minimum and every margin."""
+    """Scoring a user-major block gives the row-major rule's ``val`` bit
+    for bit, with or without buffers to write into: the sum in index order
+    (``np.cumsum``'s, for every n) or the row minimum where feasible, the
+    margin elsewhere, and ``val >= 0`` exactly where the rule is feasible."""
     rng = np.random.default_rng(5)
     for n in range(1, 12):
         U = rng.uniform(0.0, 10.0, (400, n)) * 10.0 ** rng.integers(-6, 7, (400, n))
@@ -347,10 +361,11 @@ def test_score_of_user_major_blocks_is_the_row_major_rule():
                 want = np.where(want_margin >= -1e-9, np.cumsum(U, axis=-1)[:, -1]
                                 if kind == "sum" else U.min(axis=-1), want_margin)
                 for UT in (np.ascontiguousarray(U.T), U.T):
-                    ok, welfare, margin = xp._score(UT, *_cell_floors(gamma, kind, len(U)))
-                    assert np.array_equal(ok, want_margin >= -1e-9), (n, kind)
-                    assert np.array_equal(np.where(ok, welfare, margin), want), (n, kind)
-                    assert np.array_equal(margin, want_margin), (n, kind)
+                    floors, out = _cell_floors(gamma, kind, len(U)), (np.empty(UT.shape), np.empty(len(U)))
+                    for val in (xp._score(UT, *floors), xp._score(UT, *floors, out)):
+                        assert val.tobytes() == want.tobytes(), (n, kind)
+                        assert np.array_equal(val >= 0.0, want_margin >= -1e-9), (n, kind)
+                    assert val is out[1]
 
 
 @pytest.mark.parametrize("name", sorted(GRID_GAMES))
@@ -522,8 +537,8 @@ def test_lockstep_ascent_of_cells_matches_each_cells_own_ascent(name):
 
 def test_score_of_per_profile_floors_is_each_cells_rule():
     """Scoring profiles against per-profile floors and welfare kinds gives,
-    profile by profile, the ``(ok, welfare, margin)`` of scoring them
-    against their own cell alone."""
+    profile by profile, the ``val`` of scoring them against their own cell
+    alone."""
     rng = np.random.default_rng(13)
     for n in (1, 3, 7, 8, 11):
         U = rng.uniform(0.0, 10.0, (60, n)) * 10.0 ** rng.integers(-6, 7, (60, n))
@@ -534,36 +549,77 @@ def test_score_of_per_profile_floors_is_each_cells_rule():
                         np.array([cells[c][1] == "maxmin" for c in owner]))
         for c, (gamma, kind) in enumerate(cells):
             rows = owner == c
-            for g, w in zip(got, xp._score(U.T, *_cell_floors(gamma, kind, len(U)))):
-                assert np.array_equal(g[rows], w[rows]), (n, c)
+            want = xp._score(U.T, *_cell_floors(gamma, kind, len(U)))
+            assert got[rows].tobytes() == want[rows].tobytes(), (n, c)
 
 
-def test_polished_one_shot_cells_keep_their_values(monkeypatch):
-    """Every one-shot cell of ``table2``, of ``scaling`` n = 2..12 and of a
-    packet-drop and a power game polished with closed-form Jacobians keeps
-    the value it had when SLSQP differenced the payoffs (recorded in
-    ``one_shot_values.json``) within 1e-9 relative, and ``game.payoff``
-    confirms its payoffs, its value and its floors."""
-    found, search = [], xp._search
+@pytest.fixture(scope="module")
+def one_shot_record():
+    """Every pinned one-shot cell as ``(key, game, gamma, kind, result)``:
+    ``table2``'s and those of ``scaling`` n = 2..12 as their experiments
+    search them, then the mixed cells of a packet-drop and a power game;
+    and the raw ``(ok, val, profiles)`` of the 12-user scaling game's
+    lockstep ascent."""
+    found, ascents, search, ascend = [], [], xp._search, xp._ascend
 
     def recorded(game, cells, seeds, *args):
         results = search(game, cells, seeds, *args)
         found.extend((game, gamma, kind, f) for (gamma, kind), f in zip(cells, results))
         return results
-    monkeypatch.setattr(xp, "_search", recorded)
-    run_experiment(load_config(CONFIG, "table2"))
-    keys = [f"table2 {kind} {float(gamma[0])!r}" for _, gamma, kind, _ in found]
-    scaling_sweep((2, 12))
-    keys += [f"scaling {game.n} {kind}" for game, _, kind, _ in found[len(keys):]]
-    monkeypatch.undo()
+
+    def recorded_ascent(game, *args):
+        out = ascend(game, *args)
+        if game.n == 12:
+            ascents.append(out)
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xp, "_search", recorded)
+        mp.setattr(xp, "_ascend", recorded_ascent)
+        run_experiment(load_config(CONFIG, "table2"))
+        keys = [f"table2 {kind} {float(gamma[0])!r}" for _, gamma, kind, _ in found]
+        scaling_sweep((2, 12))
+        keys += [f"scaling {game.n} {kind}" for game, _, kind, _ in found[len(keys):]]
     for name in ("packet-3", "power-3"):
         game = ASCENT_GAMES[name]
         for c, (gamma, kind) in enumerate(_mixed_cells(game)):
             found.append((game, gamma, kind, constrained_welfare_search(game, gamma, kind)))
             keys.append(f"{name} {c}")
+    (ascent,) = ascents
+    return [(key,) + cell for key, cell in zip(keys, found)], ascent
+
+
+def _digest(a):
+    """The dtype, shape and sha256 of an array's bytes (C order)."""
+    return f"{a.dtype.str}{list(a.shape)}:{hashlib.sha256(a.tobytes()).hexdigest()}"
+
+
+def test_one_shot_results_are_pinned_bit_for_bit(one_shot_record):
+    """Every one-shot result of ``table2``, of ``scaling`` n = 2..12 and of
+    the packet-drop and power games' mixed cells, and the raw lockstep
+    ascent of the 12-user scaling game, reproduce the recorded value repr
+    and profile and payoff bytes (``one_shot_digests.json``): a faster
+    search must leave every bit where it was.  SLSQP's last bits differ
+    between one OpenBLAS thread and several, so the file holds both sets,
+    and the results must equal one of them in full; the raw ascent is the
+    same in both."""
+    cells, (ok, val, profiles) = one_shot_record
+    got = {key: None if f is None else {"value": repr(float(f.value)), "profile": _digest(f.profile),
+                                        "payoffs": _digest(f.payoffs)}
+           for key, _, _, _, f in cells}
+    got["ascent scaling 12"] = {"ok": _digest(ok), "val": _digest(val), "profiles": _digest(profiles)}
+    assert got in json.loads(ONE_SHOT_DIGESTS.read_text()).values()
+
+
+def test_polished_one_shot_cells_keep_their_values(one_shot_record):
+    """Every one-shot cell of ``table2``, of ``scaling`` n = 2..12 and of a
+    packet-drop and a power game polished with closed-form Jacobians keeps
+    the value it had when SLSQP differenced the payoffs (recorded in
+    ``one_shot_values.json``) within 1e-9 relative, and ``game.payoff``
+    confirms its payoffs, its value and its floors."""
+    cells, _ = one_shot_record
     want = json.loads(ONE_SHOT_VALUES.read_text())
-    assert sorted(keys) == sorted(want)
-    for key, (game, gamma, kind, f) in zip(keys, found):
+    assert sorted(key for key, *_ in cells) == sorted(want)
+    for key, game, gamma, kind, f in cells:
         assert (f is None) == (want[key] is None), key
         if f is not None:
             assert f.value == pytest.approx(want[key], rel=1e-9, abs=0.0), key

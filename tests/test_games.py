@@ -114,6 +114,25 @@ def test_user_sum_of_no_users_is_positive_zero():
         assert not np.signbit(total).any()
 
 
+def test_user_sum_of_user_major_blocks_adds_users_in_index_order():
+    """A user-major block, the ``(R, n)`` view of a C-contiguous ``(n, R)``
+    array, is summed over its n users in index order from +0.0 bit for bit,
+    as the per-user loop adds them, for n = 1..16 and any R: -0.0 entries,
+    an all -0.0 profile and magnitudes from 1e-8 to 1e8 make any other
+    order show."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 17):
+        for R in (1, 2, 5, 33, 264, 1000):
+            U = rng.uniform(-1.0, 1.0, (n, R)) * 10.0 ** rng.integers(-8, 9, (n, R))
+            U[rng.random((n, R)) < 0.1] = -0.0
+            U[:, 1:2] = -0.0   # one all -0.0 profile where R > 1
+            want = 0.0 + U[0]
+            for row in U[1:]:
+                want = want + row
+            total = games._user_sum(U.T)
+            assert total.shape == (R,) and total.tobytes() == want.tobytes(), (n, R)
+
+
 def test_payoff_rejects_out_of_box_actions():
     g = reference_flow_game()
     with pytest.raises(GameConfigError):
