@@ -25,8 +25,7 @@ import numpy as np
 
 from .automata import (Automaton, _is_index, _not_credible, build_minmax_automaton,
                        path_values)
-from .games import (StageGame, best_response_payoffs, minmax_values, mutual_minmax,
-                    payoff_hull_sample)
+from .games import StageGame, mutual_minmax, payoff_hull_sample
 
 
 class DesignError(ValueError):
@@ -157,19 +156,27 @@ class DeviationStats:
 
 
 def deviation_stats(game: StageGame) -> DeviationStats:
-    n = game.n
-    null = game.null_intervention()
+    """The statistics of ``game`` from two best-response calls and one
+    deviation block of 4n rows: the solo profiles as they stand (each user
+    "deviates" to its own action, so those rows hold their payoff vectors),
+    each user's best reply to them (``y``), and the minmax tables of
+    :func:`~repgame.games.minmax_values` with and without the device.  Each
+    row is scored alone, so stacking them moves no bit."""
+    n, null = game.n, game.null_intervention()
     solo_actions = np.diag(game.best_responses(null, np.zeros(n)))
-    solo_payoffs = game.payoff_batch(np.tile(null, (n, 1)), solo_actions)
+    a0 = np.repeat(null[None, :], 4 * n, axis=0)
+    a0[2 * n:3 * n] = [game.minmax_minimizer(i) for i in range(n)]
+    a = np.concatenate([solo_actions, solo_actions, np.broadcast_to(game.a_max, (2 * n, n))])
+    x = game.best_responses(a0, a)
+    x[:n] = solo_actions
+    d = game.deviation_payoffs(a0, a, x)
     # user i best-responds to its own solo profile with that profile: diag(y) = vbar
-    y = best_response_payoffs(game, null, solo_actions)
+    y = d[n:2 * n]
     vbar = np.diagonal(y).copy()
-    masked = y + np.diag(np.full(n, -np.inf))
-    w = masked.max(axis=0)
-    return DeviationStats(vbar=vbar, solo_actions=solo_actions, solo_payoffs=solo_payoffs,
-                          y=y, w=w,
-                          minmax_with=minmax_values(game, with_intervention=True),
-                          minmax_without=minmax_values(game, with_intervention=False))
+    w = (y + np.diag(np.full(n, -np.inf))).max(axis=0)
+    return DeviationStats(vbar=vbar, solo_actions=solo_actions, solo_payoffs=d[:n], y=y, w=w,
+                          minmax_with=np.diagonal(d[2 * n:3 * n]).copy(),
+                          minmax_without=np.diagonal(d[3 * n:]).copy())
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ GRID_CAP = 8_000_000
 PASSES = 50
 LINE_POINTS = 33
 REFERENCE_MARGIN = 1.1   # the reference path clears this multiple of the no-device minmax
+# the grid pass sums only columns whose welfare ceiling reaches (1 - SCREEN_SLACK)
+# of a running best of at least SCREEN_FLOOR (clear of subnormals); see _take_slab
+SCREEN_SLACK = 1e-12
+SCREEN_FLOOR = 1e-300
 
 
 class ConfigError(ValueError):
@@ -288,7 +292,7 @@ def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray, out=None):
     return val
 
 
-def _take_slab(best, s, rowmin, payoffs, cells):
+def _take_slab(best, s, rowmin, payoffs, ceiling, cells):
     """Score grid slab ``s`` of :meth:`StageGame.grid_slabs` for every
     ``(floor, kind)`` cell, a floor being one level (a float) shared by all
     users or one floor vector ``(n,)``, and put the slab's pick in ``best``
@@ -300,27 +304,41 @@ def _take_slab(best, s, rowmin, payoffs, cells):
     level exactly when its largest row minimum does, and that row is then
     the maxmin pick.  The sum totals are built once, on the columns that
     meet the lowest level met, and each higher level filters the survivors
-    of the one below.  A level the slab does not meet has the largest
-    margin ``fl(max rowmin - g)``; its first row is sought only when that
-    margin beats the running best."""
+    of the one below.  Once every met level's sum cell holds a feasible
+    best, and the least of those, ``bar``, is at least ``SCREEN_FLOOR``,
+    only the columns whose welfare ceiling reaches ``bar * (1 -
+    SCREEN_SLACK)`` are summed.  A ceiling is at least its exact sum over
+    ``1 + SCREEN_SLACK``, so every column that could tie or beat a met
+    level's best survives, in order; a level left with none has no
+    candidate.  A level the slab does not meet has the largest margin
+    ``fl(max rowmin - g)``; its first row is sought only when that margin
+    beats the running best."""
     j_top = int(np.argmax(rowmin))
     top = rowmin[j_top]
-    met = sorted({g for g, kind in cells
-                  if isinstance(g, float) and kind == "sum" and top - g >= -FLOOR_TOL})
+    met_cells = [k for k, (g, kind) in enumerate(cells)
+                 if isinstance(g, float) and kind == "sum" and top - g >= -FLOOR_TOL]
+    met = sorted({cells[k][0] for k in met_cells})
     sums, margins = {}, {}
     if met:
         idx = np.flatnonzero(rowmin - met[0] >= -FLOOR_TOL)
+        bar = min(best[k][1] if best[k] is not None and best[k][0] else -np.inf
+                  for k in met_cells)
+        if bar >= SCREEN_FLOOR:
+            idx = idx[ceiling(idx) >= bar * (1.0 - SCREEN_SLACK)]
         low, total = rowmin[idx], _user_sum(payoffs(idx).T)
         for g in met:
             if g != met[0]:
                 keep = np.flatnonzero(low - g >= -FLOOR_TOL)
                 idx, low, total = idx[keep], low[keep], total[keep]
-            j = int(np.argmax(total))
-            sums[g] = True, float(total[j]), int(idx[j])
+            if idx.size:
+                j = int(np.argmax(total))
+                sums[g] = True, float(total[j]), int(idx[j])
     for k, (g, kind) in enumerate(cells):
         if isinstance(g, float):
             if top - g >= -FLOOR_TOL:
-                cand = sums[g] if kind == "sum" else (True, float(top), j_top)
+                cand = sums.get(g) if kind == "sum" else (True, float(top), j_top)
+                if cand is None:   # no column reaches the bar
+                    continue
             else:
                 cand = False, float(top - g), None
         else:   # a floor vector scores the whole slab
@@ -341,12 +359,13 @@ def _grid_pass(game: StageGame, cells):
     profile per cell, or None when the grid would exceed ``GRID_CAP`` points.
 
     The grid streams as the slabs of :meth:`StageGame.grid_slabs`, one per
-    value of the first action: a slab's row minimum, and its payoffs on the
-    columns asked for.  A floor level ``g`` shared by all users is met
-    where ``fl(rowmin - g) >= -FLOOR_TOL``, which is monotone in the row
-    minimum and in ``g``, so the levels' feasible sets nest and
-    :func:`_take_slab` adds the users' payoffs once per slab, on the
-    columns of the lowest level met.  Per-user floors take the slab's whole
+    value of the first action: a slab's row minimum, its payoffs on the
+    columns asked for, and a ceiling on those columns' welfare sums.  A
+    floor level ``g`` shared by all users is met where ``fl(rowmin - g) >=
+    -FLOOR_TOL``, which is monotone in the row minimum and in ``g``, so the
+    levels' feasible sets nest and :func:`_take_slab` adds the users'
+    payoffs once per slab, on the columns of the lowest level met whose
+    ceiling reaches the running best.  Per-user floors take the slab's whole
     payoffs.  A slab's pick replaces the running best only when it is
     strictly better, so the first profile in grid order wins ties; the seed
     is rebuilt from the winning (slab, row) index."""
@@ -358,8 +377,8 @@ def _grid_pass(game: StageGame, cells):
     floors = [(float(gamma[0]) if gamma.tolist().count(gamma[0]) == game.n else gamma, kind)
               for gamma, kind in cells]
     best = [None] * len(cells)
-    for s, (rowmin, payoffs) in enumerate(game.grid_slabs(axes)):
-        _take_slab(best, s, rowmin, payoffs, floors)
+    for s, (rowmin, payoffs, ceiling) in enumerate(game.grid_slabs(axes)):
+        _take_slab(best, s, rowmin, payoffs, ceiling, floors)
     rest = [len(ax) for ax in axes[1:]]
     return [np.array([axes[0][s]] + [ax[i] for ax, i in zip(axes[1:], np.unravel_index(j, rest))])
             for _, _, j, s in best]

@@ -200,13 +200,16 @@ class StageGame:
     def grid_slabs(self, axes):
         """The product grid of ``axes`` (one 1-D array of actions per user)
         with the device at null, one slab per value of the first axis, in
-        order.  Each slab is a pair ``(rowmin, payoffs)`` over its R
-        profiles of the other axes, in ``np.meshgrid(..., indexing="ij")``
-        order: ``rowmin`` holds each profile's least payoff, and
-        ``payoffs(cols)`` the user-major ``(n, len(cols))`` payoffs of the
-        profiles at the indices ``cols`` (a 1-D integer array).  Both equal
-        ``payoff_batch`` on that slab bit for bit: its minimum over users,
-        and its rows at ``cols``, transposed."""
+        order.  Each slab is a triple ``(rowmin, payoffs, ceiling)`` over
+        its R profiles of the other axes, in ``np.meshgrid(...,
+        indexing="ij")`` order: ``rowmin`` holds each profile's least
+        payoff, ``payoffs(cols)`` the user-major ``(n, len(cols))`` payoffs
+        of the profiles at the indices ``cols`` (a 1-D integer array), and
+        ``ceiling(cols)`` a bound on their welfare sums, at least each sum
+        added in index order from +0.0 divided by ``1 + 1e-12``.  The first
+        two equal ``payoff_batch`` on that slab bit for bit: its minimum over
+        users, and its rows at ``cols``, transposed.  Here the ceiling is
+        that sum itself; the queue games bound it from payoff factors."""
         null = self.null_intervention()
         prof = np.empty((math.prod(len(ax) for ax in axes[1:]), self.n))
         if self.n > 1:
@@ -215,7 +218,8 @@ class StageGame:
         for x in axes[0]:
             prof[:, 0] = x
             UT = np.ascontiguousarray(self.payoff_batch(null, prof).T)
-            yield UT.min(axis=0), lambda cols, UT=UT: UT[:, cols]
+            payoffs = lambda cols, UT=UT: UT[:, cols]
+            yield UT.min(axis=0), payoffs, lambda cols, f=payoffs: _user_sum(f(cols).T)
 
     def line_payoffs(self, x, lines):
         """The payoffs along the lines of one coordinate-ascent pass, the
@@ -403,7 +407,8 @@ class _QueueGame(StageGame):
         # one a**beta table for all axes; a slab's load is built by
         # broadcasting one axis at a time.  Rounding is monotone and cap >= 0,
         # so the least payoff min_i fl(f_i * cap) is fl(min_i f_i * cap); the
-        # other users' least factor is taken once for all slabs
+        # other users' least factor, and the in-order sum of their factors
+        # (the ceiling's rsum), are taken once for all slabs
         table = np.zeros((max(len(ax) for ax in axes), self.n))
         for i, ax in enumerate(axes):
             table[:len(ax), i] = ax
@@ -414,13 +419,19 @@ class _QueueGame(StageGame):
         for r, f in zip(rest, np.ix_(*powers[1:])):
             r[...] = f
         rest = rest.reshape(self.n - 1, math.prod(shape))
-        low = np.min(rest, axis=0, initial=np.inf)
+        low, rsum = np.min(rest, axis=0, initial=np.inf), _user_sum(rest.T)
+        # no load exceeds the in-order sum of the axes' largest values, since
+        # rounding is monotone: at most mu, no capacity needs the floor at 0
+        peak = 0.0
+        for ax in axes:
+            peak += np.max(ax)
         for x, p in zip(axes[0], powers[0]):
             load = np.asarray(x)
             for col in others:
                 load = load + col
             cap = np.subtract(self.mu, load, out=load).reshape(-1)
-            np.maximum(cap, 0.0, out=cap)
+            if peak > self.mu:
+                np.maximum(cap, 0.0, out=cap)
             rowmin = np.minimum(low, p)
             rowmin *= cap
 
@@ -432,7 +443,12 @@ class _QueueGame(StageGame):
                 np.take(rest, cols, axis=1, out=block[1:], mode="wrap")
                 block[1:] *= c
                 return block
-            yield rowmin, payoffs
+
+            def ceiling(cols, p=p, cap=cap):
+                # no term is negative: this and the in-order sum of the products
+                # both lie within (1 +- 2**-53)**n of the exact cap * sum(f)
+                return cap[cols] * (rsum[cols] + p)
+            yield rowmin, payoffs, ceiling
 
     def line_payoffs(self, x, lines):
         """:meth:`StageGame.line_payoffs` from payoff factors, into one reused

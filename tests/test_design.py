@@ -21,7 +21,8 @@ from repgame.design import (DecompositionError, DesignError, OutcomePath, assemb
                             delta_bar, delta_mu, design_protocol, deviation_stats,
                             generate_outcome_path, guarantee_feasible,
                             guarantee_floors, optimize_welfare, validate_assumptions)
-from repgame.games import FlowControlGame, PowerControlGame, StageGame
+from repgame.games import (FlowControlGame, PacketDropGame, PowerControlGame, StageGame,
+                           best_response_payoffs, minmax_values)
 
 VBAR = np.array([46.875, 46.875, 117.1875, 117.1875])
 MINMAX_WITHOUT = np.array([125.0 / 54.0, 125.0 / 54.0, 4.119873046875, 4.119873046875])
@@ -92,6 +93,43 @@ def test_deviation_stats_y_matches_grid(stats):
             acts[:, j] = pts
             best = g.payoff_batch(np.zeros((2001, 1)), acts)[:, j].max()
             assert stats.y[i, j] >= best - 1e-9
+
+
+def _stats_one_map_at_a_time(game):
+    """:func:`deviation_stats` written out one map at a time: the solo
+    payoffs, the best replies to the solo profiles and both minmax tables,
+    each from its own call."""
+    n, null = game.n, game.null_intervention()
+    solo = np.diag(game.best_responses(null, np.zeros(n)))
+    y = best_response_payoffs(game, null, solo)
+    return {"vbar": np.diagonal(y).copy(), "solo_actions": solo,
+            "solo_payoffs": game.payoff_batch(np.tile(null, (n, 1)), solo), "y": y,
+            "w": (y + np.diag(np.full(n, -np.inf))).max(axis=0),
+            "minmax_with": minmax_values(game, True), "minmax_without": minmax_values(game, False)}
+
+
+@pytest.mark.parametrize("kind", ["flow", "packet_drop", "power"])
+def test_deviation_stats_equal_the_maps_one_at_a_time(kind):
+    """Scoring the solo profiles, the replies to them and both minmax tables
+    as one stacked deviation block moves no bit of any statistic, for 1 to
+    6 users and exponents numpy special-cases (2 and 0.5) among others."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        for _ in range(4):
+            a_max = rng.uniform(0.5, 3.0, n)
+            beta = rng.choice([0.5, 1.0, 2.0, 3.0, rng.uniform(0.5, 3.5)], n)
+            mu = float(np.sum(a_max) * rng.uniform(1.0, 1.5))
+            game = {"flow": lambda: FlowControlGame(mu=mu, beta=beta, a_max=a_max,
+                                                    a0_max=[rng.uniform(0.0, 3.0)]),
+                    "packet_drop": lambda: PacketDropGame(mu=mu, beta=beta, a_max=a_max),
+                    "power": lambda: PowerControlGame(
+                        gain=rng.uniform(0.05, 1.2, (n, n)) + np.eye(n),
+                        intervention_gain=rng.uniform(0.5, 1.5, n),
+                        noise=rng.uniform(0.005, 0.1, n), a_max=a_max,
+                        a0_max=[rng.uniform(0.5, 5.0)])}[kind]()
+            got = deviation_stats(game)
+            for name, want in _stats_one_map_at_a_time(game).items():
+                assert getattr(got, name).tobytes() == want.tobytes(), (n, name)
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ def test_grid_payoffs_match_payoff_batch(name):
     slabs = list(game.grid_slabs(axes))
     assert len(slabs) == len(axes[0])
     rng = np.random.default_rng(3)
-    for x, (rowmin, payoffs) in zip(axes[0], slabs):
+    for x, (rowmin, payoffs, _) in zip(axes[0], slabs):
         U = _slab_payoffs(game, axes, x)
         assert rowmin.tobytes() == U.min(axis=-1).tobytes(), x
         picked = np.sort(rng.choice(len(U), len(U) // 3, replace=False))
@@ -392,13 +392,81 @@ def test_grid_payoffs_match_payoff_batch_on_fig_flow():
     game = game_from_config(json.loads(CONFIG.read_text())["game"])
     axes = _grid_axes(game)
     checked = {0: None, len(axes[0]) // 2: None, len(axes[0]) - 1: None}
-    for s, (rowmin, payoffs) in enumerate(game.grid_slabs(axes)):
+    for s, (rowmin, payoffs, _) in enumerate(game.grid_slabs(axes)):
         if s in checked:
             U = _slab_payoffs(game, axes, axes[0][s])
             cols = np.flatnonzero(rowmin >= np.median(rowmin))
             checked[s] = (rowmin.tobytes() == U.min(axis=-1).tobytes()
                           and payoffs(cols).tobytes() == U[cols].T.tobytes())
     assert checked == dict.fromkeys(checked, True)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GAMES) + ["fig_flow"])
+def test_grid_ceilings_bound_the_in_order_sums(name):
+    """At every column of a slab, the welfare ceiling and the sum of the
+    payoffs added in index order lie within a factor ``1 + 1e-12`` of each
+    other, both ways, and a ceiling at any columns is the whole slab's at
+    those columns.  fig_flow is checked at its first, middle and last slab."""
+    game = GRID_GAMES[name] if name in GRID_GAMES else fig_game()
+    axes = _grid_axes(game)
+    last = len(axes[0]) - 1
+    slabs = {0, last // 2, last} if name == "fig_flow" else set(range(last + 1))
+    rng = np.random.default_rng(11)
+    for s, (_, _, ceiling) in enumerate(game.grid_slabs(axes)):
+        if s in slabs:
+            slabs.remove(s)
+            U = _slab_payoffs(game, axes, axes[0][s])
+            exact, ceil = np.cumsum(U, axis=-1)[:, -1], ceiling(np.arange(len(U)))
+            assert np.all(exact <= ceil * (1 + 1e-12)), s
+            assert np.all(ceil <= exact * (1 + 1e-12)), s
+            picked = np.sort(rng.choice(len(U), len(U) // 3, replace=False))
+            assert ceiling(picked).tobytes() == ceil[picked].tobytes(), s
+    assert not slabs
+
+
+def _with_ceiling(game, ceiling, monkeypatch):
+    """Make ``game``'s grid slabs carry ``ceiling`` (a map of the column
+    count) in place of their own; returns the list that collects the length
+    of every ``payoffs`` call."""
+    slabs, summed = game.grid_slabs, []
+
+    def replaced(axes):
+        for rowmin, payoffs, own in slabs(axes):
+            def counted(cols, payoffs=payoffs):
+                summed.append(len(cols))
+                return payoffs(cols)
+            yield rowmin, counted, own if ceiling is None else lambda cols: ceiling(len(cols))
+    monkeypatch.setattr(game, "grid_slabs", replaced)
+    return summed
+
+
+def test_grid_pass_with_a_zero_ceiling_misses_a_row_major_pick(monkeypatch):
+    """The screen is live: a ceiling of zeros drops every column once each
+    met level holds a feasible best, and the pass then disagrees with the
+    row-major rule on some cell."""
+    game = GRID_GAMES["flow-3"]
+    _with_ceiling(game, np.zeros, monkeypatch)
+    cells = [(np.full(game.n, g), "sum") for g in (0.0, 0.01)]
+    got = xp._grid_pass(game, cells)
+    want = _row_major_seeds(game, cells, 0.05)
+    assert any(not np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_grid_pass_on_fig_flow_sums_few_columns_exactly(monkeypatch):
+    """On fig_flow's 8 ``table2`` cells the screened pass adds the payoffs of
+    at most 640,000 of the grid's 6,765,201 profiles (an unscreened pass adds
+    2,551,925), and picks what a pass whose ceilings screen nothing picks."""
+    game = fig_game()
+    cells = [(np.full(game.n, g), kind) for kind in ("sum", "maxmin") for g in (1.0, 3.0, 7.0, 14.0)]
+    summed = _with_ceiling(game, None, monkeypatch)
+    got = xp._grid_pass(game, cells)
+    assert sum(summed) <= 640_000, sum(summed)
+    game = fig_game()
+    summed = _with_ceiling(game, lambda m: np.full(m, np.inf), monkeypatch)
+    want = xp._grid_pass(game, cells)
+    assert sum(summed) == 2_551_925
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("name", sorted(GRID_GAMES))
@@ -920,6 +988,25 @@ def test_cli_csv_matches_golden(tmp_path, experiment):
     assert rc == 0
     golden = Path(__file__).parent / "data" / f"{experiment}_golden.csv"
     assert (tmp_path / f"{experiment}.csv").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("kind,experiment,rc", [
+    ("packet_drop", "table2", 0), ("packet_drop", "verify", 0),
+    ("packet_drop", "fig3", 2), ("packet_drop", "tradeoff", 2),
+    ("power", "table2", 0), ("power", "fig3", 0), ("power", "tradeoff", 0), ("power", "verify", 0),
+])
+def test_cli_csv_of_other_game_kinds_matches_golden(tmp_path, kind, experiment, rc):
+    """The packet-drop and power configs write their golden CSVs byte for
+    byte; the packet-drop device box is not a scalar cap, so ``fig3`` and
+    ``tradeoff`` reject it as a config error and write nothing."""
+    out = tmp_path / "res"
+    assert main(["--experiment", experiment, "--config", str(ROOT / "configs" / f"{kind}.json"),
+                 "--out", str(out)]) == rc
+    if rc:
+        assert not out.exists()
+    else:
+        golden = Path(__file__).parent / "data" / f"{kind}_{experiment}_golden.csv"
+        assert (out / f"{experiment}.csv").read_bytes() == golden.read_bytes()
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):

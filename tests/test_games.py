@@ -549,7 +549,7 @@ def test_queue_games_build_equal_grids_and_lines_at_null_intervention():
         slabs = list(zip(flow.grid_slabs(axes), drop.grid_slabs(axes)))
         assert len(slabs) == len(axes[0])
         rest = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, n - 1)
-        for x, ((low_f, pay_f), (low_d, pay_d)) in zip(axes[0], slabs):
+        for x, ((low_f, pay_f, _), (low_d, pay_d, _)) in zip(axes[0], slabs):
             prof = np.concatenate([np.full((len(rest), 1), x), rest], axis=1)
             U = _written_queue_maps(flow, null[:, :1], prof)[0]
             assert low_f.tobytes() == low_d.tobytes() == U.min(axis=-1).tobytes(), n
