@@ -16,12 +16,10 @@ The package is organised bottom-up:
 
 __version__ = "0.1.0"
 
-from .games import (ActionProfile, FlowControlGame, GameConfigError, HullSample,
-                    MinmaxResult, MutualMinmaxResult, NashIterationError,
-                    PacketDropGame, PowerControlGame, StageGame,
-                    game_from_config, max_stage_payoff, minmax,
-                    minmax_values, mutual_minmax, payoff_hull_sample,
-                    solo_values, solve_stage_nash)
+from .games import (ActionProfile, FlowControlGame, GameConfigError, MinmaxResult,
+                    MutualMinmaxResult, NashIterationError, PacketDropGame,
+                    PowerControlGame, StageGame, game_from_config, max_stage_payoff,
+                    minmax, minmax_values, mutual_minmax, solve_stage_nash)
 from .automata import (Automaton, AutomatonError, MinDeltaResult, SpeReport,
                        StateValues, build_minmax_automaton,
                        build_player_specific_automaton, describe,
@@ -38,9 +36,8 @@ from .simulate import (DeviationPlan, ScanReport, Trace, deviation_gain,
                        profitability_scan, run)
 from .experiments import (EXPERIMENTS, ConfigError, ExperimentConfig, ResultTable,
                           baseline_comparison, constrained_welfare_search,
-                          dump_config, emit_curves, load_config,
-                          punishment_length_curves, reference_path,
-                          run_experiment, scaling_sweep, tradeoff_sweep,
-                          verification_report)
+                          emit_curves, load_config, punishment_length_curves,
+                          reference_path, run_experiment, scaling_sweep,
+                          tradeoff_sweep, verification_report)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

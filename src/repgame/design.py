@@ -25,7 +25,7 @@ import numpy as np
 
 from .automata import (Automaton, _is_index, _not_credible, build_minmax_automaton,
                        path_values)
-from .games import StageGame, mutual_minmax, payoff_hull_sample
+from .games import StageGame, mutual_minmax
 
 
 class DesignError(ValueError):
@@ -76,10 +76,6 @@ class AssumptionReport:
     def passed(self, name: str) -> bool:
         return {c.name: c.passed for c in self.checks}[name]
 
-    def __str__(self):
-        return "\n".join(f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
-                         for c in self.checks)
-
 
 def _solo_leak(solo_payoffs: np.ndarray) -> str | None:
     """Why time-sharing solo profiles does not span the payoff simplex: the
@@ -101,21 +97,23 @@ def validate_assumptions(game: StageGame, hull_grid: int = 11) -> AssumptionRepo
        protocol's punishment is credible).
     2. No solo optimum leaks payoff to a bystander (so time-sharing solo
        profiles spans the payoff simplex).
-    3. The payoff set sampled by :func:`~repgame.games.payoff_hull_sample`
-       lies inside that simplex (so nothing outside the hull is given up).
+    3. The payoff set, sampled with the device at null on a grid of
+       ``hull_grid`` actions per user (at least 2), lies inside that simplex
+       (so nothing outside the hull is given up).
 
     A failed premise's detail is the error the pipeline raises.  The third
     check can genuinely fail for congestion games whose efficient profiles
     concentrate capacity on few users; the pipeline only requires the first
     two plus guarantee feasibility, so a failed hull check is a warning.
     """
+    if hull_grid < 2:
+        raise DesignError(f"hull_grid must be at least 2, got {hull_grid}")
     mm, stats = mutual_minmax(game), deviation_stats(game)
     leak = _solo_leak(stats.solo_payoffs)
-    ratios = payoff_hull_sample(game, hull_grid).points @ (1.0 / stats.vbar)
+    axes = np.linspace(0.0, game.a_max, hull_grid).T
+    acts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, game.n)
+    ratios = game.payoff_batch(game.null_intervention(), acts) @ (1.0 / stats.vbar)
     k = int(np.argmax(ratios))
-    # the sample's row k on its row-major grid of user actions
-    a = np.linspace(0.0, game.a_max, hull_grid)[np.unravel_index(k, (hull_grid,) * game.n),
-                                                 np.arange(game.n)]
     nash = f"the mutual minmax profile is a stage Nash equilibrium (worst gain {mm.worst_gain:.3g})"
     return AssumptionReport(checks=(
         AssumptionCheck("mutual_minmax_is_stage_nash", mm.is_stage_nash,
@@ -123,8 +121,8 @@ def validate_assumptions(game: StageGame, hull_grid: int = 11) -> AssumptionRepo
         AssumptionCheck("solo_optimum_leaves_others_at_zero", leak is None,
                         leak or "no solo profile leaks payoff to a bystander"),
         AssumptionCheck("payoff_set_inside_guarantee_simplex", ratios[k] <= 1.0 + 1e-6,
-                        f"max normalized payoff sum {ratios[k]:.6g} at a={np.round(a, 4)}",
-                        (float(ratios[k]), a))))
+                        f"max normalized payoff sum {ratios[k]:.6g} at a={np.round(acts[k], 4)}",
+                        (float(ratios[k]), acts[k]))))
 
 
 # ---------------------------------------------------------------------------

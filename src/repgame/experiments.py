@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 
@@ -83,8 +83,7 @@ class ExperimentConfig:
     delta: float | None
     target_gamma: float
     path: tuple | None    # explicit stage profile for the length curves
-    raw: dict = field(repr=False, default_factory=dict)
-    digest: str = ""
+    digest: str
 
 
 def _canonical(raw: dict) -> str:
@@ -202,13 +201,8 @@ def load_config(path, experiment: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, game=dict(raw["game"]), gamma=gamma,
                             L_values=L_values, a0_values=a0_values, n_range=(lo, hi),
                             delta_grid=delta_grid, welfare=welfare, delta=delta,
-                            target_gamma=target_gamma, path=path, raw=raw,
+                            target_gamma=target_gamma, path=path,
                             digest=hashlib.sha256(_canonical(raw).encode()).hexdigest()[:16])
-
-
-def dump_config(config: ExperimentConfig) -> str:
-    """Re-serialize a parsed config; parsing the result is an identity."""
-    return json.dumps(config.raw, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

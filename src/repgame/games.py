@@ -23,8 +23,7 @@ built from those maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,22 +112,6 @@ class MutualMinmaxResult:
     is_stage_nash: bool
     worst_gain: float
     worst_user: int
-
-
-@dataclass(frozen=True)
-class HullSample:
-    """Grid sample of the pure-action payoff set.
-
-    ``individually_rational`` marks points that strictly dominate the
-    intervention-backed minmax point componentwise.  For two-user games
-    ``hull_vertices`` holds the convex hull of the sample in
-    counterclockwise order, otherwise ``None``.
-    """
-
-    points: np.ndarray
-    individually_rational: np.ndarray
-    minmax_point: np.ndarray
-    hull_vertices: np.ndarray | None
 
 
 class StageGame:
@@ -703,34 +686,6 @@ def mutual_minmax(game: StageGame) -> MutualMinmaxResult:
     i = int(np.argmax(gain))
     return MutualMinmaxResult(profile=ActionProfile(a0=a0, a=a), payoffs=u, worst_user=i,
                               is_stage_nash=bool(gain[i] <= GAIN_TOL), worst_gain=float(gain[i]))
-
-
-def solo_values(game: StageGame) -> np.ndarray:
-    return best_response_payoffs(game, game.null_intervention(), np.zeros(game.n))
-
-
-def payoff_hull_sample(game: StageGame, grid_points: int = 11) -> HullSample:
-    """Sample the payoff set on a regular grid of user actions, the device
-    at null.  Rejects grids with fewer than two points per axis.
-    """
-    if grid_points < 2:
-        raise GameConfigError("grid_points must be at least 2")
-    axes = [np.linspace(0.0, game.a_max[i], grid_points) for i in range(game.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    acts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts = game.payoff_batch(np.zeros((acts.shape[0], game.a0_dim)), acts)
-    vlow = minmax_values(game, with_intervention=True)
-    ir = np.all(pts > vlow + GAIN_TOL, axis=-1)
-    hull = None
-    if game.n == 2:
-        from scipy.spatial import ConvexHull, QhullError
-        try:
-            h = ConvexHull(pts)
-            hull = pts[h.vertices]
-        except QhullError:
-            hull = None
-    return HullSample(points=pts, individually_rational=ir, minmax_point=vlow,
-                      hull_vertices=hull)
 
 
 def max_stage_payoff(game: StageGame, a0=None) -> float:

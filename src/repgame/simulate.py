@@ -13,7 +13,6 @@ scipy is imported at its one use site (``lfilter`` in the suffix scan).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,20 +56,6 @@ class Trace:
         T = len(self)
         w = (1.0 - self.delta) * self.delta ** np.arange(T)
         return w @ self.payoffs
-
-    def to_csv(self, path) -> None:
-        n = self.actions.shape[1]
-        d0 = self.a0.shape[1]
-        header = (["t", "state"] + [f"a0_{k}" for k in range(d0)]
-                  + [f"a_{i}" for i in range(n)] + [f"u_{i}" for i in range(n)])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t in range(len(self)):
-                writer.writerow([t, repr(self.states[t])]
-                                + [f"{x:.12g}" for x in self.a0[t]]
-                                + [f"{x:.12g}" for x in self.actions[t]]
-                                + [f"{x:.12g}" for x in self.payoffs[t]])
 
 
 def run(game: StageGame, automaton: Automaton, delta: float, T: int,

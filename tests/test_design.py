@@ -280,6 +280,13 @@ def test_validate_assumptions_power_game_all_pass():
     assert not rep.passed("solo_optimum_leaves_others_at_zero") or rep.all_passed
 
 
+def test_validate_assumptions_rejects_tiny_grid():
+    """A one-point grid samples the all-zero profile alone, which would pass
+    the hull check vacuously."""
+    with pytest.raises(ValueError, match="hull_grid must be at least 2, got 1"):
+        validate_assumptions(fig_game(2.5), hull_grid=1)
+
+
 # ---------------------------------------------------------------------------
 # outcome paths
 # ---------------------------------------------------------------------------

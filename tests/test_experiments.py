@@ -11,8 +11,8 @@ import repgame.experiments as xp
 from repgame.cli import main
 from repgame.design import DecompositionError
 from repgame.experiments import (ConfigError, ResultTable, baseline_comparison,
-                                 constrained_welfare_search, dump_config,
-                                 emit_curves, load_config, punishment_length_curves,
+                                 constrained_welfare_search, emit_curves,
+                                 load_config, punishment_length_curves,
                                  reference_path, run_experiment, scaling_sweep,
                                  tradeoff_sweep, verification_report)
 from repgame.games import (FlowControlGame, PacketDropGame, PowerControlGame, StageGame,
@@ -45,11 +45,16 @@ def table2():
 # ---------------------------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
+    """Rewriting a config with its keys reversed and another indent keeps
+    its parse and its ``config_sha256`` digest."""
     cfg = load_config(CONFIG, "tradeoff")
+    raw = json.loads(CONFIG.read_text())
+    flipped = {k: raw[k] for k in reversed(raw)}
+    flipped["game"] = {k: raw["game"][k] for k in reversed(raw["game"])}
     clone_file = tmp_path / "clone.json"
-    clone_file.write_text(dump_config(cfg))
+    clone_file.write_text(json.dumps(flipped, indent=7))
+    assert clone_file.read_text() != CONFIG.read_text()
     clone = load_config(clone_file, "tradeoff")
-    assert clone.raw == cfg.raw
     assert clone.digest == cfg.digest
     assert clone.gamma == cfg.gamma and clone.L_values == cfg.L_values
     assert clone.n_range == cfg.n_range and clone.delta_grid == cfg.delta_grid

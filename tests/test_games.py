@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repgame import games
+from repgame.design import deviation_stats
 from repgame.games import (FlowControlGame, GameConfigError, PacketDropGame,
                            PowerControlGame, game_from_config, minmax,
-                           minmax_values, mutual_minmax, payoff_hull_sample,
-                           solo_values, solve_stage_nash)
+                           minmax_values, mutual_minmax, solve_stage_nash)
 
 
 def reference_flow_game(a0_max=2.5):
@@ -357,7 +357,7 @@ def test_max_stage_payoff_is_best_solo_payoff(kind):
     rng = np.random.default_rng(31)
     for n in (2, 3, 5, 8, 12):
         g = _random_game(rng, kind, n)
-        best = float(np.max(solo_values(g)))
+        best = float(np.max(deviation_stats(g).vbar))
         assert games.max_stage_payoff(g) == best
         assert games.max_stage_payoff(g, a0=g.null_intervention()) == best
         a0 = g.full_intervention()
@@ -708,7 +708,7 @@ def test_stage_nash_under_full_intervention_is_all_max():
 
 def test_solo_values_frozen():
     g = reference_flow_game()
-    assert np.allclose(solo_values(g), [46.875, 46.875, 117.1875, 117.1875], atol=1e-10)
+    assert np.allclose(deviation_stats(g).vbar, [46.875, 46.875, 117.1875, 117.1875], atol=1e-10)
 
 
 def test_minmax_without_intervention_frozen():
@@ -806,31 +806,8 @@ def test_power_game_minmax_and_nash():
 
 
 # ---------------------------------------------------------------------------
-# hull sampling and config round-trips
+# config round-trips
 # ---------------------------------------------------------------------------
-
-def test_payoff_hull_sample_two_users():
-    g = FlowControlGame(mu=5.0, beta=[1.0, 2.0], a_max=[2.0, 2.0], a0_max=[1.0])
-    s = payoff_hull_sample(g, grid_points=21)
-    assert s.points.shape == (21 * 21, 2)
-    assert s.hull_vertices is not None and s.hull_vertices.shape[1] == 2
-    assert s.individually_rational.any() and not s.individually_rational.all()
-    manual = np.all(s.points > s.minmax_point + 1e-9, axis=1)
-    assert np.array_equal(manual, s.individually_rational)
-    # every sampled point lies inside the reported hull (cross-product test)
-    hv = s.hull_vertices
-    for k in range(hv.shape[0]):
-        p, q = hv[k], hv[(k + 1) % hv.shape[0]]
-        edge = q - p
-        rel = s.points - p
-        assert np.all(edge[0] * rel[:, 1] - edge[1] * rel[:, 0] >= -1e-9)
-
-
-def test_payoff_hull_sample_rejects_tiny_grid():
-    g = reference_flow_game()
-    with pytest.raises(GameConfigError):
-        payoff_hull_sample(g, grid_points=1)
-
 
 def test_config_round_trip():
     for g in (reference_flow_game(1.0), strong_interference_power_game(),

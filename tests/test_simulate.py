@@ -1,5 +1,4 @@
 """Simulation layer: rollouts, scripted deviations, independent SPE scan."""
-import csv
 import re
 
 import numpy as np
@@ -164,21 +163,6 @@ def test_finite_L_scan_agreement():
         rep = verify_spe(g, aut, delta)
         assert scan.ok == rep.ok
         assert scan.worst_gain == pytest.approx(rep.worst_gain, abs=1e-8)
-
-
-def test_trace_csv_round_trip(tmp_path):
-    g = fig_game()
-    aut = grim_margin_automaton()
-    tr = run(g, aut, 0.9, 7, deviations=(DeviationPlan(t=3, user=1, action=0.25),))
-    out = tmp_path / "trace.csv"
-    tr.to_csv(out)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 8
-    header = rows[0]
-    assert header[:2] == ["t", "state"]
-    assert float(rows[4][header.index("a_1")]) == 0.25
-    assert rows[5][header.index("state")] == "('punish_abs',)"
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.5, float("nan")])
