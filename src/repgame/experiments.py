@@ -35,8 +35,8 @@ from .automata import _bisect, _min_delta_for_L, verify_spe
 from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, _welfare_value,
                      assemble_protocol, delta_bar, design_protocol, deviation_stats,
                      generate_outcome_path, guarantee_feasible, optimize_welfare)
-from .games import (FlowControlGame, GameConfigError, StageGame, _user_sum, game_from_config,
-                    minmax_values, mutual_minmax, solve_stage_nash)
+from .games import (SCREEN_SLACK, FlowControlGame, GameConfigError, StageGame, _user_sum,
+                    game_from_config, minmax_values, mutual_minmax, solve_stage_nash)
 from .simulate import profitability_scan
 
 EXPERIMENTS = ("table2", "fig3", "scaling", "tradeoff", "verify")
@@ -56,10 +56,7 @@ GRID_CAP = 8_000_000
 PASSES = 50
 LINE_POINTS = 33
 REFERENCE_MARGIN = 1.1   # the reference path clears this multiple of the no-device minmax
-# the grid pass sums only columns whose welfare ceiling reaches (1 - SCREEN_SLACK)
-# of a running best of at least SCREEN_FLOOR (clear of subnormals); see _take_slab
-SCREEN_SLACK = 1e-12
-SCREEN_FLOOR = 1e-300
+_CHUNK = 1 << 15         # most grid profiles scored at once where every block is scored
 
 
 class ConfigError(ValueError):
@@ -286,96 +283,108 @@ def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray, out=None):
     return val
 
 
-def _take_slab(best, s, rowmin, payoffs, ceiling, cells):
-    """Score grid slab ``s`` of :meth:`StageGame.grid_slabs` for every
-    ``(floor, kind)`` cell, a floor being one level (a float) shared by all
-    users or one floor vector ``(n,)``, and put the slab's pick in ``best``
-    (one ``(ok, val, j, s)`` or None per cell) where it is strictly better.
-    A pick is the feasible profile of highest welfare, the first index
-    winning ties, or the largest floor margin when none is feasible.
+def _take(best, lo, rowmin, UT, cells):
+    """Score profiles ``lo, lo + 1, ...`` of the grid, their row minima
+    ``rowmin`` and user-major payoffs ``UT``, for every ``(floor, kind)``
+    cell, a floor being one level (a float) shared by all users or one
+    floor vector ``(n,)``, and keep in ``best`` (one ``(ok, val, -index)``
+    or None per cell) each cell's largest key.  A pick is the feasible
+    profile of highest welfare, the first index winning ties, or the
+    largest floor margin when none is feasible, so any order of calls
+    picks what one call on the whole grid picks.
 
-    Feasibility at a level is monotone in the row minimum: the slab meets a
-    level exactly when its largest row minimum does, and that row is then
-    the maxmin pick.  The sum totals are built once, on the columns that
-    meet the lowest level met, and each higher level filters the survivors
-    of the one below.  Once every met level's sum cell holds a feasible
-    best, and the least of those, ``bar``, is at least ``SCREEN_FLOOR``,
-    only the columns whose welfare ceiling reaches ``bar * (1 -
-    SCREEN_SLACK)`` are summed.  A ceiling is at least its exact sum over
-    ``1 + SCREEN_SLACK``, so every column that could tie or beat a met
-    level's best survives, in order; a level left with none has no
-    candidate.  A level the slab does not meet has the largest margin
-    ``fl(max rowmin - g)``; its first row is sought only when that margin
-    beats the running best."""
+    Feasibility at a level is monotone in the row minimum: the profiles
+    meet a level exactly when their largest row minimum does, and that row
+    is then the maxmin pick.  The sum totals are built once, on the
+    columns that meet the lowest level met, and each higher level filters
+    the survivors of the one below.  A level not met has the largest
+    margin ``fl(max rowmin - g)``; its first row is sought only when that
+    margin can reach the kept one."""
     j_top = int(np.argmax(rowmin))
     top = rowmin[j_top]
-    met_cells = [k for k, (g, kind) in enumerate(cells)
-                 if isinstance(g, float) and kind == "sum" and top - g >= -FLOOR_TOL]
-    met = sorted({cells[k][0] for k in met_cells})
+    met = sorted({g for g, kind in cells
+                  if isinstance(g, float) and kind == "sum" and top - g >= -FLOOR_TOL})
     sums, margins = {}, {}
     if met:
         idx = np.flatnonzero(rowmin - met[0] >= -FLOOR_TOL)
-        bar = min(best[k][1] if best[k] is not None and best[k][0] else -np.inf
-                  for k in met_cells)
-        if bar >= SCREEN_FLOOR:
-            idx = idx[ceiling(idx) >= bar * (1.0 - SCREEN_SLACK)]
-        low, total = rowmin[idx], _user_sum(payoffs(idx).T)
+        low, total = rowmin[idx], _user_sum(UT[:, idx].T)
         for g in met:
             if g != met[0]:
                 keep = np.flatnonzero(low - g >= -FLOOR_TOL)
                 idx, low, total = idx[keep], low[keep], total[keep]
-            if idx.size:
-                j = int(np.argmax(total))
-                sums[g] = True, float(total[j]), int(idx[j])
+            j = int(np.argmax(total))
+            sums[g] = True, float(total[j]), -lo - int(idx[j])
     for k, (g, kind) in enumerate(cells):
         if isinstance(g, float):
             if top - g >= -FLOOR_TOL:
-                cand = sums.get(g) if kind == "sum" else (True, float(top), j_top)
-                if cand is None:   # no column reaches the bar
-                    continue
+                cand = sums[g] if kind == "sum" else (True, float(top), -lo - j_top)
             else:
                 cand = False, float(top - g), None
-        else:   # a floor vector scores the whole slab
-            val = _score(payoffs(np.arange(rowmin.size)), g[:, None], kind == "maxmin")
+        else:   # a floor vector scores every profile
+            val = _score(UT, g[:, None], kind == "maxmin")
             j = int(np.argmax(val))
-            cand = bool(val[j] >= 0.0), float(val[j]), j
-        if best[k] is None or cand[:2] > best[k][:2]:
+            cand = bool(val[j] >= 0.0), float(val[j]), -lo - j
+        if best[k] is None or cand[:2] >= best[k][:2]:
             if cand[2] is None:
                 if g not in margins:
-                    margins[g] = int(np.argmax(rowmin - g))
+                    margins[g] = -lo - int(np.argmax(rowmin - g))
                 cand = cand[:2] + (margins[g],)
-            best[k] = cand + (s,)
+            best[k] = max(cand, best[k] or cand)
 
 
 def _grid_pass(game: StageGame, cells):
-    """One streamed sweep of the product action grid of step ``GRID_STEP``,
-    scored for every ``(gamma, kind)`` cell at once.  Returns one seed
-    profile per cell, or None when the grid would exceed ``GRID_CAP`` points.
+    """One pass over the product action grid of step ``GRID_STEP``, scored
+    for every ``(gamma, kind)`` cell at once by :func:`_take`.  Returns one
+    seed profile per cell, or None when the grid would exceed ``GRID_CAP``
+    points.
 
-    The grid streams as the slabs of :meth:`StageGame.grid_slabs`, one per
-    value of the first action: a slab's row minimum, its payoffs on the
-    columns asked for, and a ceiling on those columns' welfare sums.  A
-    floor level ``g`` shared by all users is met where ``fl(rowmin - g) >=
-    -FLOOR_TOL``, which is monotone in the row minimum and in ``g``, so the
-    levels' feasible sets nest and :func:`_take_slab` adds the users'
-    payoffs once per slab, on the columns of the lowest level met whose
-    ceiling reaches the running best.  Per-user floors take the slab's whole
-    payoffs.  A slab's pick replaces the running best only when it is
-    strictly better, so the first profile in grid order wins ties; the seed
-    is rebuilt from the winning (slab, row) index."""
+    The grid is read through :meth:`StageGame.grid_blocks`, in blocks of
+    the profiles that share their first two actions, with bounds on each
+    block's row minima and welfare sums.  Only profiles whose row minimum
+    is at least ``g - FLOOR_TOL`` (less ``SCREEN_SLACK`` of it) can meet a
+    level ``g``.  So each block gets a key that none of its profiles
+    beats: whether the bounds let it meet ``g``, then its bound (the row
+    minimum's for maxmin, the sum's at ``g`` for sum) if so, else its
+    margin bound ``fl(top - g)``.  Each cell visits blocks in descending
+    key, the lower index first, scoring each for every cell, until the
+    next key can neither beat the cell's best nor tie it at a lower index.
+    Floor vectors, games whose bounds are +inf and grids of at most
+    ``_CHUNK`` profiles are scored whole, in chunks of ``_CHUNK``
+    profiles.  Either way every cell picks what the row-major rule picks."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, GRID_STEP), [am]]))
             for am in game.a_max]
+    shape = tuple(len(ax) for ax in axes)
     # an exact integer: the int64 product wraps past 15 users of 21 points
-    if math.prod(len(ax) for ax in axes) > GRID_CAP:
+    size, T = math.prod(shape), math.prod(shape[2:])
+    if size > GRID_CAP:
         return None
     floors = [(float(gamma[0]) if gamma.tolist().count(gamma[0]) == game.n else gamma, kind)
               for gamma, kind in cells]
+    levels = sorted({g for g, kind in floors if isinstance(g, float) and kind == "sum"})
+    bounds, score = game.grid_blocks(axes)
     best = [None] * len(cells)
-    for s, (rowmin, payoffs, ceiling) in enumerate(game.grid_slabs(axes)):
-        _take_slab(best, s, rowmin, payoffs, ceiling, floors)
-    rest = [len(ax) for ax in axes[1:]]
-    return [np.array([axes[0][s]] + [ax[i] for ax, i in zip(axes[1:], np.unravel_index(j, rest))])
-            for _, _, j, s in best]
+    whole = size <= _CHUNK or not all(isinstance(g, float) for g, _ in floors)
+    if not whole:
+        top, sums = bounds([g - FLOOR_TOL - SCREEN_SLACK * (abs(g) + FLOOR_TOL) for g in levels])
+        whole = np.isinf(top).any()
+    if whole:
+        for lo in range(0, size, _CHUNK):
+            _take(best, lo, *score(lo, min(lo + _CHUNK, size)), floors)
+    else:
+        seen = set()
+        for k, (g, kind) in enumerate(floors):
+            bound, margin = sums[levels.index(g)] if kind == "sum" else top, top - g
+            ok = (margin >= -FLOOR_TOL) & (bound > -np.inf)
+            val = np.where(ok, bound, margin)
+            order = np.lexsort((-val, ~ok))
+            for b, key in zip(order.tolist(), zip(ok[order].tolist(), val[order].tolist())):
+                if best[k] is not None and key + (-b,) <= best[k][:2] + (-(-best[k][2] // T),):
+                    break
+                if b not in seen:
+                    seen.add(b)
+                    _take(best, b * T, *score(b * T, b * T + T), floors)
+    return [np.array([ax[i] for ax, i in zip(axes, np.unravel_index(-j, shape))])
+            for _, _, j in best]
 
 
 def _seeds(game: StageGame, cells, ne=None) -> list:

@@ -33,6 +33,10 @@ BOX_TOL = 1e-9
 #: default tolerance when certifying a best response / Nash equilibrium
 GAIN_TOL = 1e-9
 
+#: relative slack of the one-shot grid's block bounds (see
+#: :meth:`StageGame.grid_blocks`), far above the rounding of 23 terms
+SCREEN_SLACK = 1e-12
+
 
 class GameConfigError(ValueError):
     """Raised when game parameters are malformed or inconsistent."""
@@ -66,6 +70,23 @@ def _user_sum(x: np.ndarray):
     for k in range(1, x.shape[-1]):
         total += rows[..., k]
     return total.reshape(x.shape[:-1])
+
+
+def _grid_rows(axes):
+    """The product grid of ``axes`` as ``(len(axes), size)`` rows, one per
+    axis, in ``np.meshgrid(..., indexing="ij")`` order; one column for no axes."""
+    grid = np.empty((len(axes),) + tuple(len(ax) for ax in axes))
+    for row, ax in zip(grid, np.ix_(*axes)):
+        row[...] = ax
+    return grid.reshape(len(axes), math.prod(grid.shape[1:]))
+
+
+def _staircase(load, v):
+    """Of points sorted by increasing ``load``, then decreasing ``v``: those
+    whose ``v`` beats every point before them, as ``(load, v)``.  Every
+    point has one of them at no larger load and no smaller ``v``."""
+    beats = v > np.concatenate([[-np.inf], np.maximum.accumulate(v)[:-1]])
+    return load[beats], v[beats]
 
 
 def _as_vector(x, n, name) -> np.ndarray:
@@ -122,7 +143,7 @@ class StageGame:
     Subclasses set ``n``, ``a_max`` (shape ``(n,)``) and ``a0_max`` (shape
     ``(a0_dim,)``), and implement ``payoff_unchecked``, ``best_responses``,
     ``payoff_jacobian`` and ``stage_nash``; everything else is derived from
-    those maps.  :meth:`grid_slabs` and :meth:`line_payoffs` score whole
+    those maps.  :meth:`grid_blocks` and :meth:`line_payoffs` score whole
     profile blocks here; the queue class builds them from payoff factors.
     """
 
@@ -180,29 +201,27 @@ class StageGame:
         stands in."""
         raise NotImplementedError
 
-    def grid_slabs(self, axes):
+    def grid_blocks(self, axes):
         """The product grid of ``axes`` (one 1-D array of actions per user)
-        with the device at null, one slab per value of the first axis, in
-        order.  Each slab is a triple ``(rowmin, payoffs, ceiling)`` over
-        its R profiles of the other axes, in ``np.meshgrid(...,
-        indexing="ij")`` order: ``rowmin`` holds each profile's least
-        payoff, ``payoffs(cols)`` the user-major ``(n, len(cols))`` payoffs
-        of the profiles at the indices ``cols`` (a 1-D integer array), and
-        ``ceiling(cols)`` a bound on their welfare sums, at least each sum
-        added in index order from +0.0 divided by ``1 + 1e-12``.  The first
-        two equal ``payoff_batch`` on that slab bit for bit: its minimum over
-        users, and its rows at ``cols``, transposed.  Here the ceiling is
-        that sum itself; the queue games bound it from payoff factors."""
-        null = self.null_intervention()
-        prof = np.empty((math.prod(len(ax) for ax in axes[1:]), self.n))
-        if self.n > 1:
-            prof[:, 1:] = np.stack(np.meshgrid(*axes[1:], indexing="ij"),
-                                   axis=-1).reshape(-1, self.n - 1)
-        for x in axes[0]:
-            prof[:, 0] = x
-            UT = np.ascontiguousarray(self.payoff_batch(null, prof).T)
-            payoffs = lambda cols, UT=UT: UT[:, cols]
-            yield UT.min(axis=0), payoffs, lambda cols, f=payoffs: _user_sum(f(cols).T)
+        with the device at null, in ``np.meshgrid(..., indexing="ij")``
+        order, cut into blocks: block b holds the T profiles b*T, ...,
+        b*T + T - 1, which share their first two actions (T is the size of
+        the other axes' grid, 1 below three users).  Returns ``(bounds,
+        score)``.  ``score(lo, hi)`` gives the row minima ``(hi - lo,)`` and
+        the user-major payoffs ``(n, hi - lo)`` of profiles lo, ..., hi - 1,
+        bit-equal to ``payoff_batch`` on them.  ``bounds(levels)`` gives
+        ``(top, sums)`` for all blocks at once: ``top[b]`` is at least every
+        row minimum of block b, and ``sums[k, b]`` at least the welfare sum,
+        added in index order from +0.0, of each of its profiles whose row
+        minimum is at least ``levels[k]`` (-inf where none can be).  Here
+        every bound is +inf; the queue games bound them from payoff factors."""
+        null, head, tail = self.null_intervention(), _grid_rows(axes[:2]).T, _grid_rows(axes[2:]).T
+
+        def score(lo, hi):
+            b, t = np.divmod(np.arange(lo, hi), len(tail))
+            UT = np.ascontiguousarray(self.payoff_batch(null, np.hstack([head[b], tail[t]])).T)
+            return UT.min(axis=0), UT
+        return lambda levels: (np.full(len(head), np.inf), np.full((len(levels), len(head)), np.inf)), score
 
     def line_payoffs(self, x, lines):
         """The payoffs along the lines of one coordinate-ascent pass, the
@@ -290,7 +309,7 @@ class _QueueGame(StageGame):
     Jaffe, 1981).
 
     At null intervention the room is ``mu`` and the paid rate the sent
-    rate, so :meth:`grid_slabs` and :meth:`line_payoffs` build their
+    rate, so :meth:`grid_blocks` and :meth:`line_payoffs` build their
     payoffs ``u_i = f_i * cap`` from factors, ``f_i = a_i**beta_i`` and
     ``cap = max(mu - load, 0)``, and never score a profile block whole.
     Each product is ``payoff_batch``'s bit for bit at every n: the load is
@@ -386,52 +405,91 @@ class _QueueGame(StageGame):
             num, den = num - a[i], den - beta[i]
         return a
 
-    def grid_slabs(self, axes):
-        # one a**beta table for all axes; a slab's load is built by
-        # broadcasting one axis at a time.  Rounding is monotone and cap >= 0,
-        # so the least payoff min_i fl(f_i * cap) is fl(min_i f_i * cap); the
-        # other users' least factor, and the in-order sum of their factors
-        # (the ceiling's rsum), are taken once for all slabs
+    def grid_blocks(self, axes):
+        # one a**beta table for all axes.  A profile's factors are its block's
+        # head factors (the first two users) and its tail point's (the
+        # others); its load is added in index order, the head's then each
+        # tail user's.  Rounding is monotone and cap >= 0, so the least payoff
+        # min_i fl(f_i * cap) is fl(min_i f_i * cap)
         table = np.zeros((max(len(ax) for ax in axes), self.n))
         for i, ax in enumerate(axes):
             table[:len(ax), i] = ax
         table = np.power(table, self.beta)
-        powers = [table[:len(ax), i] for i, ax in enumerate(axes)]
-        others, shape = np.ix_(*axes[1:]), tuple(len(ax) for ax in axes[1:])
-        rest = np.empty((self.n - 1,) + shape)
-        for r, f in zip(rest, np.ix_(*powers[1:])):
-            r[...] = f
-        rest = rest.reshape(self.n - 1, math.prod(shape))
-        low, rsum = np.min(rest, axis=0, initial=np.inf), _user_sum(rest.T)
+        h, T = min(self.n, 2), math.prod(len(ax) for ax in axes[2:])
+        factors = [table[:len(ax), i] for i, ax in enumerate(axes)]
+        head, head_f, tail, tail_f = (_grid_rows(cols) for cols in (axes[:h], factors[:h],
+                                                                     axes[h:], factors[h:]))
+        hload, hmin = _user_sum(head.T), np.min(head_f, axis=0)
+        # the least tail factor, at most the largest head factor: that leaves
+        # each min(hmin, low) as it is, and a tail of no users finite
+        low, tload = np.min(tail_f, axis=0, initial=np.max(head_f)), _user_sum(tail.T)
         # no load exceeds the in-order sum of the axes' largest values, since
         # rounding is monotone: at most mu, no capacity needs the floor at 0
         peak = 0.0
         for ax in axes:
             peak += np.max(ax)
-        for x, p in zip(axes[0], powers[0]):
-            load = np.asarray(x)
-            for col in others:
-                load = load + col
-            cap = np.subtract(self.mu, load, out=load).reshape(-1)
+
+        def score(lo, hi):
+            b, t = np.divmod(np.arange(lo, hi), T)
+            load = hload[b]
+            for col in tail:
+                load += col[t]
+            cap = np.subtract(self.mu, load, out=load)
             if peak > self.mu:
                 np.maximum(cap, 0.0, out=cap)
-            rowmin = np.minimum(low, p)
-            rowmin *= cap
+            UT = np.empty((self.n, hi - lo))
+            np.take(head_f, b, axis=1, out=UT[:h], mode="wrap")
+            np.take(tail_f, t, axis=1, out=UT[h:], mode="wrap")
+            UT *= cap
+            return np.minimum(hmin[b], low[t]) * cap, UT
 
-            def payoffs(cols, p=p, cap=cap):
-                c = cap[cols]
-                block = np.empty((self.n, c.size))
-                np.multiply(p, c, out=block[0])
-                # cols index this slab: "wrap" skips the bounds check's buffered copy
-                np.take(rest, cols, axis=1, out=block[1:], mode="wrap")
-                block[1:] *= c
-                return block
-
-            def ceiling(cols, p=p, cap=cap):
-                # no term is negative: this and the in-order sum of the products
-                # both lie within (1 +- 2**-53)**n of the exact cap * sum(f)
-                return cap[cols] * (rsum[cols] + p)
-            yield rowmin, payoffs, ceiling
+        def bounds(levels):
+            # a profile's computed capacity, and room[b] - tload[t] less the
+            # slack, each lie within 2n roundings of size 2**-53 (mu + peak) of
+            # mu less its exact load (Higham, Accuracy and Stability of
+            # Numerical Algorithms, 4.2); the slack SCREEN_SLACK (mu + peak)
+            # covers both.  The capacity falls as the tail load grows, so over
+            # a block a factor times it peaks on a staircase of tail points
+            room = (self.mu - hload) + SCREEN_SLACK * (self.mu + peak)
+            by = np.lexsort((-low, tload))
+            load, v = _staircase(tload[by], low[by])
+            # v rises along the staircase, so with s the first point where it
+            # reaches hmin, top = max(v * cap before s, hmin * cap at s); both
+            # tables are built once per distinct room
+            rooms, at = np.unique(room, return_inverse=True)
+            cap = np.zeros((len(rooms), len(v) + 1))
+            np.maximum(np.subtract.outer(rooms, load), 0.0, out=cap[:, :-1])
+            below = np.zeros_like(cap)
+            np.maximum.accumulate(v * cap[:, :-1], axis=1, out=below[:, 1:])
+            s = np.searchsorted(v, hmin)
+            top = np.maximum(below[at, s], hmin * cap[at, s])
+            # a profile meets level g only if fl(f * cap) >= g for its least
+            # head factor and for its least tail factor, and so at the caps
+            # bounding its own: a tail point must clear g at the largest room
+            # of the block's group (16 groups of nearby room), and a block on
+            # the staircase point it stands on.  The sum in index order is at
+            # most cap * sum(f) * (1 + 2**-53)**(n + 1), which the slack (at
+            # least SCREEN_SLACK times any capacity) covers too; the least
+            # normal float covers a subnormal product's absolute error
+            fsum, tsum = _user_sum(head_f.T), _user_sum(tail_f.T)
+            by = np.lexsort((-tsum, tload))
+            tload_by, tsum_by, low_by = tload[by], tsum[by], low[by]
+            sums = np.full((len(levels), len(room)), -np.inf)
+            for group in np.array_split(np.argsort(room), min(16, len(room))):
+                clear = low_by * np.maximum(room[group].max() - tload_by, 0.0)
+                for row, g in zip(sums, levels):
+                    # a block whose row minima stay below g has no profile to sum
+                    blocks = group[top[group] >= g]
+                    kept = clear >= g
+                    load, v = _staircase(tload_by[kept], tsum_by[kept])
+                    cap = np.maximum(np.subtract.outer(room[blocks], load), 0.0)
+                    val = np.add.outer(fsum[blocks], v)
+                    val *= cap
+                    val[hmin[blocks, None] * cap < g] = -np.inf
+                    row[blocks] = np.max(val, axis=1, initial=-np.inf)
+            sums += np.finfo(float).tiny
+            return top, sums
+        return bounds, score
 
     def line_payoffs(self, x, lines):
         """:meth:`StageGame.line_payoffs` from payoff factors, into one reused

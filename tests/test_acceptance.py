@@ -24,7 +24,7 @@ from repgame.design import (assemble_protocol, delta_bar, delta_mu,
                             deviation_stats, generate_outcome_path,
                             optimize_welfare)
 from repgame.experiments import (load_config, punishment_length_curves,
-                                 reference_path, run_experiment)
+                                 reference_path, run_experiment, scaling_sweep)
 from repgame.games import (FlowControlGame, PacketDropGame, PowerControlGame,
                            minmax, minmax_values)
 from repgame.simulate import profitability_scan
@@ -159,6 +159,76 @@ def _flow_maxmin_oracle(mu, beta, h):
         return lo
 
     return _zoom_max(common, mu * 1e-6, mu)
+
+
+def _scaling_solo(room):
+    """max over a in [0, 1] of a^3 (room - a): a = 3 room / 4, capped at 1."""
+    a = min(0.75 * room, 1.0)
+    return a ** 3 * (room - a) if room > 0 else 0.0
+
+
+def _scaling_floor(n, mu):
+    """The scaling sweep's per-user floor: min(10% of the solo optimum,
+    mu / n), raised to 1e-9 above the minmax value, where the device takes
+    its cap mu - (n - 1) and the other users send at theirs."""
+    device = max(mu - (n - 1), 0.0)
+    return max(min(0.1 * _scaling_solo(mu), mu / n), _scaling_solo(mu - device - (n - 1)) + 1e-9)
+
+
+def _scaling_sum_oracle(n, mu, gamma):
+    """Best total payoff of the scaling sweep's symmetric game (beta 3, unit
+    boxes, device quiet) with every payoff at least gamma, or None.
+
+    As in :func:`_flow_sum_oracle`, at free capacity F the floor reads
+    a_i >= l = (gamma / F)^(1/3), the rates sum to mu - F and the welfare
+    F * sum(a_i^3) is convex, so its maximum sits at a vertex: one free
+    user, every other at l or at the cap.  The users are alike, so a
+    vertex is a count k of users at the cap: O(n) per capacity.
+    """
+    k = np.arange(n)
+
+    def best_vertex(F):
+        floor = (gamma / F[:, None]) ** (1.0 / 3.0)
+        free = mu - F[:, None] - k - (n - 1 - k) * floor
+        ok = (floor <= 1.0) & (free >= floor) & (free <= 1.0)
+        val = F[:, None] * (k + np.clip(free, 0.0, None) ** 3 + (n - 1 - k) * floor ** 3)
+        return np.max(np.where(ok, val, -np.inf), axis=1)
+
+    best = _zoom_max(best_vertex, mu * 1e-6, mu)
+    return best if np.isfinite(best) else None
+
+
+def _scaling_maxmin_oracle(n, mu):
+    """Best minimum payoff of the same game, no floors: as in
+    :func:`_flow_maxmin_oracle` all payoffs are equal at the optimum, so
+    every user sends the same a, and a^3 (mu - n a) peaks at a = 3 mu / 4n,
+    capped at 1."""
+    a = min(0.75 * mu / n, 1.0)
+    return a ** 3 * (mu - n * a)
+
+
+def test_one_shot_scaling_cells():
+    """The 22 one-shot cells of ``scaling_sweep((2, 12))`` are the optima
+    of their games (1e-6 rel), by an oracle in this file that shares no
+    code with the search: :func:`_scaling_sum_oracle` and
+    :func:`_scaling_maxmin_oracle` at the floor :func:`_scaling_floor`
+    (maxmin is NA below it).  The grid seeds n = 2..5; from n = 6 the grid
+    is past its cap and the search starts from the box and the stage Nash
+    point.  The capped rule repeats the linear cells up to n = 10 and is NA
+    past it."""
+    table = scaling_sweep((2, 12))
+    cells = {(rule, n, kind): value for rule, n, scheme, kind, value, _ in table.rows
+             if scheme == "one_shot"}
+    assert len(cells) == 44
+    for n in range(2, 13):
+        gamma = _scaling_floor(n, float(n))
+        maxmin = _scaling_maxmin_oracle(n, float(n))
+        want = {"sum": _scaling_sum_oracle(n, float(n), gamma),
+                "maxmin": maxmin if maxmin >= gamma else None}
+        for kind, ref in want.items():
+            assert ref is not None, (n, kind)
+            assert cells["linear", n, kind] == pytest.approx(ref, rel=1e-6), (n, kind)
+            assert cells["capped", n, kind] == (cells["linear", n, kind] if n <= 10 else None)
 
 
 def test_one_shot_baseline_reference_cells(table2_run):

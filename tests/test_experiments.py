@@ -1,6 +1,7 @@
 """Experiment harness: config round-trip, CSV emission, golden table, CLI."""
 import hashlib
 import json
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import repgame.experiments as xp
 from repgame.cli import main
-from repgame.design import DecompositionError
+from repgame.design import DecompositionError, deviation_stats
 from repgame.experiments import (ConfigError, ResultTable, baseline_comparison,
                                  constrained_welfare_search, emit_curves,
                                  load_config, punishment_length_curves,
@@ -332,17 +333,17 @@ def test_grid_pass_past_the_cap_builds_no_grid(n):
     """The grid size is an exact integer: 21**15 and up wrap in int64, and
     a wrapped (negative) size must not slip under the cap."""
     game = FlowControlGame(mu=float(n), beta=[3.0] * n, a_max=[1.0] * n, a0_max=[1.0])
-    game.grid_slabs = lambda axes: pytest.fail("grid built past the cap")
+    game.grid_blocks = lambda axes: pytest.fail("grid built past the cap")
     assert xp._grid_pass(game, [(np.zeros(n), "sum")]) is None
 
 
 @pytest.mark.parametrize("name", ["flow-9", "packet-9"])
 def test_grid_pass_of_9_user_queue_games_takes_the_factorised_route(name, monkeypatch):
-    """From 8 users too, the queue games' factorised slabs add the load in
+    """From 8 users too, the queue games' factorised blocks add the load in
     index order, as their payoffs do: the grid pass never takes the
-    ``payoff_batch`` slabs of ``StageGame.grid_slabs``, and it still picks
-    the row-major rule's profiles."""
-    monkeypatch.setattr(StageGame, "grid_slabs",
+    ``payoff_batch`` scorer of ``StageGame.grid_blocks``, and it still
+    picks the row-major rule's profiles."""
+    monkeypatch.setattr(StageGame, "grid_blocks",
                         lambda self, axes: pytest.fail("row-major grid route taken"))
     test_grid_pass_matches_row_major_rule(name)
 
@@ -375,82 +376,161 @@ def test_score_of_user_major_blocks_is_the_row_major_rule():
 
 @pytest.mark.parametrize("name", sorted(GRID_GAMES))
 def test_grid_payoffs_match_payoff_batch(name):
-    """Each grid slab, factorised or not, gives bit for bit the row minimum
-    of ``payoff_batch`` on that slab and, at any columns, its rows there
-    transposed; slabs drawn earlier stay valid."""
+    """The grid scorer, factorised or not, gives bit for bit the row minima
+    of ``payoff_batch`` on any run of the row-major grid and its rows
+    there, transposed: the whole grid, each block, runs across blocks and
+    an empty run; a run scored earlier stays valid."""
     game = GRID_GAMES[name]
     axes = _grid_axes(game)
-    slabs = list(game.grid_slabs(axes))
-    assert len(slabs) == len(axes[0])
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, game.n)
+    U = game.payoff_batch(game.null_intervention(), grid)
+    T = len(grid) // (len(axes[0]) * len(axes[1]))
+    _, score = game.grid_blocks(axes)
     rng = np.random.default_rng(3)
-    for x, (rowmin, payoffs, _) in zip(axes[0], slabs):
-        U = _slab_payoffs(game, axes, x)
-        assert rowmin.tobytes() == U.min(axis=-1).tobytes(), x
-        picked = np.sort(rng.choice(len(U), len(U) // 3, replace=False))
-        for cols in (np.arange(len(U)), picked, picked[:0], np.array([len(U) - 1])):
-            want = U[cols].T
-            assert payoffs(cols).shape == want.shape, x
-            assert payoffs(cols).tobytes() == want.tobytes(), x
+    cuts = np.sort(rng.choice(len(grid), 8, replace=False))
+    runs = [(0, len(grid)), (len(grid) - 1, len(grid)), (5, 5)] + list(zip(cuts[::2], cuts[1::2]))
+    runs += [(b * T, b * T + T) for b in range(len(grid) // T)]
+    scored = [score(lo, hi) for lo, hi in runs]
+    for (lo, hi), (rowmin, UT) in zip(runs, scored):
+        assert rowmin.tobytes() == U[lo:hi].min(axis=-1).tobytes(), (lo, hi)
+        assert UT.shape == (game.n, hi - lo) and UT.tobytes() == U[lo:hi].T.tobytes(), (lo, hi)
 
 
 def test_grid_payoffs_match_payoff_batch_on_fig_flow():
-    game = game_from_config(json.loads(CONFIG.read_text())["game"])
-    axes = _grid_axes(game)
-    checked = {0: None, len(axes[0]) // 2: None, len(axes[0]) - 1: None}
-    for s, (rowmin, payoffs, _) in enumerate(game.grid_slabs(axes)):
-        if s in checked:
-            U = _slab_payoffs(game, axes, axes[0][s])
-            cols = np.flatnonzero(rowmin >= np.median(rowmin))
-            checked[s] = (rowmin.tobytes() == U.min(axis=-1).tobytes()
-                          and payoffs(cols).tobytes() == U[cols].T.tobytes())
+    """fig_flow's first, middle and last block, and a run across the
+    middle two, scored as ``payoff_batch`` scores them."""
+    game = fig_game()
+    axes, head, tail = _block_grid(game)
+    _, score = game.grid_blocks(axes)
+    T, mid = len(tail), len(head) // 2
+    checked = {}
+    for lo, hi in ((0, T), (mid * T, mid * T + T), (len(head) * T - T, len(head) * T),
+                   (mid * T - 100, mid * T + 100)):
+        first = head[np.arange(lo, hi) // T]
+        U = game.payoff_batch(game.null_intervention(), np.column_stack([first, tail[np.arange(lo, hi) % T]]))
+        rowmin, UT = score(lo, hi)
+        checked[lo] = rowmin.tobytes() == U.min(axis=-1).tobytes() and UT.tobytes() == U.T.tobytes()
     assert checked == dict.fromkeys(checked, True)
 
 
-@pytest.mark.parametrize("name", sorted(GRID_GAMES) + ["fig_flow"])
-def test_grid_ceilings_bound_the_in_order_sums(name):
-    """At every column of a slab, the welfare ceiling and the sum of the
-    payoffs added in index order lie within a factor ``1 + 1e-12`` of each
-    other, both ways, and a ceiling at any columns is the whole slab's at
-    those columns.  fig_flow is checked at its first, middle and last slab."""
-    game = GRID_GAMES[name] if name in GRID_GAMES else fig_game()
+def _row_major_cells(game):
+    """The cells of :func:`test_grid_pass_matches_row_major_rule`: four
+    levels shared by all users (the last met by no profile), then two floor
+    vectors, each for sum and for maxmin."""
     axes = _grid_axes(game)
-    last = len(axes[0]) - 1
-    slabs = {0, last // 2, last} if name == "fig_flow" else set(range(last + 1))
-    rng = np.random.default_rng(11)
-    for s, (_, _, ceiling) in enumerate(game.grid_slabs(axes)):
-        if s in slabs:
-            slabs.remove(s)
-            U = _slab_payoffs(game, axes, axes[0][s])
-            exact, ceil = np.cumsum(U, axis=-1)[:, -1], ceiling(np.arange(len(U)))
-            assert np.all(exact <= ceil * (1 + 1e-12)), s
-            assert np.all(ceil <= exact * (1 + 1e-12)), s
-            picked = np.sort(rng.choice(len(U), len(U) // 3, replace=False))
-            assert ceiling(picked).tobytes() == ceil[picked].tobytes(), s
-    assert not slabs
+    late = max(np.min(_slab_payoffs(game, axes, x), axis=-1).max() for x in axes[0])
+    u_mid = game.payoff(game.null_intervention(), game.a_max / 2)
+    out_of_reach = np.zeros(game.n)
+    out_of_reach[-1] = 1e6
+    floors = [np.full(game.n, g) for g in (0.5 * np.min(u_mid), 0.9 * late, late, 1e15)]
+    floors += [u_mid * np.linspace(0.2, 1.0, game.n), out_of_reach]
+    return [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
 
 
-def _with_ceiling(game, ceiling, monkeypatch):
-    """Make ``game``'s grid slabs carry ``ceiling`` (a map of the column
-    count) in place of their own; returns the list that collects the length
-    of every ``payoffs`` call."""
-    slabs, summed = game.grid_slabs, []
+def _counted(game, monkeypatch, unbounded=False):
+    """Wrap ``game``'s grid blocks to count what the pass asks for: the
+    ``bounds`` calls, the profiles scored and the profiles whose payoffs
+    it sums in index order; with ``unbounded`` every bound is +inf."""
+    blocks, seen = game.grid_blocks, {"bounds": 0, "scored": 0, "summed": 0}
 
-    def replaced(axes):
-        for rowmin, payoffs, own in slabs(axes):
-            def counted(cols, payoffs=payoffs):
-                summed.append(len(cols))
-                return payoffs(cols)
-            yield rowmin, counted, own if ceiling is None else lambda cols: ceiling(len(cols))
-    monkeypatch.setattr(game, "grid_slabs", replaced)
-    return summed
+    def grid_blocks(axes):
+        bounds, score = blocks(axes)
+
+        def counted_bounds(levels):
+            seen["bounds"] += 1
+            top, sums = bounds(levels)
+            return (np.full_like(top, np.inf), np.full_like(sums, np.inf)) if unbounded else (top, sums)
+
+        def counted_score(lo, hi):
+            seen["scored"] += hi - lo
+            return score(lo, hi)
+        return counted_bounds, counted_score
+
+    def user_sum(x, user_sum=xp._user_sum):
+        seen["summed"] += x.shape[0]
+        return user_sum(x)
+    monkeypatch.setattr(game, "grid_blocks", grid_blocks)
+    monkeypatch.setattr(xp, "_user_sum", user_sum)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GAMES))
+def test_grid_pass_in_blocks_matches_row_major_rule(name, monkeypatch):
+    """In chunks of 64 profiles, so that no grid is one chunk, the row-major
+    rule's picks hold on every route: the shared levels take the queue
+    games' bounded blocks (and the power game's +inf bounds every chunk),
+    and the floor vectors score every chunk; ties and unmet levels too."""
+    monkeypatch.setattr(xp, "_CHUNK", 64)
+    game = GRID_GAMES[name]
+    cells = _row_major_cells(game)
+    want = _row_major_seeds(game, cells, 0.05)
+    seen = _counted(game, monkeypatch)
+    for part in (slice(0, 8), slice(8, None)):
+        got = xp._grid_pass(game, cells[part])
+        for (gamma, kind), g, w in zip(cells[part], got, want[part]):
+            assert np.array_equal(g, w), (gamma, kind, g, w)
+    assert seen["bounds"] == 1
+
+
+def _block_grid(game):
+    """The grid axes, the blocks' first two actions ``(B, 2)`` and the other
+    actions ``(T, n - 2)``, both in ``np.meshgrid(..., indexing="ij")`` order."""
+    axes = _grid_axes(game)
+    grids = [np.stack(np.meshgrid(*part, indexing="ij"), axis=-1).reshape(-1, len(part))
+             if part else np.zeros((1, 0)) for part in (axes[:2], axes[2:])]
+    return axes, grids[0], grids[1]
+
+
+SCALING_GRID_GAMES = {f"scaling-{n}": FlowControlGame(mu=float(n), beta=[3.0] * n, a_max=[1.0] * n,
+                                                      a0_max=[1.0]) for n in range(2, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GAMES) + ["fig_flow"] + sorted(SCALING_GRID_GAMES))
+def test_grid_ceilings_bound_the_in_order_sums(name):
+    """The block bounds hold at every profile of the grid, with
+    ``payoff_batch`` as the oracle: its row minimum is at most its block's
+    ``top``, and at each level its row minimum reaches, its sum in index
+    order is at most the block's bound at that level (so a bound of -inf
+    means no profile reaches it).  Levels: -1, 0, the quartiles of the
+    blocks' largest row minima, their largest, and twice that.  A queue game's ``top`` and its bound at
+    level -1 are within 1e-9 of the block's largest row minimum and sum,
+    relative and of the grid's largest; the power game's are +inf."""
+    game = GRID_GAMES.get(name) or SCALING_GRID_GAMES.get(name) or fig_game()
+    axes, head, tail = _block_grid(game)
+    null = game.null_intervention()
+
+    def blocks():
+        for first in head:
+            prof = np.column_stack([np.broadcast_to(first, (len(tail), len(first))), tail])
+            U = game.payoff_batch(null, prof)
+            yield U.min(axis=-1), np.cumsum(U, axis=-1)[:, -1]
+    rmax = np.array([rowmin.max() for rowmin, _ in blocks()])
+    levels = [-1.0, 0.0, *np.quantile(rmax, [0.25, 0.5, 0.75]), rmax.max(), 2 * rmax.max()]
+    top, sums = game.grid_blocks(axes)[0](levels)
+    assert top.shape == (len(head),) and sums.shape == (len(levels), len(head))
+    most = np.array([[total[rowmin >= h].max(initial=-np.inf) for h in levels]
+                     for rowmin, total in blocks()]).T
+    assert np.all(rmax <= top)
+    assert np.all(most <= sums)
+    if game.kind == "power":
+        assert np.all(top == np.inf) and np.all(sums == np.inf)
+    else:
+        assert np.all(top <= rmax * (1 + 1e-9) + 1e-9 * rmax.max())
+        assert np.all(sums[0] <= most[0] * (1 + 1e-9) + 1e-9 * most[0].max())
 
 
 def test_grid_pass_with_a_zero_ceiling_misses_a_row_major_pick(monkeypatch):
-    """The screen is live: a ceiling of zeros drops every column once each
-    met level holds a feasible best, and the pass then disagrees with the
-    row-major rule on some cell."""
+    """The block bounds are live: with every bound 0 the pass stops after
+    the first block a cell visits, and then disagrees with the row-major
+    rule on some cell."""
+    monkeypatch.setattr(xp, "_CHUNK", 64)
     game = GRID_GAMES["flow-3"]
-    _with_ceiling(game, np.zeros, monkeypatch)
+    blocks = game.grid_blocks
+
+    def zero(axes):
+        bounds, score = blocks(axes)
+        return lambda levels: tuple(np.zeros_like(a) for a in bounds(levels)), score
+    monkeypatch.setattr(game, "grid_blocks", zero)
     cells = [(np.full(game.n, g), "sum") for g in (0.0, 0.01)]
     got = xp._grid_pass(game, cells)
     want = _row_major_seeds(game, cells, 0.05)
@@ -458,20 +538,65 @@ def test_grid_pass_with_a_zero_ceiling_misses_a_row_major_pick(monkeypatch):
 
 
 def test_grid_pass_on_fig_flow_sums_few_columns_exactly(monkeypatch):
-    """On fig_flow's 8 ``table2`` cells the screened pass adds the payoffs of
-    at most 640,000 of the grid's 6,765,201 profiles (an unscreened pass adds
-    2,551,925), and picks what a pass whose ceilings screen nothing picks."""
+    """On fig_flow's 8 ``table2`` cells the bounded pass scores at most 100
+    of the grid's 2,601 blocks and adds the payoffs of at most 200,000 of
+    its 6,765,201 profiles, and it picks what a pass whose bounds are all
+    +inf picks, which scores every profile and sums 2,551,925."""
     game = fig_game()
     cells = [(np.full(game.n, g), kind) for kind in ("sum", "maxmin") for g in (1.0, 3.0, 7.0, 14.0)]
-    summed = _with_ceiling(game, None, monkeypatch)
+    seen = _counted(game, monkeypatch)
     got = xp._grid_pass(game, cells)
-    assert sum(summed) <= 640_000, sum(summed)
-    game = fig_game()
-    summed = _with_ceiling(game, lambda m: np.full(m, np.inf), monkeypatch)
+    assert seen["scored"] % 2601 == 0 and seen["scored"] // 2601 <= 100, seen
+    assert seen["summed"] <= 200_000, seen
+    seen = _counted(game, monkeypatch, unbounded=True)
     want = xp._grid_pass(game, cells)
-    assert sum(summed) == 2_551_925
+    assert seen["scored"] == 6_765_201 and seen["summed"] == 2_551_925, seen
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", ["fig_flow", "scaling-4", "scaling-5"])
+def test_grid_pass_picks_what_an_unbounded_pass_picks(name, monkeypatch):
+    """The bounded pass picks what the pass with every bound +inf picks, on
+    grids past one chunk: levels shared by all users (fig_flow's ``table2``
+    levels or the scaling floor, a level just past the grid's best row
+    minimum and 1e15, which no profile meets) and floor vectors, each for
+    sum and for maxmin."""
+    game = SCALING_GRID_GAMES.get(name) or fig_game()
+    stats = deviation_stats(game)
+    floor = float(np.max(np.minimum(0.1 * stats.vbar, game.mu / game.n)))
+    levels = (1.0, 3.0, 7.0, 14.0) if name == "fig_flow" else (floor, 2.0 * floor)
+    seeds = xp._grid_pass(game, [(np.zeros(game.n), "maxmin")])
+    best = float(np.min(game.payoff(game.null_intervention(), seeds[0])))
+    floors = [np.full(game.n, g) for g in levels + (best * (1 + 1e-6), 1e15)]
+    floors += [np.linspace(0.5, 1.0, game.n) * floor, np.linspace(1.0, 0.0, game.n) * 1e15]
+    cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
+    seen = _counted(game, monkeypatch)
+    got = xp._grid_pass(game, cells[:-4]) + xp._grid_pass(game, cells[-4:])
+    assert seen["bounds"] == 1
+    _counted(game, monkeypatch, unbounded=True)
+    want = xp._grid_pass(game, cells[:-4]) + xp._grid_pass(game, cells[-4:])
+    for (gamma, kind), g, w in zip(cells, got, want):
+        assert np.array_equal(g, w), (gamma, kind, g, w)
+
+
+def test_grid_pass_memory_on_a_power_game_is_a_few_chunks():
+    """A grid whose bounds are +inf is scored in chunks of ``2**15``
+    profiles: on a 4-user power game of 6,765,201 profiles, one warm pass
+    of its sum and maxmin cells at level 0.1 peaks under 10 MB in
+    ``tracemalloc`` (a pass over first-action slabs took 33.4 MB)."""
+    game = PowerControlGame(gain=np.full((4, 4), 0.1) + 0.9 * np.eye(4), intervention_gain=np.ones(4),
+                            noise=np.full(4, 0.1), a_max=np.full(4, 2.5), a0_max=[1.0])
+    cells = [(np.full(4, 0.1), kind) for kind in ("sum", "maxmin")]
+    xp._grid_pass(_power_game(4), cells)   # warm, on a grid of a few chunks
+    tracemalloc.start()
+    try:
+        seeds = xp._grid_pass(game, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak / 2**20
+    assert len(seeds) == 2 and all(s.shape == (4,) for s in seeds)
 
 
 @pytest.mark.parametrize("name", sorted(GRID_GAMES))

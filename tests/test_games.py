@@ -536,9 +536,9 @@ def test_queue_maps_match_their_written_formulas():
 
 def test_queue_games_build_equal_grids_and_lines_at_null_intervention():
     """At null intervention the flow and packet-drop games of equal ``mu``,
-    ``beta`` and ``a_max`` are one game: their grid slabs (row minimum and
-    payoffs at any columns) and ascent line blocks are equal bit for bit,
-    and equal to the written payoffs."""
+    ``beta`` and ``a_max`` are one game: their grid blocks (row minima and
+    payoffs on any run of the grid, and the bounds) and ascent line blocks
+    are equal bit for bit, and the payoffs equal the written ones."""
     rng = np.random.default_rng(47)
     for n in range(2, 13):
         flow, drop = _queue_game_pair(rng, n)
@@ -546,15 +546,17 @@ def test_queue_games_build_equal_grids_and_lines_at_null_intervention():
         pts = 3 if n <= 7 else 2
         axes = [np.unique(np.concatenate([[0.0, am], rng.uniform(0.0, am, pts - 2)]))
                 for am in flow.a_max]
-        slabs = list(zip(flow.grid_slabs(axes), drop.grid_slabs(axes)))
-        assert len(slabs) == len(axes[0])
-        rest = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, n - 1)
-        for x, ((low_f, pay_f, _), (low_d, pay_d, _)) in zip(axes[0], slabs):
-            prof = np.concatenate([np.full((len(rest), 1), x), rest], axis=1)
-            U = _written_queue_maps(flow, null[:, :1], prof)[0]
-            assert low_f.tobytes() == low_d.tobytes() == U.min(axis=-1).tobytes(), n
-            cols = np.sort(rng.choice(len(U), len(U) // 2, replace=False))
-            assert pay_f(cols).tobytes() == pay_d(cols).tobytes() == U[cols].T.tobytes(), n
+        (bounds_f, score_f), (bounds_d, score_d) = flow.grid_blocks(axes), drop.grid_blocks(axes)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        U = _written_queue_maps(flow, null[:, :1], grid)[0]
+        cuts = np.sort(rng.choice(len(grid) + 1, 4, replace=False))
+        for lo, hi in ((0, len(grid)), (cuts[0], cuts[1]), (cuts[2], cuts[3])):
+            (low_f, pay_f), (low_d, pay_d) = score_f(lo, hi), score_d(lo, hi)
+            assert low_f.tobytes() == low_d.tobytes() == U[lo:hi].min(axis=-1).tobytes(), n
+            assert pay_f.tobytes() == pay_d.tobytes() == U[lo:hi].T.tobytes(), n
+        levels = [0.0, float(np.median(U.min(axis=-1)))]
+        for got_f, got_d in zip(bounds_f(levels), bounds_d(levels)):
+            assert got_f.tobytes() == got_d.tobytes(), n
 
         x_f = rng.uniform(0.0, 1.0, (5, n)) * flow.a_max
         x_f[-1] = flow.a_max

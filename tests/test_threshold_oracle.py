@@ -1,8 +1,9 @@
-"""Every printed ``fig3`` and ``tradeoff`` threshold against a 50-digit oracle.
+"""Every printed ``fig3`` and ``tradeoff`` threshold, and the packet-drop
+``table2`` and ``verify`` thresholds, against a 50-digit oracle.
 
 The oracle imports nothing from repgame.  It restates the flow-control game
 ``u_i = a_i**b_i * max(0, mu - c - sum(a))`` of ``configs/fig_flow.json`` in
-``decimal`` arithmetic, with the closed forms the two experiments rest on:
+``decimal`` arithmetic, with the closed forms the experiments rest on:
 
 * a best reply's payoff, hence the solo optima, the cross-deviation payoffs
   ``y`` and ``w`` and the minmax value as a function of the device cap ``c``;
@@ -11,8 +12,14 @@ The oracle imports nothing from repgame.  It restates the flow-control game
 * the grim bound ``(dev - v)/(dev - p)``, the punishment family
   ``((vlw - p)/(v - p))**(1/L)`` and the root of the path family
   ``delta + ... + delta**L >= (dev - v)/(v - p)``;
-* the sum-welfare target on the guarantee region and its threshold
-  ``delta_bar``, and the smallest cap whose threshold meets a discount.
+* the sum- and maxmin-welfare targets on the guarantee region and their
+  threshold ``delta_bar``, and the smallest cap whose threshold meets a
+  discount.
+
+With the device quiet, the packet-drop game of ``configs/packet_drop.json``
+is that same game: its device only changes the minmax terms.  Dropping a
+user's packets in full pays them 0, so with the device every minmax value is
+0; without it, it is the flow game's at ``c = 0``.
 
 Each monotone condition is bisected to a bracket of 1e-40, far below the six
 significant digits the CSVs print, and each printed cell must equal
@@ -30,6 +37,8 @@ from repgame.experiments import load_config, run_experiment
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "fig_flow.json"
 RAW = json.loads(CONFIG.read_text())
+PACKET_CONFIG = ROOT / "configs" / "packet_drop.json"
+PACKET_RAW = json.loads(PACKET_CONFIG.read_text())
 
 
 def dec(x) -> D:
@@ -51,14 +60,15 @@ def least(holds, lo: D, hi: D):
 
 
 class Flow:
-    """The ``fig_flow`` flow-control game in decimals."""
+    """The ``fig_flow`` flow-control game in decimals; a packet-drop game of
+    the same queue, which has no device cap, as its device is quiet."""
 
     def __init__(self, game: dict):
-        assert game["kind"] == "flow"
+        assert game["kind"] in ("flow", "packet_drop")
         self.mu = dec(game["mu"])
         self.beta = [dec(b) for b in game["beta"]]
         self.a_max = [dec(a) for a in game["a_max"]]
-        self.cap = dec(game["a0_max"][0])
+        self.cap = dec(game["a0_max"][0]) if game["kind"] == "flow" else None
         self.n = len(self.beta)
 
     def payoffs(self, a, c) -> list:
@@ -115,9 +125,13 @@ class Flow:
 
     # -- tradeoff --------------------------------------------------------
 
-    def threshold(self, c, g):
-        """``delta_bar`` of the sum-welfare target with floors ``g`` and the
-        device cap ``c``; None when the guarantee region is empty."""
+    def target(self, vlow, g, kind="sum"):
+        """The welfare-optimal payoffs ``v`` (the sum's or the maxmin's) and
+        their threshold ``delta_bar`` with floors ``g`` and minmax values
+        ``vlow``; None when the guarantee region is empty.  The sum gives
+        all that the floors leave to the user of largest solo optimum; the
+        maxmin pins the users whose floor lies above the common level and
+        spreads the rest evenly over the others' solo optima."""
         n, zero = self.n, [D(0)] * self.n
         solo = [min(b / (b + 1) * self.mu, a) for b, a in zip(self.beta, self.a_max)]
         vbar = self.replies(zero, D(0))
@@ -125,19 +139,36 @@ class Flow:
         y = [self.replies([solo[i] if k == i else D(0) for k in range(n)], D(0))
              for i in range(n)]
         w = [max(y[i][j] for i in range(n) if i != j) for j in range(n)]
-        vlow = self.replies(self.a_max, c)
         floors = [max(g, m) for m in vlow]
         if any(g > vb for vb in vbar) or sum(f / vb for f, vb in zip(floors, vbar)) >= 1:
             return None
-        k = vbar.index(max(vbar))
-        v = list(floors)
-        v[k] = vbar[k] * (1 - sum(floors[j] / vbar[j] for j in range(n) if j != k))
+        if kind == "sum":
+            k = vbar.index(max(vbar))
+            v = list(floors)
+            v[k] = vbar[k] * (1 - sum(floors[j] / vbar[j] for j in range(n) if j != k))
+        else:
+            pinned = set()
+            while True:
+                level = ((1 - sum(floors[j] / vbar[j] for j in pinned))
+                         / sum(1 / vbar[j] for j in range(n) if j not in pinned))
+                newly = {j for j in range(n) if j not in pinned and floors[j] > level}
+                if not newly:
+                    break
+                pinned |= newly
+            v = [floors[j] if j in pinned else level for j in range(n)]
+        assert all(wj > mj for wj, mj in zip(w, vlow))
         first = max((wj - vj) / (wj - mj) for wj, vj, mj in zip(w, v, vlow))
         t_ratio = sum(wj / vb for wj, vb in zip(w, vbar))
         s_ratio = sum(m / vb for m, vb in zip(vlow, vbar))
         a = n - t_ratio
         root = a + (a * a + 4 * (n - 1) * (t_ratio - s_ratio)).sqrt()
-        return min(max(first, 2 * (n - 1) / root, D(0)), D(1))
+        return v, min(max(first, 2 * (n - 1) / root, D(0)), D(1))
+
+    def threshold(self, c, g):
+        """``delta_bar`` of the sum-welfare target with floors ``g`` and the
+        device cap ``c``; None when the guarantee region is empty."""
+        found = self.target(self.replies(self.a_max, c), g)
+        return None if found is None else found[1]
 
     def required_cap(self, g, d):
         """The smallest cap whose threshold is at most ``d``."""
@@ -147,9 +178,9 @@ class Flow:
         return least(meets, D(0), self.cap)
 
 
-def printed(experiment: str) -> list:
+def printed(experiment: str, config=CONFIG) -> list:
     """The CSV rows the command line writes for ``experiment``, header first."""
-    text = run_experiment(load_config(CONFIG, experiment)).to_csv_text()
+    text = run_experiment(load_config(config, experiment)).to_csv_text()
     return list(csv.reader(io.StringIO(text.split("\n", 1)[1])))
 
 
@@ -202,3 +233,39 @@ def test_tradeoff_matches_the_oracle():
                 assert row[4:] == [cell(game.threshold(dec(a0), dec(g))), "NA"], row
             else:
                 assert row[4:] == ["NA", cell(game.required_cap(dec(g), dec(d)))], row
+
+
+def test_packet_drop_table2_matches_the_oracle():
+    """Every repeated scheme's welfare and threshold in the packet-drop
+    ``table2``, at each guarantee and welfare kind: floors at most the
+    minmax values are lifted to them, 0 with the device and the quiet
+    flow game's without it, and the threshold printed as 1 is the one
+    whose lifted floor binds the target."""
+    rows = printed("table2", PACKET_CONFIG)
+    assert rows[0] == ["scheme", "gamma", "welfare_kind", "value", "min_delta"]
+    repeated = {(r[0], r[1], r[2]): r[3:] for r in rows[1:] if r[0].startswith("repeated")}
+    assert len(repeated) == 2 * 2 * len(PACKET_RAW["gamma"]) == 16
+    with localcontext() as ctx:
+        ctx.prec = 50
+        game = Flow(PACKET_RAW["game"])
+        vlow = {"repeated_with_intervention": [D(0)] * game.n,
+                "repeated_no_intervention": game.replies(game.a_max, D(0))}
+        for (scheme, g, kind), got in repeated.items():
+            found = game.target(vlow[scheme], dec(g), kind)
+            want = ["NA", "NA"] if found is None else [
+                cell(sum(found[0]) if kind == "sum" else min(found[0])), cell(found[1])]
+            assert got == want, (scheme, g, kind)
+
+
+def test_packet_drop_verify_threshold_matches_the_oracle():
+    """The packet-drop ``verify`` run's target welfare and ``delta_bar``:
+    the sum target at ``target_gamma`` with the device's minmax values, 0."""
+    rows = dict(printed("verify", PACKET_CONFIG)[1:])
+    with localcontext() as ctx:
+        ctx.prec = 50
+        game = Flow(PACKET_RAW["game"])
+        v, threshold = game.target([D(0)] * game.n, dec(PACKET_RAW["target_gamma"]),
+                                   PACKET_RAW["welfare"])
+        assert rows["welfare_value"] == cell(sum(v))
+        assert rows["delta_bar"] == cell(threshold)
+        assert rows["build_delta"] == rows["check_delta"] == cell(dec(PACKET_RAW["delta"]))
