@@ -1,8 +1,8 @@
 """Command-line front end: load a config, run one experiment, write its CSV.
 
-Exit codes: 0 on success, 2 when the config cannot be used, 3 when the
-computation itself reports an inconsistency (e.g. a path decomposition
-that fails its own accuracy contract).
+Exit codes: 0 on success, 2 when the config or the output path cannot be
+used, 3 when the computation itself reports an inconsistency (e.g. a path
+decomposition that fails its own accuracy contract).
 """
 from __future__ import annotations
 
@@ -32,17 +32,19 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config, args.experiment)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        table = run_experiment(config)
+        # before the run: the nearest existing component of --out is a directory
         out = Path(args.out)
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise NotADirectoryError(f"{nearest} is not a directory")
+        table = run_experiment(config)
         out.mkdir(parents=True, exist_ok=True)
         dest = emit_curves(table, out / f"{args.experiment}.csv")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: --out {args.out}: {exc}", file=sys.stderr)
         return 2
     except (GameConfigError, NashIterationError, AutomatonError,
             DesignError, DecompositionError) as exc:

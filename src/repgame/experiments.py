@@ -147,8 +147,8 @@ def load_config(path, experiment: str) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:   # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"config cannot be read as JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
@@ -283,53 +283,17 @@ def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray, out=None):
     return val
 
 
-def _take(best, lo, rowmin, UT, cells):
-    """Score profiles ``lo, lo + 1, ...`` of the grid, their row minima
-    ``rowmin`` and user-major payoffs ``UT``, for every ``(floor, kind)``
-    cell, a floor being one level (a float) shared by all users or one
-    floor vector ``(n,)``, and keep in ``best`` (one ``(ok, val, -index)``
-    or None per cell) each cell's largest key.  A pick is the feasible
-    profile of highest welfare, the first index winning ties, or the
-    largest floor margin when none is feasible, so any order of calls
-    picks what one call on the whole grid picks.
-
-    Feasibility at a level is monotone in the row minimum: the profiles
-    meet a level exactly when their largest row minimum does, and that row
-    is then the maxmin pick.  The sum totals are built once, on the
-    columns that meet the lowest level met, and each higher level filters
-    the survivors of the one below.  A level not met has the largest
-    margin ``fl(max rowmin - g)``; its first row is sought only when that
-    margin can reach the kept one."""
-    j_top = int(np.argmax(rowmin))
-    top = rowmin[j_top]
-    met = sorted({g for g, kind in cells
-                  if isinstance(g, float) and kind == "sum" and top - g >= -FLOOR_TOL})
-    sums, margins = {}, {}
-    if met:
-        idx = np.flatnonzero(rowmin - met[0] >= -FLOOR_TOL)
-        low, total = rowmin[idx], _user_sum(UT[:, idx].T)
-        for g in met:
-            if g != met[0]:
-                keep = np.flatnonzero(low - g >= -FLOOR_TOL)
-                idx, low, total = idx[keep], low[keep], total[keep]
-            j = int(np.argmax(total))
-            sums[g] = True, float(total[j]), -lo - int(idx[j])
-    for k, (g, kind) in enumerate(cells):
-        if isinstance(g, float):
-            if top - g >= -FLOOR_TOL:
-                cand = sums[g] if kind == "sum" else (True, float(top), -lo - j_top)
-            else:
-                cand = False, float(top - g), None
-        else:   # a floor vector scores every profile
-            val = _score(UT, g[:, None], kind == "maxmin")
-            j = int(np.argmax(val))
-            cand = bool(val[j] >= 0.0), float(val[j]), -lo - j
-        if best[k] is None or cand[:2] >= best[k][:2]:
-            if cand[2] is None:
-                if g not in margins:
-                    margins[g] = -lo - int(np.argmax(rowmin - g))
-                cand = cand[:2] + (margins[g],)
-            best[k] = max(cand, best[k] or cand)
+def _take(best, lo, UT, cells):
+    """Score grid profiles ``lo, lo + 1, ...`` (user-major payoffs ``UT``)
+    with :func:`_score` for every ``(gamma, kind)`` cell, keeping in ``best``
+    each cell's largest ``(ok, val, -index)``: the first index wins ties,
+    so any order of calls picks what one call on the whole grid picks."""
+    out = np.empty(UT.shape), np.empty(UT.shape[1])
+    for k, (gamma, kind) in enumerate(cells):
+        val = _score(UT, gamma[:, None], kind == "maxmin", out)
+        j = int(np.argmax(val))
+        key = bool(val[j] >= 0.0), float(val[j]), -lo - j
+        best[k] = max(key, best[k] or key)
 
 
 def _grid_pass(game: StageGame, cells):
@@ -338,19 +302,21 @@ def _grid_pass(game: StageGame, cells):
     seed profile per cell, or None when the grid would exceed ``GRID_CAP``
     points.
 
-    The grid is read through :meth:`StageGame.grid_blocks`, in blocks of
-    the profiles that share their first two actions, with bounds on each
-    block's row minima and welfare sums.  Only profiles whose row minimum
-    is at least ``g - FLOOR_TOL`` (less ``SCREEN_SLACK`` of it) can meet a
-    level ``g``.  So each block gets a key that none of its profiles
-    beats: whether the bounds let it meet ``g``, then its bound (the row
-    minimum's for maxmin, the sum's at ``g`` for sum) if so, else its
-    margin bound ``fl(top - g)``.  Each cell visits blocks in descending
+    The grid is read through :meth:`StageGame.grid_blocks` in blocks of
+    the profiles that share their first two actions.  Rounding is
+    monotone, so a profile's margin, at most ``fl(u_k - gamma_k)`` at its
+    least payoff ``u_k``, is at most ``fl(u_k - g)`` at the least floor ``g
+    = min(gamma)`` and ``fl(top - g)`` at its block's ``top``; one that
+    meets ``gamma`` has a row minimum of at least ``g - FLOOR_TOL`` (less
+    ``SCREEN_SLACK`` of it), where the sum bounds are asked.  So each block
+    gets a key none of its profiles beats: whether the bounds let it meet
+    ``g``, then its bound (``top`` for maxmin, the sum's at ``g`` for sum)
+    if so, else ``fl(top - g)``.  Each cell visits blocks in descending
     key, the lower index first, scoring each for every cell, until the
     next key can neither beat the cell's best nor tie it at a lower index.
-    Floor vectors, games whose bounds are +inf and grids of at most
-    ``_CHUNK`` profiles are scored whole, in chunks of ``_CHUNK``
-    profiles.  Either way every cell picks what the row-major rule picks."""
+    Grids of at most ``_CHUNK`` profiles and games whose bounds are +inf
+    are scored whole, in chunks of ``_CHUNK``.  Either way every cell picks
+    what the row-major rule picks."""
     axes = [np.unique(np.concatenate([np.arange(0.0, am, GRID_STEP), [am]]))
             for am in game.a_max]
     shape = tuple(len(ax) for ax in axes)
@@ -358,21 +324,20 @@ def _grid_pass(game: StageGame, cells):
     size, T = math.prod(shape), math.prod(shape[2:])
     if size > GRID_CAP:
         return None
-    floors = [(float(gamma[0]) if gamma.tolist().count(gamma[0]) == game.n else gamma, kind)
-              for gamma, kind in cells]
-    levels = sorted({g for g, kind in floors if isinstance(g, float) and kind == "sum"})
+    levels = sorted({float(np.min(gamma)) for gamma, kind in cells if kind == "sum"})
     bounds, score = game.grid_blocks(axes)
     best = [None] * len(cells)
-    whole = size <= _CHUNK or not all(isinstance(g, float) for g, _ in floors)
+    whole = size <= _CHUNK
     if not whole:
         top, sums = bounds([g - FLOOR_TOL - SCREEN_SLACK * (abs(g) + FLOOR_TOL) for g in levels])
         whole = np.isinf(top).any()
     if whole:
         for lo in range(0, size, _CHUNK):
-            _take(best, lo, *score(lo, min(lo + _CHUNK, size)), floors)
+            _take(best, lo, score(lo, min(lo + _CHUNK, size)), cells)
     else:
         seen = set()
-        for k, (g, kind) in enumerate(floors):
+        for k, (gamma, kind) in enumerate(cells):
+            g = float(np.min(gamma))
             bound, margin = sums[levels.index(g)] if kind == "sum" else top, top - g
             ok = (margin >= -FLOOR_TOL) & (bound > -np.inf)
             val = np.where(ok, bound, margin)
@@ -382,7 +347,7 @@ def _grid_pass(game: StageGame, cells):
                     break
                 if b not in seen:
                     seen.add(b)
-                    _take(best, b * T, *score(b * T, b * T + T), floors)
+                    _take(best, b * T, score(b * T, b * T + T), cells)
     return [np.array([ax[i] for ax, i in zip(axes, np.unravel_index(-j, shape))])
             for _, _, j in best]
 

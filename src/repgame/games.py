@@ -207,9 +207,9 @@ class StageGame:
         order, cut into blocks: block b holds the T profiles b*T, ...,
         b*T + T - 1, which share their first two actions (T is the size of
         the other axes' grid, 1 below three users).  Returns ``(bounds,
-        score)``.  ``score(lo, hi)`` gives the row minima ``(hi - lo,)`` and
-        the user-major payoffs ``(n, hi - lo)`` of profiles lo, ..., hi - 1,
-        bit-equal to ``payoff_batch`` on them.  ``bounds(levels)`` gives
+        score)``.  ``score(lo, hi)`` gives the C-contiguous user-major
+        payoffs ``(n, hi - lo)`` of profiles lo, ..., hi - 1, bit-equal to
+        ``payoff_batch`` on them.  ``bounds(levels)`` gives
         ``(top, sums)`` for all blocks at once: ``top[b]`` is at least every
         row minimum of block b, and ``sums[k, b]`` at least the welfare sum,
         added in index order from +0.0, of each of its profiles whose row
@@ -219,8 +219,7 @@ class StageGame:
 
         def score(lo, hi):
             b, t = np.divmod(np.arange(lo, hi), len(tail))
-            UT = np.ascontiguousarray(self.payoff_batch(null, np.hstack([head[b], tail[t]])).T)
-            return UT.min(axis=0), UT
+            return np.ascontiguousarray(self.payoff_batch(null, np.hstack([head[b], tail[t]])).T)
         return lambda levels: (np.full(len(head), np.inf), np.full((len(levels), len(head)), np.inf)), score
 
     def line_payoffs(self, x, lines):
@@ -440,8 +439,7 @@ class _QueueGame(StageGame):
             UT = np.empty((self.n, hi - lo))
             np.take(head_f, b, axis=1, out=UT[:h], mode="wrap")
             np.take(tail_f, t, axis=1, out=UT[h:], mode="wrap")
-            UT *= cap
-            return np.minimum(hmin[b], low[t]) * cap, UT
+            return np.multiply(UT, cap, out=UT)
 
         def bounds(levels):
             # a profile's computed capacity, and room[b] - tload[t] less the

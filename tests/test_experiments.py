@@ -376,10 +376,10 @@ def test_score_of_user_major_blocks_is_the_row_major_rule():
 
 @pytest.mark.parametrize("name", sorted(GRID_GAMES))
 def test_grid_payoffs_match_payoff_batch(name):
-    """The grid scorer, factorised or not, gives bit for bit the row minima
-    of ``payoff_batch`` on any run of the row-major grid and its rows
-    there, transposed: the whole grid, each block, runs across blocks and
-    an empty run; a run scored earlier stays valid."""
+    """The grid scorer, factorised or not, gives bit for bit the rows of
+    ``payoff_batch`` on any run of the row-major grid, transposed: the
+    whole grid, each block, runs across blocks and an empty run; a run
+    scored earlier stays valid."""
     game = GRID_GAMES[name]
     axes = _grid_axes(game)
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, game.n)
@@ -391,8 +391,7 @@ def test_grid_payoffs_match_payoff_batch(name):
     runs = [(0, len(grid)), (len(grid) - 1, len(grid)), (5, 5)] + list(zip(cuts[::2], cuts[1::2]))
     runs += [(b * T, b * T + T) for b in range(len(grid) // T)]
     scored = [score(lo, hi) for lo, hi in runs]
-    for (lo, hi), (rowmin, UT) in zip(runs, scored):
-        assert rowmin.tobytes() == U[lo:hi].min(axis=-1).tobytes(), (lo, hi)
+    for (lo, hi), UT in zip(runs, scored):
         assert UT.shape == (game.n, hi - lo) and UT.tobytes() == U[lo:hi].T.tobytes(), (lo, hi)
 
 
@@ -408,8 +407,7 @@ def test_grid_payoffs_match_payoff_batch_on_fig_flow():
                    (mid * T - 100, mid * T + 100)):
         first = head[np.arange(lo, hi) // T]
         U = game.payoff_batch(game.null_intervention(), np.column_stack([first, tail[np.arange(lo, hi) % T]]))
-        rowmin, UT = score(lo, hi)
-        checked[lo] = rowmin.tobytes() == U.min(axis=-1).tobytes() and UT.tobytes() == U.T.tobytes()
+        checked[lo] = score(lo, hi).tobytes() == U.T.tobytes()
     assert checked == dict.fromkeys(checked, True)
 
 
@@ -457,9 +455,10 @@ def _counted(game, monkeypatch, unbounded=False):
 @pytest.mark.parametrize("name", sorted(GRID_GAMES))
 def test_grid_pass_in_blocks_matches_row_major_rule(name, monkeypatch):
     """In chunks of 64 profiles, so that no grid is one chunk, the row-major
-    rule's picks hold on every route: the shared levels take the queue
-    games' bounded blocks (and the power game's +inf bounds every chunk),
-    and the floor vectors score every chunk; ties and unmet levels too."""
+    rule's picks hold on every route: the shared levels and the floor
+    vectors take the queue games' bounded blocks (and the power game's
+    +inf bounds every chunk), each pass asking the bounds once; ties and
+    unmet levels too."""
     monkeypatch.setattr(xp, "_CHUNK", 64)
     game = GRID_GAMES[name]
     cells = _row_major_cells(game)
@@ -469,7 +468,7 @@ def test_grid_pass_in_blocks_matches_row_major_rule(name, monkeypatch):
         got = xp._grid_pass(game, cells[part])
         for (gamma, kind), g, w in zip(cells[part], got, want[part]):
             assert np.array_equal(g, w), (gamma, kind, g, w)
-    assert seen["bounds"] == 1
+    assert seen["bounds"] == 2
 
 
 def _block_grid(game):
@@ -540,8 +539,8 @@ def test_grid_pass_with_a_zero_ceiling_misses_a_row_major_pick(monkeypatch):
 def test_grid_pass_on_fig_flow_sums_few_columns_exactly(monkeypatch):
     """On fig_flow's 8 ``table2`` cells the bounded pass scores at most 100
     of the grid's 2,601 blocks and adds the payoffs of at most 200,000 of
-    its 6,765,201 profiles, and it picks what a pass whose bounds are all
-    +inf picks, which scores every profile and sums 2,551,925."""
+    its 6,765,201 profiles, cell by cell, and it picks what a pass whose
+    bounds are all +inf picks, which sums every profile once per cell."""
     game = fig_game()
     cells = [(np.full(game.n, g), kind) for kind in ("sum", "maxmin") for g in (1.0, 3.0, 7.0, 14.0)]
     seen = _counted(game, monkeypatch)
@@ -550,9 +549,29 @@ def test_grid_pass_on_fig_flow_sums_few_columns_exactly(monkeypatch):
     assert seen["summed"] <= 200_000, seen
     seen = _counted(game, monkeypatch, unbounded=True)
     want = xp._grid_pass(game, cells)
-    assert seen["scored"] == 6_765_201 and seen["summed"] == 2_551_925, seen
+    assert seen["scored"] == 6_765_201 and seen["summed"] == 8 * 6_765_201, seen
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_grid_pass_bounds_floor_vectors_at_their_least_floor(monkeypatch):
+    """Floor vectors take the bounded visit, bounded at their least floor:
+    on fig_flow the vectors (1, 1, 3, 3) and (0.5, 2, 4, 8) score fewer
+    than 100 of the 2,601 blocks for sum and maxmin, and (3, 3, 3, inf),
+    which no profile meets, asks the bounds too; each picks what the pass
+    whose bounds are all +inf picks."""
+    for gamma in ([1.0, 1.0, 3.0, 3.0], [0.5, 2.0, 4.0, 8.0], [3.0, 3.0, 3.0, np.inf]):
+        cells = [(np.array(gamma), kind) for kind in ("sum", "maxmin")]
+        picks = []
+        for unbounded in (False, True):
+            game = fig_game()
+            seen = _counted(game, monkeypatch, unbounded)
+            picks.append(xp._grid_pass(game, cells))
+            assert seen["bounds"] == 1, (gamma, seen)
+            if not unbounded and np.isfinite(gamma).all():
+                assert seen["scored"] // 2601 < 100, (gamma, seen)
+        for g, w in zip(*picks):
+            assert np.array_equal(g, w), (gamma, g, w)
 
 
 @pytest.mark.parametrize("name", ["fig_flow", "scaling-4", "scaling-5"])
@@ -573,7 +592,7 @@ def test_grid_pass_picks_what_an_unbounded_pass_picks(name, monkeypatch):
     cells = [(gamma, kind) for gamma in floors for kind in ("sum", "maxmin")]
     seen = _counted(game, monkeypatch)
     got = xp._grid_pass(game, cells[:-4]) + xp._grid_pass(game, cells[-4:])
-    assert seen["bounds"] == 1
+    assert seen["bounds"] == 2
     _counted(game, monkeypatch, unbounded=True)
     want = xp._grid_pass(game, cells[:-4]) + xp._grid_pass(game, cells[-4:])
     for (gamma, kind), g, w in zip(cells, got, want):
@@ -1152,6 +1171,11 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     rc = main(["--experiment", "verify", "--config", str(p), "--out", str(tmp_path)])
     assert rc == 2
 
+    p.write_bytes(b"\xff\xfe{")   # not UTF-8: it used to end in a UnicodeDecodeError traceback
+    rc = main(["--experiment", "table2", "--config", str(p), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error: config cannot be read as JSON" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("experiment", ["fig3", "tradeoff", "verify"])
 def test_cli_non_finite_game_parameter_exits_2(tmp_path, capsys, experiment):
@@ -1234,6 +1258,32 @@ def test_packet_drop_device_box_is_rejected_not_ignored(tmp_path, capsys):
     del raw["game"]["a0_max"]
     p.write_text(json.dumps(raw))
     assert load_config(p, "table2").game["kind"] == "packet_drop"
+
+
+def test_cli_unusable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    """An ``--out`` under a regular file is refused before the experiment
+    runs (it used to end in a ``NotADirectoryError`` traceback, exit 1,
+    after the whole run), and nothing is created."""
+    monkeypatch.setattr("repgame.cli.run_experiment", lambda config: pytest.fail("experiment ran"))
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "file" / "x", tmp_path / "file"):
+        rc = main(["--experiment", "fig3", "--config", str(CONFIG), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: --out") and str(out) in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_cli_write_failure_exits_2(tmp_path, monkeypatch, capsys):
+    """An ``OSError`` from writing the CSV (here a directory in its place)
+    is an output error, exit 2, not a traceback."""
+    table = ResultTable(columns=("x",), rows=[(1.0,)])
+    monkeypatch.setattr("repgame.cli.run_experiment", lambda config: table)
+    (tmp_path / "fig3.csv").mkdir()
+    rc = main(["--experiment", "fig3", "--config", str(CONFIG), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("output error: --out")
 
 
 def test_cli_internal_failure_exits_3(tmp_path, monkeypatch, capsys):

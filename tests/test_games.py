@@ -536,9 +536,9 @@ def test_queue_maps_match_their_written_formulas():
 
 def test_queue_games_build_equal_grids_and_lines_at_null_intervention():
     """At null intervention the flow and packet-drop games of equal ``mu``,
-    ``beta`` and ``a_max`` are one game: their grid blocks (row minima and
-    payoffs on any run of the grid, and the bounds) and ascent line blocks
-    are equal bit for bit, and the payoffs equal the written ones."""
+    ``beta`` and ``a_max`` are one game: their grid blocks (payoffs on any
+    run of the grid, and the bounds) and ascent line blocks are equal bit
+    for bit, and the payoffs equal the written ones."""
     rng = np.random.default_rng(47)
     for n in range(2, 13):
         flow, drop = _queue_game_pair(rng, n)
@@ -551,8 +551,7 @@ def test_queue_games_build_equal_grids_and_lines_at_null_intervention():
         U = _written_queue_maps(flow, null[:, :1], grid)[0]
         cuts = np.sort(rng.choice(len(grid) + 1, 4, replace=False))
         for lo, hi in ((0, len(grid)), (cuts[0], cuts[1]), (cuts[2], cuts[3])):
-            (low_f, pay_f), (low_d, pay_d) = score_f(lo, hi), score_d(lo, hi)
-            assert low_f.tobytes() == low_d.tobytes() == U[lo:hi].min(axis=-1).tobytes(), n
+            pay_f, pay_d = score_f(lo, hi), score_d(lo, hi)
             assert pay_f.tobytes() == pay_d.tobytes() == U[lo:hi].T.tobytes(), n
         levels = [0.0, float(np.median(U.min(axis=-1)))]
         for got_f, got_d in zip(bounds_f(levels), bounds_d(levels)):
