@@ -25,7 +25,7 @@ import numpy as np
 
 from .automata import (Automaton, _is_index, _not_credible, build_minmax_automaton,
                        path_values)
-from .games import StageGame, mutual_minmax
+from .games import StageGame, _user_sum, mutual_minmax
 
 
 class DesignError(ValueError):
@@ -47,7 +47,7 @@ FLOOR_TOL = 1e-9
 
 def _welfare_value(kind: str, v: np.ndarray) -> float:
     if kind == "sum":
-        return float(np.sum(v))
+        return float(_user_sum(v))
     if kind == "maxmin":
         return float(np.min(v))
     raise DesignError(f"unknown welfare {kind!r}; expected one of {WELFARES}")

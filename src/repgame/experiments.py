@@ -32,9 +32,9 @@ import numpy as np
 
 from . import __version__
 from .automata import _bisect, _min_delta_for_L, verify_spe
-from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, _welfare_value,
-                     assemble_protocol, delta_bar, design_protocol, deviation_stats,
-                     generate_outcome_path, guarantee_feasible, optimize_welfare)
+from .design import (FLOOR_TOL, WELFARES, DesignError, DeviationStats, assemble_protocol,
+                     delta_bar, design_protocol, deviation_stats, generate_outcome_path,
+                     guarantee_feasible, optimize_welfare)
 from .games import (SCREEN_SLACK, FlowControlGame, GameConfigError, StageGame, _user_sum,
                     game_from_config, minmax_values, mutual_minmax, solve_stage_nash)
 from .simulate import profitability_scan
@@ -263,7 +263,7 @@ class SearchResult:
     payoffs: np.ndarray
 
 
-def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray, out=None):
+def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray):
     """Rank the profiles of the user-major payoff block ``UT`` (shape
     ``(n, R)``, one column per profile), each against its own floors
     (``floors``, broadcast to ``(n, R)``) and welfare (``maxmin``, a boolean
@@ -273,10 +273,9 @@ def _score(UT: np.ndarray, floors: np.ndarray, maxmin: np.ndarray, out=None):
     the welfare where the floor margin is at least ``-FLOOR_TOL``, the
     margin elsewhere.  Payoffs are nonnegative, so ``val`` alone ranks, and
     ``val >= 0`` is feasibility.  The welfare sum adds the rows in index
-    order by :func:`_user_sum`, as the payoff maps do.  ``out`` may hold
-    ``(n, R)`` and ``(R,)`` buffers to write into; ``val`` is the second."""
-    diff, val = (np.empty(UT.shape), np.empty(UT.shape[1])) if out is None else out
-    np.minimum.reduce(np.subtract(UT, floors, out=diff), axis=0, out=val)
+    order by :func:`_user_sum`, as the payoff maps do.  This is the one
+    rule that decides a one-shot profile's feasibility, rank and value."""
+    val = np.minimum.reduce(UT - floors, axis=0)
     welfare = _user_sum(UT.T)
     np.copyto(welfare, np.minimum.reduce(UT, axis=0), where=maxmin)
     np.copyto(val, welfare, where=np.greater_equal(val, -FLOOR_TOL))
@@ -288,9 +287,8 @@ def _take(best, lo, UT, cells):
     with :func:`_score` for every ``(gamma, kind)`` cell, keeping in ``best``
     each cell's largest ``(ok, val, -index)``: the first index wins ties,
     so any order of calls picks what one call on the whole grid picks."""
-    out = np.empty(UT.shape), np.empty(UT.shape[1])
     for k, (gamma, kind) in enumerate(cells):
-        val = _score(UT, gamma[:, None], kind == "maxmin", out)
+        val = _score(UT, gamma[:, None], kind == "maxmin")
         j = int(np.argmax(val))
         key = bool(val[j] >= 0.0), float(val[j]), -lo - j
         best[k] = max(key, best[k] or key)
@@ -373,15 +371,17 @@ def constrained_welfare_search(game: StageGame, gamma, kind: str) -> SearchResul
     finished by :func:`_search`: ``PASSES`` rounds of shrinking-window
     coordinate ascent and an SLSQP polish.  The problem is nonconvex, so
     the result is a certified feasible point, not a certified optimum.
-    Returns None when no feasible profile was found; a floor of ``+inf``
-    is out of reach.  Raises ValueError for a NaN floor or for a ``gamma``
-    that is neither one floor nor ``n`` of them.
+    Returns None when no feasible profile was found, and at once when a
+    floor is ``+inf``, which no profile reaches.  Raises ValueError for a
+    NaN floor or for a ``gamma`` that is neither one floor nor ``n`` of them.
     """
     if kind not in WELFARES:
         raise ValueError(f"unknown welfare {kind!r}")
     floors = np.asarray(gamma, dtype=float)
     if floors.shape not in ((), (1,), (game.n,)) or np.isnan(floors).any():
         raise ValueError(f"gamma must be one floor or {game.n}, none of them NaN, got {gamma!r}")
+    if np.isposinf(floors).any():
+        return None
     cells = [(np.broadcast_to(floors, (game.n,)), kind)]
     return _search(game, cells, _seeds(game, cells))[0]
 
@@ -391,19 +391,19 @@ def _search(game: StageGame, cells, seeds) -> list:
     ``(n,)`` or a stack ``(S, n)``): all starts climb in one lockstep
     :func:`_ascend`, each cell's first best start is polished with SLSQP
     (see :func:`_polish`) and pulled back towards the ascent point while it
-    breaks a floor more than that point does; it is kept only when
-    ``game.payoff`` confirms it meets the floors and strictly improves the
-    welfare.  One :class:`SearchResult` per cell, None where none was feasible."""
+    breaks a floor more than that point does.  :func:`_score` scores both
+    points at once; the polished one is kept only where its ``val`` is
+    larger, and the kept point's ``val`` is the reported value.  One
+    :class:`SearchResult` per cell, None where none was feasible."""
     stacks = [np.atleast_2d(np.asarray(seed, dtype=float)) for seed in seeds]
     owner = np.repeat(np.arange(len(cells)), [len(stack) for stack in stacks])
-    oks, vals, profiles = _ascend(game, np.concatenate(stacks),
-                                  np.array([cells[c][0] for c in owner]),
-                                  [cells[c][1] for c in owner])
+    vals, profiles = _ascend(game, np.concatenate(stacks), np.array([cells[c][0] for c in owner]),
+                             [cells[c][1] for c in owner])
     null = game.null_intervention()
     found = []
     for c, (gamma, kind) in enumerate(cells):
-        best = max(np.flatnonzero(owner == c), key=lambda s: (oks[s], vals[s]))
-        if not oks[best]:
+        best = max(np.flatnonzero(owner == c), key=vals.__getitem__)
+        if vals[best] < 0.0:
             found.append(None)
             continue
         a = profiles[best]
@@ -418,10 +418,10 @@ def _search(game: StageGame, cells, seeds) -> list:
             t = _bisect(lambda s: np.min(game.payoff_batch(null, a + s * step) - gamma) >= hold, 1.0, 0.0)
             polished = a + t * step
             u_pol = game.payoff(null, polished)
-        if (np.min(u_pol - gamma) >= -FLOOR_TOL
-                and _welfare_value(kind, u_pol) > _welfare_value(kind, u)):
+        val = _score(np.column_stack([u, u_pol]), gamma[:, None], kind == "maxmin")
+        if val[1] > val[0]:
             a, u = polished, u_pol
-        found.append(SearchResult(value=_welfare_value(kind, u), profile=a, payoffs=u))
+        found.append(SearchResult(value=float(val.max()), profile=a, payoffs=u))
     return found
 
 
@@ -462,64 +462,48 @@ def _polish(game: StageGame, start: np.ndarray, gamma: np.ndarray, kind: str):
 
 def _ascend(game: StageGame, starts: np.ndarray, gamma, kind):
     """Coordinate ascent with a geometrically shrinking search window, for
-    an ``(S, n)`` stack of starts climbing in lockstep, each against its
-    own floors and welfare (``gamma`` broadcasts to ``(S, n)``, ``kind`` to
-    ``(S,)``): each step scores the lines of all starts still climbing at
-    once, and each start moves and stops exactly as it would alone.
-    Returns ``(ok, val, profiles)`` of shapes ``(S,)``, ``(S,)`` and ``(S,
-    n)``.
+    an ``(S, n)`` stack of starts climbing in lockstep through all
+    ``PASSES`` passes, each against its own floors and welfare (``gamma``
+    broadcasts to ``(S, n)``, ``kind`` to ``(S,)``): each step scores the
+    lines of all starts at once, and each start moves exactly as it would
+    alone.  Returns ``(val, profiles)`` of shapes ``(S,)`` and ``(S, n)``;
+    ``val >= 0`` is feasibility.
 
     Coordinate i changes only at step i of a pass, so every coordinate's
     window and ``LINE_POINTS``-point line is built once at the start of the
     pass, in the arithmetic of ``np.linspace`` per start, as one ``(S,
     LINE_POINTS, n)`` table.  :meth:`StageGame.line_payoffs` turns it into
     one C-contiguous user-major ``(n, S, LINE_POINTS)`` payoff block per
-    step, written into one reused buffer, which :func:`_score` reduces into
-    buffers made once per pass: each step makes the same numpy calls,
-    whatever n is.
+    step, which :func:`_score` reduces against the lines' floors and kinds,
+    built once per call: each step makes the same numpy calls, whatever n is.
 
     :func:`_score`'s ``val`` ranks by feasibility first.  Each line's pick
-    is its first largest ``val``, a start moves where that beats its own by
-    more than 1e-13, and ``ok`` is ``val >= 0``.  Each step writes its move
-    into the climbing rows' copy, read again by the next step and written
-    back after the pass."""
-    null = game.null_intervention()
+    is its first largest ``val``, and a start moves where that beats its
+    own by more than 1e-13; the move is written into ``profiles``, which
+    the next step reads."""
     a = np.clip(starts, 0.0, game.a_max)
     floors = np.broadcast_to(gamma, a.shape).T
     maxmin = np.broadcast_to(np.asarray(kind) == "maxmin", len(a))
-    cur_val = _score(game.payoff_batch(null, a).T, floors, maxmin)
-    climbing = np.ones(len(a), dtype=bool)
-    k = np.arange(LINE_POINTS, dtype=float)[:, None]
+    val = _score(game.payoff_batch(game.null_intervention(), a).T, floors, maxmin)
+    S, R = len(a), len(a) * LINE_POINTS
+    line = np.repeat(floors, LINE_POINTS, axis=1), np.repeat(maxmin, LINE_POINTS)
+    at, k = np.arange(S), np.arange(LINE_POINTS, dtype=float)[:, None]
     for p in range(PASSES):
-        frac = 0.5 * 0.7 ** p
-        rows = np.flatnonzero(climbing)
-        x, x_val = a[rows], cur_val[rows]
-        R = len(rows) * LINE_POINTS
-        line = (np.repeat(floors[:, rows], LINE_POINTS, axis=1),
-                np.repeat(maxmin[rows], LINE_POINTS), (np.empty((game.n, R)), np.empty(R)))
-        moved = np.zeros(len(x), dtype=bool)
-        at = np.arange(len(x))
-        half = frac * game.a_max
-        lo = np.maximum(0.0, x - half)
-        hi = np.minimum(game.a_max, x + half)
+        half = 0.5 * 0.7 ** p * game.a_max
+        lo = np.maximum(0.0, a - half)
+        hi = np.minimum(game.a_max, a + half)
         # np.linspace(lo, hi, LINE_POINTS) for every start and coordinate, in
         # its arithmetic but without its call overhead
         lines = k * ((hi - lo) / (LINE_POINTS - 1))[:, None, :] + lo[:, None, :]
         lines[:, -1] = hi
-        for i, UT in enumerate(game.line_payoffs(x, lines)):
-            val = _score(UT.reshape(game.n, R), *line).reshape(-1, LINE_POINTS)
-            val_j = val.max(axis=-1)
-            up = val_j > x_val + 1e-13
+        for i, UT in enumerate(game.line_payoffs(a, lines)):
+            line_val = _score(UT.reshape(game.n, R), *line).reshape(S, LINE_POINTS)
+            best = line_val.max(axis=-1)
+            up = best > val + 1e-13
             if up.any():
-                np.copyto(x[:, i], lines[at, val.argmax(axis=-1), i], where=up)
-                np.copyto(x_val, val_j, where=up)
-                moved |= up
-        a[rows], cur_val[rows] = x, x_val
-        if frac * float(np.max(game.a_max)) < 1e-10:
-            climbing[rows] = moved   # a start stops after a pass without a move
-            if not climbing.any():
-                break
-    return cur_val >= 0.0, cur_val, a
+                np.copyto(a[:, i], lines[at, line_val.argmax(axis=-1), i], where=up)
+                np.copyto(val, best, where=up)
+    return val, a
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +520,8 @@ def _comparison_rows(game: StageGame, stats: DeviationStats, cells) -> list:
     u_ne = game.payoff(ne.a0, ne.a)
     blocks = []
     for (gam, kind), found in zip(cells, _search(game, cells, _seeds(game, cells, ne))):
-        nash = _welfare_value(kind, u_ne) if np.all(u_ne >= gam - FLOOR_TOL) else None
+        val = float(_score(u_ne[:, None], gam[:, None], kind == "maxmin")[0])
+        nash = val if val >= 0.0 else None
         rows = [["nash", nash, None], ["one_shot", found.value if found else None, None]]
         for scheme, device in (("repeated_no_intervention", False),
                                ("repeated_with_intervention", True)):
